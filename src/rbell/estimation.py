@@ -30,11 +30,14 @@ WORKERS_ENV = "RBL_WORKERS"
 
 
 def resolve_workers(workers: Optional[int] = None) -> int:
-    """Effective worker count: explicit argument capped by RBL_WORKERS."""
+    """Effective worker count: explicit argument capped by RBL_WORKERS.
+
+    RBL_WORKERS itself is capped at the machine's CPU count.
+    """
     env = os.environ.get(WORKERS_ENV)
     cap = None
     if env is not None and env.strip():
-        cap = max(0, int(env))
+        cap = min(max(0, int(env)), os.cpu_count() or 1)
     if workers is None:
         workers = cap if cap is not None else 0
     elif cap is not None:

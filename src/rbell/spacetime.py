@@ -145,6 +145,10 @@ class Intervention:
     def __post_init__(self) -> None:
         if self.station not in (1, 2):
             raise ValueError("station must be 1 or 2")
+        if not math.isfinite(self.decision_time):
+            raise ValueError("decision time must be finite")
+        if not math.isfinite(self.delay):
+            raise ValueError("delay must be finite")
         if self.delay < 0:
             raise ValueError("delay must be non-negative")
 
@@ -175,16 +179,16 @@ class InterventionStream:
         order = np.argsort(decision_times, kind="stable")
         self.decision_times = decision_times[order]
         if np.ndim(delays) == 0:
-            if float(delays) < 0:
-                raise ValueError("delay must be non-negative")
             self.delays: Union[float, np.ndarray] = float(delays)
-            self.effect_times = self.decision_times + float(delays)
         else:
-            delays = np.asarray(delays, dtype=np.float64)[order]
-            if np.any(delays < 0):
-                raise ValueError("delay must be non-negative")
-            self.delays = delays
-            self.effect_times = self.decision_times + delays
+            self.delays = np.asarray(delays, dtype=np.float64)[order]
+        if not np.all(np.isfinite(self.decision_times)):
+            raise ValueError("decision time must be finite")
+        if not np.all(np.isfinite(self.delays)):
+            raise ValueError("delay must be finite")
+        if np.any(np.less(self.delays, 0)):
+            raise ValueError("delay must be non-negative")
+        self.effect_times = self.decision_times + self.delays
         self.label_indices = np.asarray(label_indices, dtype=np.int64)[order]
         self.labels = tuple(labels)
         if isinstance(source_tags, str):
@@ -352,12 +356,6 @@ class SettingSchedule:
     # Evaluation
     # ------------------------------------------------------------------
 
-    def _check_defined(self, t: float) -> None:
-        if t < self.start:
-            raise UndefinedTimeError(
-                f"time {t} precedes the timeline start {self.start} (station {self.station})"
-            )
-
     def value_index_at(self, times: np.ndarray) -> np.ndarray:
         """Vector lookup; returns indices into :attr:`distinct_labels`."""
         times = np.asarray(times, dtype=np.float64)
@@ -370,7 +368,10 @@ class SettingSchedule:
 
     def value_at(self, t: float) -> SettingLabel:
         """Effective label at time ``t`` (right-continuous)."""
-        self._check_defined(t)
+        if t < self.start:
+            raise UndefinedTimeError(
+                f"time {t} precedes the timeline start {self.start} (station {self.station})"
+            )
         ts, labels = self._merged
         k = int(np.searchsorted(ts, t, side="right"))
         return self.distinct_labels[int(labels[k])]
@@ -382,32 +383,21 @@ class SettingSchedule:
         the base plus the surviving interventions is evaluated at
         ``t_target``.
         """
-        self._check_defined(cutoff)
-        if t_target < cutoff:
-            raise ValueError("prediction target must not precede the cutoff")
-        bt, bidx = self._base
-        kb = int(np.searchsorted(bt, t_target, side="right"))
-        best_time = bt[kb - 1] if kb > 0 else -math.inf
-        best = int(bidx[kb])
-        iv = self.interventions
-        for i in range(len(iv)):
-            if iv.decision_times[i] > cutoff:
-                continue
-            eff = iv.effect_times[i]
-            if eff <= t_target and eff >= best_time:
-                best_time = eff
-                best = int(
-                    self._label_index[iv.labels[int(iv.label_indices[i])].id]
-                )
-        return self.distinct_labels[best]
+        k = self.predictive_index_at(np.array([t_target]), np.array([cutoff]))
+        return self.distinct_labels[int(k[0])]
 
     def predictive_index_at(
         self, t_targets: np.ndarray, cutoffs: np.ndarray
     ) -> np.ndarray:
         """Vectorized :meth:`predictive_value_at`; returns label indices.
 
-        Fast path requires intervention effect times to be non-decreasing
-        in decision order (always true for a common fixed delay).
+        Interventions are ranked by (effect time, decision order).  For a
+        trial, the first ``pos`` ranks have taken effect by the target and
+        the first ``jd`` decisions were made by the cutoff; the winner is
+        the largest rank below ``pos`` whose decision index is below
+        ``jd``, unless a later base switch is in force.  Binary lifting
+        over a sparse table of range minima of the decision index finds
+        it in O(log M) steps per trial, O((N + M) log M) in all.
         """
         t_targets = np.asarray(t_targets, dtype=np.float64)
         cutoffs = np.asarray(cutoffs, dtype=np.float64)
@@ -417,36 +407,41 @@ class SettingSchedule:
             )
         if np.any(t_targets < cutoffs):
             raise ValueError("prediction target must not precede the cutoff")
-        iv = self.interventions
-        if not iv.effects_monotone:
-            return np.array(
-                [
-                    self._label_index[self.predictive_value_at(float(t), float(c)).id]
-                    for t, c in zip(t_targets, cutoffs)
-                ],
-                dtype=np.int64,
-            )
         bt, bidx = self._base
-        if bt.size:
-            kb = np.searchsorted(bt, t_targets, side="right")
-            base_time = np.where(kb > 0, bt[np.maximum(kb - 1, 0)], -np.inf)
-            base_label = bidx[kb]
-        else:
-            base_time = np.full(t_targets.shape, -np.inf)
-            base_label = np.zeros(t_targets.shape, dtype=np.int64)
+        kb = np.searchsorted(bt, t_targets, side="right")
+        base_label = bidx[kb]
+        iv = self.interventions
         if len(iv) == 0:
             return base_label
-        jd = np.searchsorted(iv.decision_times, cutoffs, side="right") - 1
-        je = np.searchsorted(iv.effect_times, t_targets, side="right") - 1
-        j = np.minimum(jd, je)
-        has_iv = j >= 0
-        jc = np.maximum(j, 0)
+        # stable sort: equal effect times keep decision order, so the
+        # later decision ranks higher
+        order = np.argsort(iv.effect_times, kind="stable").astype(np.int32)
+        pos = np.searchsorted(iv.effect_times[order], t_targets, side="right")
+        jd = np.searchsorted(iv.decision_times, cutoffs, side="right")
+        # only trials whose latest effect was decided after the cutoff
+        # search further back
+        todo = np.flatnonzero((pos > 0) & (order[np.maximum(pos - 1, 0)] >= jd))
+        p, j = pos[todo], jd[todo]
+        # levels[k][r] = min(order[r : r + 2**k]); a jump never exceeds p,
+        # so no longer level is needed.  Jump back over blocks decided
+        # after the cutoff, longest first.
+        levels = [order]
+        while (1 << len(levels)) <= p.max(initial=0):
+            prev, half = levels[-1], 1 << (len(levels) - 1)
+            levels.append(np.minimum(prev[:-half], prev[half:]))
+        for k in range(len(levels) - 1, -1, -1):
+            start = p - (1 << k)
+            jump = (start >= 0) & (levels[k][np.maximum(start, 0)] >= j)
+            p = np.where(jump, start, p)
+        pos[todo] = p
+        winner = order[np.maximum(pos - 1, 0)]
+        base_time = np.append(-np.inf, bt)[kb]
         ilab = np.array(
             [self._label_index[lbl.id] for lbl in iv.labels], dtype=np.int64
         )[iv.label_indices]
         # tie at the same instant -> intervention overrides the base switch
-        use_iv = has_iv & (iv.effect_times[jc] >= base_time)
-        return np.where(use_iv, ilab[jc], base_label)
+        use_iv = (pos > 0) & (iv.effect_times[winner] >= base_time)
+        return np.where(use_iv, ilab[winner], base_label)
 
 
 # ----------------------------------------------------------------------
@@ -535,13 +530,16 @@ def load_interventions(
                 delay = float(row[2])
             except ValueError as exc:
                 raise StreamFormatError(f"{path}:{lineno}: {exc}") from None
+            if st not in (1, 2):
+                raise StreamFormatError(f"{path}:{lineno}: station must be 1 or 2")
+            # the palette is this station's, so filter before the lookup
+            if station is not None and st != station:
+                continue
             label_id = row[3].strip()
             if label_id not in palette:
                 raise StreamFormatError(
                     f"{path}:{lineno}: unknown label {label_id!r}"
                 )
-            if station is not None and st != station:
-                continue
             try:
                 out.append(
                     Intervention(

@@ -241,6 +241,43 @@ def test_run_bad_config(tmp_path, capsys):
     assert code == 1
 
 
+STREAM_CONFIG_TEXT = CONFIG_TEXT.replace(
+    "schedule = random_switch\nrate = 2.0\n\n[station2]",
+    "schedule = stream\nfile = stream.csv\nbase = a\n\n[station2]",
+).replace(
+    "schedule = random_switch\nrate = 2.0\n\n[run]",
+    "schedule = stream\nfile = stream.csv\nbase = b\n\n[run]",
+).replace("n_trials = 20000", "n_trials = 200").replace("min_count = 100", "min_count = 1")
+
+
+@pytest.mark.parametrize(
+    "extra_row,code",
+    # 2: the run completes, but three interventions fill too few cells
+    # to score an inequality
+    [("", 2), ("2,nan,0.0,b2,human\n", 1), ("1,30.0,inf,a,human\n", 1)],
+)
+def test_run_shared_stream_file(tmp_path, capsys, extra_row, code):
+    # one stream file serves both stations; a non-finite time is one error line
+    assert STREAM_CONFIG_TEXT.count("file = stream.csv") == 2
+    (tmp_path / "stream.csv").write_text(
+        "station,decision_time,delay,label,source_tag\n"
+        "1,3.0,0.0,a2,human\n"
+        "2,4.0,1.5,b2,human\n"
+        "1,9.0,0.5,a,human\n" + extra_row
+    )
+    config = tmp_path / "scenario.ini"
+    config.write_text(STREAM_CONFIG_TEXT)
+    got, out, err = run_cli(
+        capsys, ["run", "--config", str(config), "--out", str(tmp_path / "o")]
+    )
+    assert got == code
+    if code == 1:
+        assert err.count("\n") == 1 and "stream.csv:5:" in err
+        assert "must be finite" in err
+    else:
+        assert json.loads(out)["trials"] == 200
+
+
 def test_check_empty_table(tmp_path, capsys):
     table = tmp_path / "table.csv"
     table.write_text("a,b,a_r,b_r,E,SE,count,sufficient\n")

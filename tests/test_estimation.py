@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -164,6 +165,14 @@ def test_resolve_workers(monkeypatch):
     assert resolve_workers(8) == 2  # env caps explicit requests
     monkeypatch.setenv("RBL_WORKERS", "0")
     assert resolve_workers(8) == 1
+
+
+def test_resolve_workers_capped_at_cpu_count(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    monkeypatch.setenv("RBL_WORKERS", "100000")
+    assert resolve_workers() == 3
+    assert resolve_workers(8) == 3
+    assert resolve_workers(2) == 2
 
 
 def test_mc_rejects_bad_n():

@@ -1,8 +1,9 @@
 import math
+import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st_
 
 from rbell.errors import StreamFormatError, UndefinedTimeError
@@ -254,6 +255,32 @@ def test_predictive_target_before_cutoff_rejected():
     sched = SettingSchedule(station=1, start=0.0, initial=A)
     with pytest.raises(ValueError):
         sched.predictive_value_at(1.0, 2.0)
+    # a cutoff before the timeline start is undefined, scalar or vector
+    with pytest.raises(UndefinedTimeError):
+        sched.predictive_value_at(1.0, -1.0)
+    with pytest.raises(UndefinedTimeError):
+        sched.predictive_index_at(np.array([1.0, 2.0]), np.array([1.0, -1.0]))
+
+
+def predictive_oracle(sched, t_target, cutoff):
+    """Brute-force predictive lookup: one pass over every event.
+
+    The last base switch at or before the target is the starting
+    winner; then every intervention decided by the cutoff, in decision
+    order, takes over if it is in force and takes effect no earlier.
+    """
+    best_time, best = -math.inf, sched.initial
+    for t, lbl in sched.switches:
+        if t <= t_target:
+            best_time, best = t, lbl
+    iv = sched.interventions
+    for i in range(len(iv)):
+        if iv.decision_times[i] > cutoff:
+            continue
+        eff = iv.effect_times[i]
+        if eff <= t_target and eff >= best_time:
+            best_time, best = eff, iv.labels[int(iv.label_indices[i])]
+    return best
 
 
 def test_predictive_vector_matches_scalar_with_mixed_delays():
@@ -271,11 +298,93 @@ def test_predictive_vector_matches_scalar_with_mixed_delays():
     sched = SettingSchedule(
         station=1, start=-10.0, initial=A, switches=switches, interventions=ivs
     )
+    assert not sched.interventions.effects_monotone
     ts = rng.uniform(0, 10, 80)
     out = sched.predictive_index_at(ts, ts - 2.0)
     for t, k in zip(ts, out):
-        expect = sched.predictive_value_at(float(t), float(t) - 2.0)
+        expect = predictive_oracle(sched, float(t), float(t) - 2.0)
         assert sched.distinct_labels[int(k)].id == expect.id
+        assert sched.predictive_value_at(float(t), float(t) - 2.0).id == expect.id
+
+
+# Times on a coarse grid, so that equal decision times, equal effect
+# times, zero delays, cutoff == target and base switches at an effect's
+# instant all occur.
+GRID = 0.5
+PALETTE = (A, A2, B, B2)
+
+
+def _on_grid(lo, hi):
+    return st_.integers(lo, hi).map(lambda k: k * GRID)
+
+
+@st_.composite
+def predictive_cases(draw):
+    ivs = draw(
+        st_.lists(
+            st_.tuples(_on_grid(-8, 20), _on_grid(0, 8), st_.sampled_from(PALETTE)),
+            max_size=12,
+        )
+    )
+    switch_times = sorted(draw(st_.lists(_on_grid(-8, 24), max_size=5, unique=True)))
+    switches = tuple((t, PALETTE[i % 4]) for i, t in enumerate(switch_times))
+    trials = draw(
+        st_.lists(st_.tuples(_on_grid(-10, 24), _on_grid(0, 6)), min_size=1, max_size=20)
+    )
+    return ivs, switches, trials
+
+
+@settings(max_examples=300, deadline=None)
+@given(predictive_cases())
+# empty stream, no base switches
+@example(([], (), [(0.0, 0.0), (3.0, 1.0)]))
+# equal decision and effect times: the later row wins
+@example(([(1.0, 1.0, A2), (1.0, 1.0, B2)], (), [(1.0, 1.0), (2.0, 0.0)]))
+# an effect at a base switch's instant, zero delay, cutoff == target
+@example(([(2.0, 0.0, B), (1.0, 1.0, B2)], ((2.0, A2),), [(2.0, 0.0), (1.5, 0.5)]))
+# a later decision with an earlier effect loses to an earlier decision
+@example(([(0.0, 3.0, A2), (1.0, 0.5, B2)], ((4.0, A),), [(1.0, 2.0), (3.0, 1.0)]))
+def test_predictive_matches_oracle(case):
+    ivs, switches, trials = case
+    sched = SettingSchedule(
+        station=1,
+        start=-5.0,
+        initial=A,
+        switches=switches,
+        interventions=tuple(
+            Intervention(station=1, decision_time=d, delay=x, new_label=lbl)
+            for d, x, lbl in ivs
+        ),
+    )
+    cutoffs = np.array([c for c, _ in trials])
+    targets = cutoffs + np.array([gap for _, gap in trials])
+    out = sched.predictive_index_at(targets, cutoffs)
+    for t, c, k in zip(targets, cutoffs, out):
+        expect = predictive_oracle(sched, float(t), float(c)).id
+        assert sched.distinct_labels[int(k)].id == expect
+        assert sched.predictive_value_at(float(t), float(c)).id == expect
+
+
+def test_predictive_scales_with_mixed_delays():
+    rng = np.random.default_rng(5)
+    n = 20_000
+    stream = InterventionStream(
+        station=1,
+        decision_times=np.sort(rng.uniform(0, n, n)),
+        delays=rng.choice([0.0, 0.5, 1.5, 3.0], n),
+        label_indices=rng.integers(0, 2, n),
+        labels=(A2, B2),
+    )
+    assert not stream.effects_monotone
+    sched = SettingSchedule(station=1, start=-1.0, initial=A, interventions=stream)
+    ts = np.arange(n, dtype=np.float64)
+    t0 = time.perf_counter()
+    out = sched.predictive_index_at(ts, ts - 1.0)
+    # a loop over trials x interventions takes minutes here
+    assert time.perf_counter() - t0 < 2.0
+    for i in rng.integers(0, n, 10):
+        expect = predictive_oracle(sched, ts[i], ts[i] - 1.0)
+        assert sched.distinct_labels[int(out[i])].id == expect.id
 
 
 # ----------------------------------------------------------------------
@@ -318,6 +427,26 @@ def test_load_interventions_roundtrip(tmp_path):
     assert len(only1) == 1
 
 
+def test_load_interventions_shared_file(tmp_path):
+    path = tmp_path / "stream.csv"
+    text = (
+        "station,decision_time,delay,label,source_tag\n"
+        "1,3.0,0.0,a2,button\n"
+        "2,4.0,0.5,b2,button\n"
+        "1,5.0,1.0,a,button\n"
+    )
+    path.write_text(text)
+    one = load_interventions(path, {"a": A, "a2": A2}, station=1)
+    two = load_interventions(path, {"b": B, "b2": B2}, station=2)
+    assert [iv.new_label.id for iv in one] == ["a2", "a"]
+    assert [iv.new_label.id for iv in two] == ["b2"]
+    # rows of the other station are still parsed
+    for bad in ("2,oops,0.0,b2,button", "3,1.0,0.0,a,button"):
+        path.write_text(text + bad + "\n")
+        with pytest.raises(StreamFormatError, match=r"stream\.csv:5:"):
+            load_interventions(path, {"a": A, "a2": A2}, station=1)
+
+
 def test_load_interventions_header_required(tmp_path):
     path = tmp_path / "stream.csv"
     path.write_text("1,3.0,0.0,a2,button\n")
@@ -332,13 +461,34 @@ def test_load_interventions_header_required(tmp_path):
         "1,3.0,-1.0,a2,button",
         "1,3.0,0.0,nope,button",
         "1,3.0,0.0,a2",
+        "1,nan,0.0,a2,button",
+        "1,3.0,inf,a2,button",
+        "1,3.0,nan,a2,button",
     ],
 )
 def test_load_interventions_malformed_rows(tmp_path, row):
     path = tmp_path / "stream.csv"
     path.write_text("station,decision_time,delay,label,source_tag\n" + row + "\n")
-    with pytest.raises(StreamFormatError):
+    with pytest.raises(StreamFormatError, match=r"stream\.csv:2:"):
         load_interventions(path, {"a2": A2})
+
+
+@pytest.mark.parametrize(
+    "decision,delay,message",
+    [
+        (math.nan, 0.0, "decision time must be finite"),
+        (math.inf, 0.0, "decision time must be finite"),
+        (1.0, math.inf, "delay must be finite"),
+        (1.0, math.nan, "delay must be finite"),
+        (1.0, -0.5, "delay must be non-negative"),
+    ],
+)
+def test_intervention_rejects_bad_timing(decision, delay, message):
+    with pytest.raises(ValueError, match=message):
+        Intervention(station=1, decision_time=decision, delay=delay, new_label=A2)
+    for delays in (np.array([0.0, delay]), delay):  # per-row and common delay
+        with pytest.raises(ValueError, match=message):
+            InterventionStream(1, np.array([0.0, decision]), delays, np.array([0, 0]), (A2,))
 
 
 def test_intervention_stream_from_objects_matches():
