@@ -22,8 +22,9 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -37,8 +38,9 @@ from .estimation import (
     resolve_workers,
 )
 from .inequalities import (
-    Correlation,
+    CorrelationInput,
     InequalityReport,
+    Quad,
     both_equal_reduction,
     ch_identity_check,
     chsh_identity_check,
@@ -48,7 +50,13 @@ from .inequalities import (
     retarded_chsh,
     same_retarded_chsh,
 )
-from .models import get_model, hardy_closed_form_E, model_names, quantum_joint_probs
+from .models import (
+    get_model,
+    hardy_closed_form_E,
+    hardy_closed_form_p12,
+    model_names,
+    quantum_joint_probs,
+)
 from .optimizer import ObjectiveSpec, optimize
 from .scenarios import load_config, run_scenario
 from .spacetime import parse_angle
@@ -59,15 +67,68 @@ EXIT_INSUFFICIENT = 2
 EXIT_VIOLATED = 3
 
 ANGLE_FLAGS = ("a", "a2", "b", "b2", "ar", "a2r", "br", "b2r")
+QUARTET = ANGLE_FLAGS[:4]
+RETARDED_FLAGS = ANGLE_FLAGS[4:]
 
-CORRELATION_INEQS = (
-    "retarded_chsh",
-    "same_retarded_chsh",
-    "chsh",
-    "both_equal",
-    "one_end_equal",
-)
-ANALYTIC_INEQS = CORRELATION_INEQS + ("retarded_ch",)
+
+def _octuple(ids: dict[str, str], retarded: Sequence[str] = RETARDED_FLAGS) -> tuple[str, ...]:
+    """Cell ids of the actual quartet, then of the flags that stand in
+    for (ar, a2r, br, b2r)."""
+    return tuple(ids[k] for k in QUARTET + tuple(retarded))
+
+
+@dataclass(frozen=True)
+class Inequality:
+    """One inequality of the CLI: the flags it requires, its cells for
+    resolved flag ids, and its evaluation over correlations."""
+
+    needs: tuple[str, ...]
+    cells: Callable[[dict[str, str]], Sequence[Quad]]
+    evaluate: Optional[Callable[[CorrelationInput, dict[str, str]], InequalityReport]]
+
+
+#: Inequality name -> its table entry.  ``retarded_ch`` has no
+#: correlation form: ``analytic`` evaluates it from probabilities and
+#: ``check`` refuses it.
+INEQUALITIES = {
+    "retarded_chsh": Inequality(
+        QUARTET,
+        lambda ids: chsh_quadruples(*_octuple(ids)),
+        lambda corr, ids: retarded_chsh(corr, *_octuple(ids)),
+    ),
+    "same_retarded_chsh": Inequality(
+        QUARTET,
+        lambda ids: chsh_quadruples(*_octuple(ids, ("a", "a", "b", "b"))),
+        lambda corr, ids: same_retarded_chsh(corr, *_octuple(ids)[:4]),
+    ),
+    "chsh": Inequality(
+        QUARTET,
+        lambda ids: chsh_quadruples(*_octuple(ids, QUARTET)),
+        lambda corr, ids: retarded_chsh(corr, *_octuple(ids, QUARTET), name="chsh"),
+    ),
+    "both_equal": Inequality(
+        ("a", "b"),
+        lambda ids: [(ids["a"], ids["b"], ids["a"], ids["b"])],
+        lambda corr, ids: both_equal_reduction(corr, ids["a"], ids["b"]),
+    ),
+    "one_end_equal": Inequality(
+        ("a", "b", "b2"),
+        lambda ids: [
+            (ids["a"], ids["b2"], ids["a"], ids["b2r"]),
+            (ids["a"], ids["b"], ids["a"], ids["b2r"]),
+            (ids["a"], ids["b2"], ids["a"], ids["br"]),
+            (ids["a"], ids["b"], ids["a"], ids["br"]),
+        ],
+        lambda corr, ids: one_end_equal_chsh(
+            corr, *(ids[k] for k in ("a", "b", "b2", "br", "b2r"))
+        ),
+    ),
+    "retarded_ch": Inequality(
+        QUARTET, lambda ids: chsh_quadruples(*_octuple(ids)), None
+    ),
+}
+ANALYTIC_INEQS = tuple(INEQUALITIES)
+CORRELATION_INEQS = tuple(n for n, q in INEQUALITIES.items() if q.evaluate is not None)
 
 
 def _say(text: str) -> None:
@@ -93,30 +154,24 @@ def _exit_code_for(reports: Sequence[InequalityReport]) -> int:
 # ----------------------------------------------------------------------
 
 
-def _resolved_ids(args) -> dict[str, str]:
-    """Flag name -> cell id, with retarded flags falling back to the
-    matching actual flag (tied-to-actual default)."""
+def _resolve_ids(args, ineq: str, by_value: bool) -> dict[str, str]:
+    """Flag name -> cell id after checking the inequality's required flags.
+
+    A flag's id is its own name (``analytic``, where flags carry angles)
+    or its value (``check``, where flags carry label ids); an absent
+    retarded flag takes the id of its actual flag.
+    """
+    for name in INEQUALITIES[ineq].needs:
+        if getattr(args, name, None) is None:
+            raise ConfigError(f"--{name} is required for {ineq}")
     ids = {}
-    for name in ("a", "a2", "b", "b2"):
-        ids[name] = name
-    for name in ("ar", "a2r", "br", "b2r"):
-        given = getattr(args, name, None)
-        ids[name] = name if given is not None else name[:-1]
+    for name in ANGLE_FLAGS:
+        value = getattr(args, name, None)
+        if value is None and name in RETARDED_FLAGS:
+            ids[name] = ids[name[:-1]]
+        else:
+            ids[name] = value if by_value else name
     return ids
-
-
-def _collect_angles(args, needed: Sequence[str]) -> dict[str, float]:
-    angles = {}
-    for name in needed:
-        raw = getattr(args, name, None)
-        if raw is None:
-            raise ConfigError(f"--{name} is required for this inequality")
-        angles[name] = parse_angle(raw)
-    for name in ("ar", "a2r", "br", "b2r"):
-        raw = getattr(args, name, None)
-        if raw is not None:
-            angles[name] = parse_angle(raw)
-    return angles
 
 
 def _analytic(args) -> int:
@@ -124,67 +179,28 @@ def _analytic(args) -> int:
     ineq = args.ineq
     if ineq not in ANALYTIC_INEQS:
         raise ConfigError(f"unknown inequality {ineq!r}; choose from {ANALYTIC_INEQS}")
-    ids = _resolved_ids(args)
+    spec = INEQUALITIES[ineq]
+    ids = _resolve_ids(args, ineq, by_value=False)
+    given = [k for k in RETARDED_FLAGS if getattr(args, k, None) is not None]
+    angles = {k: parse_angle(getattr(args, k)) for k in spec.needs + tuple(given)}
+    quads = spec.cells(ids)
 
-    if ineq == "both_equal":
-        angles = _collect_angles(args, ("a", "b"))
-        quads = [(ids["a"], ids["b"], ids["a"], ids["b"])]
-        corr = analytic_correlations(model, {ids[k]: v for k, v in angles.items()}, quads)
-        report = both_equal_reduction(corr, ids["a"], ids["b"])
-    elif ineq == "one_end_equal":
-        angles = _collect_angles(args, ("a", "b", "b2"))
-        amap = {ids[k]: v for k, v in angles.items()}
-        a_, b_, b2_ = ids["a"], ids["b"], ids["b2"]
-        br_, b2r_ = ids["br"], ids["b2r"]
-        quads = [(a_, b2_, a_, b2r_), (a_, b_, a_, b2r_), (a_, b2_, a_, br_), (a_, b_, a_, br_)]
-        corr = analytic_correlations(model, amap, quads)
-        report = one_end_equal_chsh(corr, a_, b_, b2_, br_, b2r_)
-    elif ineq == "retarded_ch":
-        angles = _collect_angles(args, ("a", "a2", "b", "b2"))
-        amap = {ids[k]: v for k, v in angles.items()}
-        octuple = tuple(ids[k] for k in ANGLE_FLAGS)
-        quads = chsh_quadruples(*octuple)
-        cells = analytic_ch_probs(model, amap, quads)
-        p1, p2 = analytic_marginals(model, amap[ids["a2"]], amap[ids["b2"]])
-        report = retarded_ch(cells, p1, p2, *octuple)
+    if spec.evaluate is None:
+        cells = analytic_ch_probs(model, angles, quads)
+        p1, p2 = analytic_marginals(model, angles[ids["a2"]], angles[ids["b2"]])
+        report = retarded_ch(cells, p1, p2, *_octuple(ids))
     else:
-        angles = _collect_angles(args, ("a", "a2", "b", "b2"))
-        amap = {ids[k]: v for k, v in angles.items()}
-        if ineq == "same_retarded_chsh":
-            octuple = (ids["a"], ids["a2"], ids["b"], ids["b2"],
-                       ids["a"], ids["a"], ids["b"], ids["b"])
-        elif ineq == "chsh":
-            octuple = (ids["a"], ids["a2"], ids["b"], ids["b2"],
-                       ids["a"], ids["a2"], ids["b"], ids["b2"])
-        else:
-            octuple = tuple(ids[k] for k in ANGLE_FLAGS)
-        quads = chsh_quadruples(*octuple)
-        corr = analytic_correlations(model, amap, quads)
-        if ineq == "same_retarded_chsh":
-            report = same_retarded_chsh(corr, ids["a"], ids["a2"], ids["b"], ids["b2"])
-        else:
-            report = retarded_chsh(corr, *octuple, name=ineq)
+        report = spec.evaluate(analytic_correlations(model, angles, quads), ids)
 
     payload = report.to_dict()
-    payload["angles"] = {ids[k]: v for k, v in angles.items()}
+    payload["angles"] = angles
     reports = [report]
 
-    if args.n and ineq not in CORRELATION_INEQS:
+    if args.n and spec.evaluate is None:
         _say(f"note: --n is ignored for {ineq}")
-    if args.n and ineq in CORRELATION_INEQS:
-        mc = mc_correlations(
-            model, {ids[k]: v for k, v in angles.items()}, quads,
-            n=args.n, seed=args.seed,
-        )
-        if ineq == "same_retarded_chsh":
-            mc_report = same_retarded_chsh(mc, ids["a"], ids["a2"], ids["b"], ids["b2"])
-        elif ineq == "both_equal":
-            mc_report = both_equal_reduction(mc, ids["a"], ids["b"])
-        elif ineq == "one_end_equal":
-            mc_report = one_end_equal_chsh(mc, ids["a"], ids["b"], ids["b2"],
-                                           ids["br"], ids["b2r"])
-        else:
-            mc_report = retarded_chsh(mc, *octuple, name=ineq)
+    elif args.n:
+        mc = mc_correlations(model, angles, quads, n=args.n, seed=args.seed)
+        mc_report = spec.evaluate(mc, ids)
         payload["monte_carlo"] = mc_report.to_dict()
         reports.append(mc_report)
         _say(_report_line(mc_report) + f" (monte carlo, n={args.n})")
@@ -201,43 +217,13 @@ def _analytic(args) -> int:
 
 def _check(args) -> int:
     table = read_table(args.table, min_count=args.min_count)
-    corr = table.to_correlation_input()
     ineq = args.ineq
     if ineq not in CORRELATION_INEQS:
         raise ConfigError(
             f"check supports correlation inequalities {CORRELATION_INEQS}"
         )
-
-    def need(*names: str) -> list[str]:
-        out = []
-        for name in names:
-            value = getattr(args, name, None)
-            if value is None:
-                raise ConfigError(f"--{name} is required for {ineq}")
-            out.append(value)
-        return out
-
-    if ineq == "both_equal":
-        a, b = need("a", "b")
-        report = both_equal_reduction(corr, a, b)
-    elif ineq == "one_end_equal":
-        a, b, b2 = need("a", "b", "b2")
-        br = args.br if args.br is not None else b
-        b2r = args.b2r if args.b2r is not None else b2
-        report = one_end_equal_chsh(corr, a, b, b2, br, b2r)
-    else:
-        a, a2, b, b2 = need("a", "a2", "b", "b2")
-        if ineq == "same_retarded_chsh":
-            report = same_retarded_chsh(corr, a, a2, b, b2)
-        else:
-            ar = args.ar if args.ar is not None else a
-            a2r = args.a2r if args.a2r is not None else a2
-            br = args.br if args.br is not None else b
-            b2r = args.b2r if args.b2r is not None else b2
-            if ineq == "chsh":
-                ar, a2r, br, b2r = a, a2, b, b2
-            report = retarded_chsh(corr, a, a2, b, b2, ar, a2r, br, b2r, name=ineq)
-
+    ids = _resolve_ids(args, ineq, by_value=True)
+    report = INEQUALITIES[ineq].evaluate(table.to_correlation_input(), ids)
     print(json.dumps(report.to_dict(), indent=2))
     _say(_report_line(report))
     return _exit_code_for([report])
@@ -387,14 +373,11 @@ def _verify_checks(rng: np.random.Generator) -> list[tuple[str, bool, str]]:
     ok = bool(np.all(s >= -2 - 1e-9) and np.all(s <= 2 + 1e-9))
     checks.append(("lhv-retarded-chsh-bound", ok, f"range [{s.min():.6f}, {s.max():.6f}]"))
 
-    def p12(x, y, u, v):
-        return (1.0 + hardy_closed_form_E(x, y, u, v)) / 4.0
-
     ch = (
-        p12(a2, b2, a2r, b2r)
-        + p12(a2, b, ar, b2r)
-        + p12(a, b2, a2r, br)
-        - p12(a, b, ar, br)
+        hardy_closed_form_p12(a2, b2, a2r, b2r)
+        + hardy_closed_form_p12(a2, b, ar, b2r)
+        + hardy_closed_form_p12(a, b2, a2r, br)
+        - hardy_closed_form_p12(a, b, ar, br)
         - 0.5
         - 0.5
     )

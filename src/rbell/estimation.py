@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import MissingCellError, UnsupportedModelError
 from .inequalities import Correlation, CorrelationInput, Quad
-from .models import DeterministicLHV, Model, StochasticLHV
+from .models import Model, StochasticLHV, sample_outcomes
 from .spacetime import SettingLabel
 
 BLOCK_SIZE = 1 << 16
@@ -30,19 +30,18 @@ WORKERS_ENV = "RBL_WORKERS"
 
 
 def resolve_workers(workers: Optional[int] = None) -> int:
-    """Effective worker count: explicit argument capped by RBL_WORKERS.
+    """Effective worker count: the explicit argument, else RBL_WORKERS.
 
-    RBL_WORKERS itself is capped at the machine's CPU count.
+    RBL_WORKERS also caps an explicit argument, and the machine's CPU
+    count caps the result, so no request opens more threads than CPUs.
     """
     env = os.environ.get(WORKERS_ENV)
-    cap = None
-    if env is not None and env.strip():
-        cap = min(max(0, int(env)), os.cpu_count() or 1)
+    limit = max(0, int(env)) if env is not None and env.strip() else None
     if workers is None:
-        workers = cap if cap is not None else 0
-    elif cap is not None:
-        workers = min(workers, cap)
-    return max(1, workers)
+        workers = limit or 0
+    elif limit is not None:
+        workers = min(workers, limit)
+    return max(1, min(workers, os.cpu_count() or 1))
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:
@@ -407,10 +406,25 @@ def _require_local(model: Model, op: str) -> None:
         )
 
 
-def _midpoints(model, nodes: int) -> tuple[np.ndarray, float]:
+def _station_probs(
+    model: Model, a: float, b: float, a_r: float, b_r: float, nodes: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Both stations' +1 probabilities on the midpoint lambda grid, the
+    density there and the node width.
+
+    Deterministic models are lifted via p = (1 + outcome)/2.
+    """
+    _require_local(model, "quadrature")
+    if nodes < 1_000:
+        raise ValueError("nodes must be at least 1000")
+    if not isinstance(model, StochasticLHV):
+        model = StochasticLHV.from_deterministic(model)
     lo, hi = model.hidden.lower, model.hidden.upper
     h = (hi - lo) / nodes
-    return lo + (np.arange(nodes) + 0.5) * h, h
+    lam = lo + (np.arange(nodes) + 0.5) * h
+    p1v = np.asarray(model.p1(a, b_r, lam), dtype=np.float64)
+    p2v = np.asarray(model.p2(b, a_r, lam), dtype=np.float64)
+    return p1v, p2v, model.hidden.density(lam), h
 
 
 def quadrature_E(
@@ -426,18 +440,8 @@ def quadrature_E(
     The integrands here are piecewise constant with a handful of jumps,
     so the midpoint error is at most (jumps) * (range/nodes) * max|f*rho|.
     """
-    _require_local(model, "quadrature")
-    if nodes < 1_000:
-        raise ValueError("nodes must be at least 1000")
-    lam, h = _midpoints(model, nodes)
-    rho = model.hidden.density(lam)
-    if isinstance(model, StochasticLHV):
-        f = (2.0 * model.p1(a, b_r, lam) - 1.0) * (2.0 * model.p2(b, a_r, lam) - 1.0)
-    else:
-        f = model.outcome_A(a, b_r, lam).astype(np.float64) * model.outcome_B(
-            b, a_r, lam
-        )
-    return float(np.sum(f * rho) * h)
+    p1v, p2v, rho, h = _station_probs(model, a, b, a_r, b_r, nodes)
+    return float(np.sum((2.0 * p1v - 1.0) * (2.0 * p2v - 1.0) * rho) * h)
 
 
 def quadrature_ch_probs(
@@ -450,33 +454,67 @@ def quadrature_ch_probs(
 ) -> tuple[float, float, float]:
     """(p12, p1, p2) by lambda-quadrature.
 
-    Deterministic models are lifted via p = (1 + outcome)/2.  The
-    marginals are averaged over lambda only (retarded-independent, the
-    default reading).
+    The marginals are averaged over lambda only (retarded-independent,
+    the default reading).
     """
-    _require_local(model, "quadrature")
-    if nodes < 1_000:
-        raise ValueError("nodes must be at least 1000")
-    lam, h = _midpoints(model, nodes)
-    rho = model.hidden.density(lam)
-    if isinstance(model, StochasticLHV):
-        p1v = np.asarray(model.p1(a, b_r, lam), dtype=np.float64)
-        p2v = np.asarray(model.p2(b, a_r, lam), dtype=np.float64)
-    else:
-        p1v = (1.0 + model.outcome_A(a, b_r, lam)) / 2.0
-        p2v = (1.0 + model.outcome_B(b, a_r, lam)) / 2.0
+    p1v, p2v, rho, h = _station_probs(model, a, b, a_r, b_r, nodes)
     p12 = float(np.sum(p1v * p2v * rho) * h)
     p1 = float(np.sum(p1v * rho) * h)
     p2 = float(np.sum(p2v * rho) * h)
     return p12, p1, p2
 
 
-def closed_form_E(model: Model, a: float, b: float, a_r: float, b_r: float,
-                  nodes: int = 100_000) -> float:
-    """Model correlation via closed form when available, else quadrature."""
-    if getattr(model, "closed_form_E", None) is not None:
-        return float(model.closed_form_E(a, b, a_r, b_r))
-    return quadrature_E(model, a, b, a_r, b_r, nodes)
+#: Exact model quantities at settings (a, b, a_r, b_r): the closed-form
+#: attributes each needs, its values from them, and its values by
+#: lambda-quadrature at one point.
+_EXACT = {
+    "E": (
+        ("closed_form_E",),
+        lambda m, a, b, a_r, b_r: (m.closed_form_E(a, b, a_r, b_r),),
+        lambda m, *point: (quadrature_E(m, *point),),
+    ),
+    "p12": (
+        ("closed_form_p12",),
+        lambda m, a, b, a_r, b_r: (m.closed_form_p12(a, b, a_r, b_r),),
+        lambda m, *point: quadrature_ch_probs(m, *point)[:1],
+    ),
+    "marginals": (
+        ("closed_form_p1", "closed_form_p2"),
+        lambda m, a, b, a_r, b_r: (m.closed_form_p1(a, b_r), m.closed_form_p2(b, a_r)),
+        lambda m, *point: quadrature_ch_probs(m, *point)[1:],
+    ),
+}
+
+
+def exact_values(
+    model: Model, quantity: str, nodes: int = 100_000
+) -> Callable[..., tuple[np.ndarray, ...]]:
+    """Broadcasting evaluator of an exact model quantity.
+
+    ``quantity`` is "E" (gives (E,)), "p12" (gives (p12,)) or
+    "marginals" (gives (p1, p2), read at (a, b_r) and (b, a_r)).  The
+    evaluator takes settings (a, b, a_r, b_r), scalars or arrays that
+    broadcast together.  It uses the model's closed forms when it has
+    them all (a constant closed form may return a scalar); otherwise it
+    runs lambda-quadrature point by point, which raises
+    UnsupportedModelError here for a model without a hidden variable.
+    """
+    attrs, closed, quadrature = _EXACT[quantity]
+    if all(getattr(model, attr, None) is not None for attr in attrs):
+        def by_closed_form(a, b, a_r, b_r):
+            return tuple(np.asarray(v, dtype=float) for v in closed(model, a, b, a_r, b_r))
+        return by_closed_form
+    _require_local(model, "quadrature")
+
+    def by_quadrature(a, b, a_r, b_r):
+        points = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (a, b, a_r, b_r)))
+        out = np.empty((len(attrs),) + points[0].shape)
+        for idx in np.ndindex(points[0].shape):
+            out[(slice(None),) + idx] = quadrature(
+                model, *(float(x[idx]) for x in points), nodes
+            )
+        return tuple(out)
+    return by_quadrature
 
 
 # ----------------------------------------------------------------------
@@ -499,35 +537,6 @@ class MCEstimate:
         )
 
 
-def _sample_products(
-    model: Model,
-    a: float,
-    b: float,
-    a_r: float,
-    b_r: float,
-    rng: np.random.Generator,
-    n: int,
-) -> np.ndarray:
-    """Draw n outcome products (+-1) for one setting quadruple."""
-    if isinstance(model, DeterministicLHV):
-        lam = model.hidden.sample(rng, n)
-        return (
-            model.outcome_A(a, b_r, lam).astype(np.int64)
-            * model.outcome_B(b, a_r, lam)
-        )
-    if isinstance(model, StochasticLHV):
-        lam = model.hidden.sample(rng, n)
-        p1v = model.p1(a, b_r, lam)
-        p2v = model.p2(b, a_r, lam)
-        o1 = np.where(rng.random(n) < p1v, 1, -1)
-        o2 = np.where(rng.random(n) < p2v, 1, -1)
-        return (o1 * o2).astype(np.int64)
-    if not hasattr(model, "sample_pairs"):
-        raise UnsupportedModelError(f"model {model!r} cannot be sampled")
-    o1, o2 = model.sample_pairs(a, b, rng, n)
-    return o1.astype(np.int64) * o2
-
-
 def mc_E(
     model: Model,
     a: float,
@@ -548,8 +557,8 @@ def mc_E(
         raise ValueError("n must be at least 1")
 
     def block(i: int, _offset: int, m: int) -> int:
-        rng = substream(seed, i)
-        return int(_sample_products(model, a, b, a_r, b_r, rng, m).sum())
+        o1, o2, _ = sample_outcomes(model, a, b, a_r, b_r, substream(seed, i), m)
+        return int((o1.astype(np.int64) * o2).sum())
 
     total = sum(map_blocks(n, block, workers))
     est = total / n
@@ -562,6 +571,15 @@ def mc_E(
 # ----------------------------------------------------------------------
 
 
+def _exact_cells(
+    model: Model, quantity: str, angles: Mapping[str, float], quads: Sequence[Quad], nodes: int
+) -> dict[Quad, Correlation]:
+    """One exact quantity ("E" or "p12") for each cell."""
+    columns = [np.array([angles[q[k]] for q in quads], dtype=float) for k in range(4)]
+    (values,) = exact_values(model, quantity, nodes)(*columns)
+    return {q: Correlation(float(v)) for q, v in zip(quads, np.broadcast_to(values, len(quads)))}
+
+
 def analytic_correlations(
     model: Model,
     angles: Mapping[str, float],
@@ -569,13 +587,9 @@ def analytic_correlations(
     nodes: int = 100_000,
 ) -> CorrelationInput:
     """Exact (closed form or quadrature) correlations for the given cells."""
-    cells = {}
-    for quad in quadruples:
-        x, y, u, v = quad
-        cells[quad] = Correlation(
-            closed_form_E(model, angles[x], angles[y], angles[u], angles[v], nodes)
-        )
-    return CorrelationInput(cells, source="analytic")
+    return CorrelationInput(
+        _exact_cells(model, "E", angles, list(quadruples), nodes), source="analytic"
+    )
 
 
 def mc_correlations(
@@ -606,25 +620,13 @@ def analytic_ch_probs(
     nodes: int = 100_000,
 ) -> dict[Quad, Correlation]:
     """Joint +1 probabilities for the given cells, closed form preferred."""
-    cells = {}
-    for quad in quadruples:
-        x, y, u, v = quad
-        if getattr(model, "closed_form_p12", None) is not None:
-            p12 = float(model.closed_form_p12(angles[x], angles[y], angles[u], angles[v]))
-        else:
-            p12, _, _ = quadrature_ch_probs(
-                model, angles[x], angles[y], angles[u], angles[v], nodes
-            )
-        cells[quad] = Correlation(p12)
-    return cells
+    return _exact_cells(model, "p12", angles, list(quadruples), nodes)
 
 
 def analytic_marginals(model: Model, a: float, b: float, nodes: int = 100_000) -> tuple[float, float]:
     """Retarded-independent +1 marginals for settings (a station 1, b station 2)."""
-    if getattr(model, "closed_form_p1", None) is not None:
-        return float(model.closed_form_p1(a, 0.0)), float(model.closed_form_p2(b, 0.0))
-    _, p1, p2 = quadrature_ch_probs(model, a, b, 0.0, 0.0, nodes)
-    return p1, p2
+    p1, p2 = exact_values(model, "marginals", nodes)(a, b, 0.0, 0.0)
+    return float(p1), float(p2)
 
 
 # ----------------------------------------------------------------------

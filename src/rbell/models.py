@@ -20,7 +20,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .errors import UnknownModelError
+from .errors import UnknownModelError, UnsupportedModelError
 
 TAU = math.tau
 
@@ -115,6 +115,14 @@ class StochasticLHV:
 # ----------------------------------------------------------------------
 
 
+def _theta_left(a: ArrayLike, b_r: ArrayLike) -> ArrayLike:
+    return -(np.pi / 4.0) * (1.0 + np.cos(np.asarray(a) - np.asarray(b_r)))
+
+
+def _theta_right(b: ArrayLike, a_r: ArrayLike) -> ArrayLike:
+    return (np.pi / 4.0) * (1.0 + np.cos(np.asarray(a_r) - np.asarray(b)))
+
+
 def hardy_thetas(
     a: ArrayLike, b: ArrayLike, a_r: ArrayLike, b_r: ArrayLike
 ) -> tuple[ArrayLike, ArrayLike]:
@@ -124,9 +132,7 @@ def hardy_thetas(
     Values are returned un-normalized; their difference always lies in
     [0, pi], which is what the closed-form correlation relies on.
     """
-    theta_left = -(np.pi / 4.0) * (1.0 + np.cos(np.asarray(a) - np.asarray(b_r)))
-    theta_right = (np.pi / 4.0) * (1.0 + np.cos(np.asarray(a_r) - np.asarray(b)))
-    return theta_left, theta_right
+    return _theta_left(a, b_r), _theta_right(b, a_r)
 
 
 def _half_circle_sign(theta: ArrayLike, lam: ArrayLike) -> np.ndarray:
@@ -135,13 +141,11 @@ def _half_circle_sign(theta: ArrayLike, lam: ArrayLike) -> np.ndarray:
 
 
 def hardy_outcome_A(a: ArrayLike, b_r: ArrayLike, lam: ArrayLike) -> np.ndarray:
-    theta_left = -(np.pi / 4.0) * (1.0 + np.cos(np.asarray(a) - np.asarray(b_r)))
-    return _half_circle_sign(theta_left, lam)
+    return _half_circle_sign(_theta_left(a, b_r), lam)
 
 
 def hardy_outcome_B(b: ArrayLike, a_r: ArrayLike, lam: ArrayLike) -> np.ndarray:
-    theta_right = (np.pi / 4.0) * (1.0 + np.cos(np.asarray(a_r) - np.asarray(b)))
-    return _half_circle_sign(theta_right, lam)
+    return _half_circle_sign(_theta_right(b, a_r), lam)
 
 
 def hardy_closed_form_E(
@@ -216,15 +220,21 @@ def quantum_sample_pair(
 
 
 def quantum_sample_pairs(
-    a: float, b: float, rng: np.random.Generator, n: int
+    a: ArrayLike, b: ArrayLike, rng: np.random.Generator, n: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized sampler for the four-outcome singlet distribution."""
-    p_pp, p_pm, p_mp, _ = quantum_joint_probs(a, b)
+    """Vectorized sampler for the four-outcome singlet distribution.
+
+    ``a`` and ``b`` are scalars or arrays of length n; one uniform is
+    drawn per pair.
+    """
+    c = np.cos(np.asarray(a) - np.asarray(b))
+    p_same = (1.0 - c) / 4.0  # p(+,+) = p(-,-)
+    p_diff = (1.0 + c) / 4.0  # p(+,-) = p(-,+)
     u = rng.random(n)
     # outcome order: (+,+), (+,-), (-,+), (-,-)
-    k = (u >= p_pp).astype(np.int8)
-    k += (u >= p_pp + p_pm).astype(np.int8)
-    k += (u >= p_pp + p_pm + p_mp).astype(np.int8)
+    k = (u >= p_same).astype(np.int8)
+    k += (u >= p_same + p_diff).astype(np.int8)
+    k += (u >= p_same + 2.0 * p_diff).astype(np.int8)
     outcome_1 = np.where(k <= 1, 1, -1).astype(np.int8)
     outcome_2 = np.where((k == 0) | (k == 2), 1, -1).astype(np.int8)
     return outcome_1, outcome_2
@@ -270,12 +280,45 @@ class QuantumSinglet:
 
     @staticmethod
     def sample_pairs(
-        a: float, b: float, rng: np.random.Generator, n: int
+        a: ArrayLike, b: ArrayLike, rng: np.random.Generator, n: int
     ) -> tuple[np.ndarray, np.ndarray]:
         return quantum_sample_pairs(a, b, rng, n)
 
 
 Model = Union[DeterministicLHV, StochasticLHV, QuantumSinglet]
+
+
+def sample_outcomes(
+    model: Model,
+    a: ArrayLike,
+    b: ArrayLike,
+    a_r: ArrayLike,
+    b_r: ArrayLike,
+    rng: np.random.Generator,
+    n: int,
+) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """Draw n outcome pairs (+-1) and the hidden variable behind them.
+
+    Settings are scalars or arrays of length n.  Local models draw
+    lambda first and, when stochastic, then one uniform per trial for
+    station 1 and one for station 2.  Models without a hidden variable
+    sample through their ``sample_pairs`` and return lambda as None.
+    """
+    if isinstance(model, DeterministicLHV):
+        lam = model.hidden.sample(rng, n)
+        return model.outcome_A(a, b_r, lam), model.outcome_B(b, a_r, lam), lam
+    if isinstance(model, StochasticLHV):
+        lam = model.hidden.sample(rng, n)
+        p1v = model.p1(a, b_r, lam)
+        p2v = model.p2(b, a_r, lam)
+        outcome_1 = np.where(rng.random(n) < p1v, 1, -1).astype(np.int8)
+        outcome_2 = np.where(rng.random(n) < p2v, 1, -1).astype(np.int8)
+        return outcome_1, outcome_2, lam
+    if not hasattr(model, "sample_pairs"):
+        raise UnsupportedModelError(f"model {model!r} cannot be sampled")
+    outcome_1, outcome_2 = model.sample_pairs(a, b, rng, n)
+    return outcome_1, outcome_2, None
+
 
 _FACTORIES: dict[str, Callable[[], Model]] = {
     "hardy-singlet": hardy_singlet,

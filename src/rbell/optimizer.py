@@ -16,8 +16,8 @@ from typing import Callable, Mapping, Union
 
 import numpy as np
 
-from .errors import UnsupportedObjectiveError
-from .estimation import quadrature_ch_probs, quadrature_E
+from .errors import UnsupportedModelError, UnsupportedObjectiveError
+from .estimation import exact_values
 from .models import Model, get_model
 
 TAU = math.tau
@@ -111,88 +111,26 @@ class Optimum:
 # ----------------------------------------------------------------------
 
 
-def _model_E(model: Model, nodes: int) -> Callable[..., np.ndarray]:
-    closed = getattr(model, "closed_form_E", None)
-    if closed is not None:
-        return lambda a, b, ar, br: np.asarray(closed(a, b, ar, br), dtype=float)
-    if getattr(model, "is_local", False):
-        def by_quadrature(a, b, ar, br):
-            a, b, ar, br = np.broadcast_arrays(
-                np.asarray(a, dtype=float), np.asarray(b, dtype=float),
-                np.asarray(ar, dtype=float), np.asarray(br, dtype=float),
-            )
-            out = np.empty(a.shape)
-            for idx in np.ndindex(a.shape):
-                out[idx] = quadrature_E(
-                    model, float(a[idx]), float(b[idx]),
-                    float(ar[idx]), float(br[idx]), nodes,
-                )
-            return out
-        return by_quadrature
-    raise UnsupportedObjectiveError(
-        f"model {model.name} offers neither a closed form nor lambda functions"
-    )
-
-
-def _model_p12(model: Model, nodes: int) -> Callable[..., np.ndarray]:
-    closed = getattr(model, "closed_form_p12", None)
-    if closed is not None:
-        return lambda a, b, ar, br: np.asarray(closed(a, b, ar, br), dtype=float)
-    if getattr(model, "is_local", False):
-        def by_quadrature(a, b, ar, br):
-            a, b, ar, br = np.broadcast_arrays(
-                np.asarray(a, dtype=float), np.asarray(b, dtype=float),
-                np.asarray(ar, dtype=float), np.asarray(br, dtype=float),
-            )
-            out = np.empty(a.shape)
-            for idx in np.ndindex(a.shape):
-                out[idx] = quadrature_ch_probs(
-                    model, float(a[idx]), float(b[idx]),
-                    float(ar[idx]), float(br[idx]), nodes,
-                )[0]
-            return out
-        return by_quadrature
-    raise UnsupportedObjectiveError(
-        f"model {model.name} offers neither a closed form nor lambda functions"
-    )
-
-
-def _model_marginals(model: Model, nodes: int) -> Callable[..., tuple]:
-    p1 = getattr(model, "closed_form_p1", None)
-    p2 = getattr(model, "closed_form_p2", None)
-    if p1 is not None and p2 is not None:
-        return lambda a2, b2: (
-            np.asarray(p1(a2, 0.0), dtype=float),
-            np.asarray(p2(b2, 0.0), dtype=float),
-        )
-    if not getattr(model, "is_local", False):
-        raise UnsupportedObjectiveError(
-            f"model {model.name} offers neither a closed form nor lambda functions"
-        )
-
-    def by_quadrature(a2, b2):
-        a2, b2 = np.broadcast_arrays(
-            np.asarray(a2, dtype=float), np.asarray(b2, dtype=float)
-        )
-        m1 = np.empty(a2.shape)
-        m2 = np.empty(b2.shape)
-        for idx in np.ndindex(a2.shape):
-            _, m1[idx], m2[idx] = quadrature_ch_probs(
-                model, float(a2[idx]), float(b2[idx]), 0.0, 0.0, nodes
-            )
-        return m1, m2
-
-    return by_quadrature
-
-
 def _uses_quadrature(model: Model) -> bool:
     return getattr(model, "closed_form_E", None) is None
+
+
+def _exact(model: Model, quantity: str, nodes: int) -> Callable[..., tuple]:
+    try:
+        return exact_values(model, quantity, nodes)
+    except UnsupportedModelError:
+        raise UnsupportedObjectiveError(
+            f"model {model.name} offers neither a closed form nor lambda functions"
+        ) from None
 
 
 def build_objective(spec: ObjectiveSpec) -> Callable[[Mapping[str, np.ndarray]], np.ndarray]:
     """Vectorized objective over dicts of free-variable arrays."""
     model = get_model(spec.model)
-    E = _model_E(model, spec.quadrature_nodes)
+    exact_E = _exact(model, "E", spec.quadrature_nodes)
+
+    def E(*settings: np.ndarray) -> np.ndarray:
+        return exact_E(*settings)[0]
 
     def resolve(assign: Mapping[str, np.ndarray], name: str) -> np.ndarray:
         if name in assign:
@@ -231,8 +169,11 @@ def build_objective(spec: ObjectiveSpec) -> Callable[[Mapping[str, np.ndarray]],
             )
         return objective
 
-    p12 = _model_p12(model, spec.quadrature_nodes)
-    marginals = _model_marginals(model, spec.quadrature_nodes)
+    exact_p12 = _exact(model, "p12", spec.quadrature_nodes)
+    marginals = _exact(model, "marginals", spec.quadrature_nodes)
+
+    def p12(*settings: np.ndarray) -> np.ndarray:
+        return exact_p12(*settings)[0]
 
     def objective(assign: Mapping[str, np.ndarray]) -> np.ndarray:
         a = resolve(assign, "a")
@@ -243,7 +184,7 @@ def build_objective(spec: ObjectiveSpec) -> Callable[[Mapping[str, np.ndarray]],
         a2r = resolve(assign, "a2r")
         br = resolve(assign, "br")
         b2r = resolve(assign, "b2r")
-        m1, m2 = marginals(a2, b2)
+        m1, m2 = marginals(a2, b2, 0.0, 0.0)
         return (
             p12(a2, b2, a2r, b2r)
             + p12(a2, b, ar, b2r)

@@ -45,7 +45,7 @@ from .inequalities import (
     retarded_chsh,
     same_retarded_chsh,
 )
-from .models import DeterministicLHV, Model, StochasticLHV, get_model
+from .models import Model, get_model, sample_outcomes
 from .spacetime import (
     EqualityClass,
     Geometry,
@@ -58,6 +58,12 @@ from .spacetime import (
 
 SCHEDULE_KINDS = ("periodic", "random_switch", "stream")
 RETARDED_DEFINITIONS = ("simple", "predictive")
+
+
+def _require_finite(section: str, **values: Optional[float]) -> None:
+    for key, value in values.items():
+        if value is not None and not math.isfinite(value):
+            raise ConfigError(f"{section}.{key} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -80,6 +86,9 @@ class StationConfig:
     base: Optional[str] = None
 
     def __post_init__(self) -> None:
+        _require_finite(
+            f"station{self.station}", period=self.period, phase=self.phase, rate=self.rate
+        )
         if self.kind not in SCHEDULE_KINDS:
             raise ConfigError(f"unknown schedule kind {self.kind!r}")
         if not self.labels:
@@ -133,8 +142,14 @@ class ScenarioConfig:
     min_count: int = 100
 
     def __post_init__(self) -> None:
+        _require_finite(
+            "run", spacing=self.spacing, start=self.start,
+            intervention_delay=self.intervention_delay,
+        )
         if self.n_trials < 1:
             raise ConfigError("n_trials must be at least 1")
+        if self.min_count < 0:
+            raise ConfigError("min_count must be non-negative")
         if self.spacing <= 0:
             raise ConfigError("trial spacing must be positive")
         if self.retarded_definition not in RETARDED_DEFINITIONS:
@@ -263,6 +278,13 @@ def load_config(path: Union[str, Path]) -> ScenarioConfig:
         spacing = float(run["spacing"])
         start = float(run["start"]) if "start" in run else 0.0
         seed = int(run["seed"]) if "seed" in run else 0
+        geometry = Geometry(
+            separation=separation,
+            signal_speed=signal_speed,
+            t1=start,
+            t2=start,
+            t0=t0,
+        )
     except KeyError as exc:
         raise ConfigError(f"{path}: missing required key {exc}") from None
     except ValueError as exc:
@@ -272,13 +294,6 @@ def load_config(path: Union[str, Path]) -> ScenarioConfig:
     if len(quartet) != 4:
         raise ConfigError("run.quartet must list four labels: a, a2, b, b2")
 
-    geometry = Geometry(
-        separation=separation,
-        signal_speed=signal_speed,
-        t1=start,
-        t2=start,
-        t0=t0,
-    )
     return ScenarioConfig(
         geometry=geometry,
         model=model_sec.get("name", "").strip() or "hardy-singlet",
@@ -474,53 +489,51 @@ def _schedule_indices(
     )
 
 
-def _sample_outcomes(
-    model: Model,
-    angles_a: np.ndarray,
-    angles_b: np.ndarray,
-    angles_ar: np.ndarray,
-    angles_br: np.ndarray,
-    seed: int,
-    workers: Optional[int],
+def _retarded_indices(
+    config: ScenarioConfig,
+    sched1: SettingSchedule,
+    sched2: SettingSchedule,
+    index: dict[str, int],
+    t1: np.ndarray,
+    t2: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Retarded label indices (merged palette) of trials measured at t1 on
+    station 1 and t2 on station 2.
+
+    simple: each schedule's value L/c before its own time.  predictive:
+    station 1's setting in effect at t1 as decided by t2 - L/c, and the
+    mirror for station 2.
+    """
+    tau = config.geometry.retardation
+    map1 = _schedule_indices(sched1, index)
+    map2 = _schedule_indices(sched2, index)
+    if config.retarded_definition == "simple":
+        return map1[sched1.value_index_at(t1 - tau)], map2[sched2.value_index_at(t2 - tau)]
+    return (
+        map1[sched1.predictive_index_at(t1, t2 - tau)],
+        map2[sched2.predictive_index_at(t2, t1 - tau)],
+    )
+
+
+def _sample_trials(
+    model: Model, angles: tuple[np.ndarray, ...], seed: int, workers: Optional[int]
 ) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
-    """Sample per-trial outcome pairs; lambda is recorded for local models."""
-    n = angles_a.size
-    outcome_1 = np.empty(n, dtype=np.int8)
-    outcome_2 = np.empty(n, dtype=np.int8)
-    lam_out: Optional[np.ndarray] = None
-    if isinstance(model, (DeterministicLHV, StochasticLHV)):
-        lam_out = np.empty(n, dtype=np.float64)
+    """Outcome pairs and lambda (None without a hidden variable) for
+    per-trial angles (a, b, a_r, b_r), one substream per block."""
+    a, b, a_r, b_r = angles
 
-    def block(i: int, offset: int, m: int) -> None:
-        rng = substream(seed, 200, i)
+    def block(i: int, offset: int, m: int):
         sl = slice(offset, offset + m)
-        if isinstance(model, DeterministicLHV):
-            lam = model.hidden.sample(rng, m)
-            lam_out[sl] = lam
-            outcome_1[sl] = model.outcome_A(angles_a[sl], angles_br[sl], lam)
-            outcome_2[sl] = model.outcome_B(angles_b[sl], angles_ar[sl], lam)
-        elif isinstance(model, StochasticLHV):
-            lam = model.hidden.sample(rng, m)
-            lam_out[sl] = lam
-            p1v = model.p1(angles_a[sl], angles_br[sl], lam)
-            p2v = model.p2(angles_b[sl], angles_ar[sl], lam)
-            outcome_1[sl] = np.where(rng.random(m) < p1v, 1, -1)
-            outcome_2[sl] = np.where(rng.random(m) < p2v, 1, -1)
-        else:
-            # quantum reference: retarded settings are ignored; sample the
-            # joint distribution per trial via its cosine
-            c = np.cos(angles_a[sl] - angles_b[sl])
-            p_same = (1.0 - c) / 4.0  # p(+,+) = p(-,-)
-            p_diff = (1.0 + c) / 4.0  # p(+,-) = p(-,+)
-            u = rng.random(m)
-            k = (u >= p_same).astype(np.int8)
-            k += (u >= p_same + p_diff).astype(np.int8)
-            k += (u >= p_same + 2.0 * p_diff).astype(np.int8)
-            outcome_1[sl] = np.where(k <= 1, 1, -1)
-            outcome_2[sl] = np.where((k == 0) | (k == 2), 1, -1)
+        return sample_outcomes(
+            model, a[sl], b[sl], a_r[sl], b_r[sl], substream(seed, 200, i), m
+        )
 
-    map_blocks(n, block, workers)
-    return outcome_1, outcome_2, lam_out
+    outcome_1, outcome_2, lam = zip(*map_blocks(a.size, block, workers))
+    return (
+        np.concatenate(outcome_1),
+        np.concatenate(outcome_2),
+        None if lam[0] is None else np.concatenate(lam),
+    )
 
 
 def classify_fractions(log: TrialLog) -> dict[str, float]:
@@ -708,24 +721,14 @@ def run_scenario(
     palette, index = _merge_palettes(config)
     times = config.start + config.spacing * np.arange(config.n_trials)
 
-    map1 = _schedule_indices(sched1, index)
-    map2 = _schedule_indices(sched2, index)
-    a_idx = map1[sched1.value_index_at(times)]
-    b_idx = map2[sched2.value_index_at(times)]
-    if config.retarded_definition == "simple":
-        ar_idx = map1[sched1.value_index_at(times - tau)]
-        br_idx = map2[sched2.value_index_at(times - tau)]
-    else:
-        ar_idx = map1[sched1.predictive_index_at(times, times - tau)]
-        br_idx = map2[sched2.predictive_index_at(times, times - tau)]
+    a_idx = _schedule_indices(sched1, index)[sched1.value_index_at(times)]
+    b_idx = _schedule_indices(sched2, index)[sched2.value_index_at(times)]
+    ar_idx, br_idx = _retarded_indices(config, sched1, sched2, index, times, times)
 
     angles = np.array([lbl.angle for lbl in palette])
-    outcome_1, outcome_2, lam = _sample_outcomes(
+    outcome_1, outcome_2, lam = _sample_trials(
         model,
-        angles[a_idx],
-        angles[b_idx],
-        angles[ar_idx],
-        angles[br_idx],
+        (angles[a_idx], angles[b_idx], angles[ar_idx], angles[br_idx]),
         config.seed,
         workers,
     )
@@ -764,15 +767,6 @@ def replay_retarded(
     Returns arrays aligned with the log's palette; used to audit that
     recorded retarded settings are a pure function of (config, times).
     """
-    tau = config.geometry.retardation
     sched1, sched2 = build_schedules(config)
     _, index = _merge_palettes(config)
-    map1 = _schedule_indices(sched1, index)
-    map2 = _schedule_indices(sched2, index)
-    if config.retarded_definition == "simple":
-        ar = map1[sched1.value_index_at(log.t1 - tau)]
-        br = map2[sched2.value_index_at(log.t2 - tau)]
-    else:
-        ar = map1[sched1.predictive_index_at(log.t1, log.t2 - tau)]
-        br = map2[sched2.predictive_index_at(log.t2, log.t1 - tau)]
-    return ar, br
+    return _retarded_indices(config, sched1, sched2, index, log.t1, log.t2)

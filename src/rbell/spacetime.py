@@ -111,6 +111,9 @@ class Geometry:
     t0: float
 
     def __post_init__(self) -> None:
+        for name in ("separation", "signal_speed", "t1", "t2", "t0"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.separation <= 0:
             raise ValueError("separation must be positive")
         if self.signal_speed <= 0:

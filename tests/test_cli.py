@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import subprocess
@@ -115,6 +116,47 @@ def test_analytic_monte_carlo_cross_check(capsys):
     se = mc["combined_se"]
     assert abs(mc["value"] - data["value"]) <= 5 * se
     assert mc["verdict"] == "satisfied"
+
+
+RETARDED_ANGLE_FLAGS = ["--ar", "0.3", "--a2r", "1.1", "--br=-0.4", "--b2r", "2.0"]
+
+
+# pinned exact and Monte Carlo (n=2000, seed 5) values, with and without
+# the retarded flags
+@pytest.mark.parametrize(
+    "ineq,retarded,exact,mc",
+    [
+        ("retarded_chsh", False, -1.4142135623730951, -1.411),
+        ("retarded_chsh", True, -0.5347728245756019, -0.427),
+        ("same_retarded_chsh", False, -1.4142135623730951, -1.411),
+        ("same_retarded_chsh", True, -1.4142135623730951, -1.411),
+        ("chsh", False, -1.4142135623730951, -1.411),
+        ("chsh", True, -1.4142135623730951, -1.411),
+        ("both_equal", False, 1.414213562373095, 1.39),
+        ("both_equal", True, 1.414213562373095, 1.39),
+        ("one_end_equal", False, -1.4142135623730951, -1.384),
+        ("one_end_equal", True, -1.6164042080122294, -1.609),
+        ("retarded_ch", False, -0.8535533905932737, None),
+        ("retarded_ch", True, -0.6336932061439006, None),
+    ],
+)
+def test_analytic_every_inequality(capsys, ineq, retarded, exact, mc):
+    argv = ["analytic", "hardy", ineq] + QUARTET_FLAGS
+    argv += RETARDED_ANGLE_FLAGS if retarded else []
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    assert json.loads(out)["value"] == pytest.approx(exact, abs=1e-12)
+    assert "monte_carlo" not in json.loads(out)
+
+    code, out, err = run_cli(capsys, argv + ["--n", "2000", "--seed", "5"])
+    assert code == 0
+    data = json.loads(out)
+    assert data["value"] == pytest.approx(exact, abs=1e-12)
+    if mc is None:
+        assert "monte_carlo" not in data
+        assert f"--n is ignored for {ineq}" in err
+    else:
+        assert data["monte_carlo"]["value"] == pytest.approx(mc, abs=1e-12)
 
 
 def test_analytic_unknown_model(capsys):
@@ -241,6 +283,45 @@ def test_run_bad_config(tmp_path, capsys):
     assert code == 1
 
 
+PERIODIC_STATION1 = "schedule = periodic\nperiod = 1.0\nphase = 0.0\ncycle = a, a2\n"
+
+
+@pytest.mark.parametrize(
+    "old,new,message",
+    [
+        ("spacing = 1.0", "spacing = inf", "run.spacing must be finite"),
+        ("spacing = 1.0", "spacing = nan", "run.spacing must be finite"),
+        ("start = 0.0", "start = nan", "must be finite"),
+        ("start = 0.0", "start = -inf", "must be finite"),
+        ("seed = 42", "seed = 42\nintervention_delay = inf", "intervention_delay must be finite"),
+        ("rate = 2.0", "rate = inf", "station1.rate must be finite"),
+        ("rate = 2.0", "rate = nan", "station1.rate must be finite"),
+        ("schedule = random_switch\nrate = 2.0\n",
+         PERIODIC_STATION1.replace("period = 1.0", "period = inf"), "station1.period must be finite"),
+        ("schedule = random_switch\nrate = 2.0\n",
+         PERIODIC_STATION1.replace("phase = 0.0", "phase = nan"), "station1.phase must be finite"),
+        ("separation = 4.0", "separation = inf", "separation must be finite"),
+        ("signal_speed = 1.0", "signal_speed = nan", "signal_speed must be finite"),
+        ("t0 = -6.0", "t0 = -inf", "t0 must be finite"),
+        ("min_count = 100", "min_count = -5", "min_count must be non-negative"),
+    ],
+    ids=["spacing-inf", "spacing-nan", "start-nan", "start-inf", "delay-inf", "rate-inf",
+         "rate-nan", "period-inf", "phase-nan", "separation-inf", "signal_speed-nan",
+         "t0-inf", "min_count-negative"],
+)
+def test_run_rejects_non_finite_and_negative_numbers(tmp_path, capsys, old, new, message):
+    assert old in CONFIG_TEXT
+    config = tmp_path / "scenario.ini"
+    config.write_text(CONFIG_TEXT.replace(old, new, 1))
+    code, out, err = run_cli(
+        capsys, ["run", "--config", str(config), "--out", str(tmp_path / "o")]
+    )
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and message in err
+    assert not (tmp_path / "o").exists()
+
+
 STREAM_CONFIG_TEXT = CONFIG_TEXT.replace(
     "schedule = random_switch\nrate = 2.0\n\n[station2]",
     "schedule = stream\nfile = stream.csv\nbase = a\n\n[station2]",
@@ -276,6 +357,51 @@ def test_run_shared_stream_file(tmp_path, capsys, extra_row, code):
         assert "must be finite" in err
     else:
         assert json.loads(out)["trials"] == 200
+
+
+def _sixteen_cell_table(path):
+    """Every (x|x2, y|y2, retarded x|x2, retarded y|y2) cell, each with its
+    own correlation."""
+    rows = ["a,b,a_r,b_r,E,SE,count,sufficient"]
+    cells = itertools.product(("x", "x2"), ("y", "y2"), ("x", "x2"), ("y", "y2"))
+    for k, (x, y, u, v) in enumerate(cells):
+        rows.append(f"{x},{y},{u},{v},{(k * k % 17 - 8) / 10},0.01,1000,1")
+    path.write_text("\n".join(rows) + "\n")
+
+
+# pinned values; the retarded flags, when given, swap each pair
+@pytest.mark.parametrize(
+    "ineq,retarded,code,value",
+    [
+        ("retarded_chsh", False, 0, 0.30000000000000004),
+        ("retarded_chsh", True, 0, 0.6),
+        ("same_retarded_chsh", False, 3, 2.1),
+        ("same_retarded_chsh", True, 3, 2.1),
+        ("chsh", False, 0, 0.30000000000000004),
+        ("chsh", True, 0, 0.30000000000000004),
+        ("both_equal", False, 0, -1.6),
+        ("both_equal", True, 0, -1.6),
+        ("one_end_equal", False, 0, 0.9000000000000001),
+        ("one_end_equal", True, 0, 0.7),
+        ("retarded_ch", False, 1, None),
+        ("retarded_ch", True, 1, None),
+    ],
+)
+def test_check_every_inequality(tmp_path, capsys, ineq, retarded, code, value):
+    table = tmp_path / "table.csv"
+    _sixteen_cell_table(table)
+    argv = ["check", "--table", str(table), "--ineq", ineq,
+            "--a", "x", "--a2", "x2", "--b", "y", "--b2", "y2"]
+    if retarded:
+        argv += ["--ar", "x2", "--a2r", "x", "--br", "y2", "--b2r", "y"]
+    got, out, err = run_cli(capsys, argv)
+    assert got == code
+    if value is None:
+        assert err.count("\n") == 1 and "check supports correlation inequalities" in err
+    else:
+        data = json.loads(out)
+        assert data["value"] == pytest.approx(value, abs=1e-12)
+        assert data["combined_se"] == pytest.approx(0.02, abs=1e-15)
 
 
 def test_check_empty_table(tmp_path, capsys):

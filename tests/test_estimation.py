@@ -12,6 +12,7 @@ from rbell.estimation import (
     analytic_correlations,
     build_table,
     estimate_ch_probs,
+    exact_values,
     mc_E,
     quadrature_ch_probs,
     quadrature_E,
@@ -157,6 +158,7 @@ def test_mc_worker_count_invariance(monkeypatch):
 
 
 def test_resolve_workers(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)  # independent of the host
     monkeypatch.delenv("RBL_WORKERS", raising=False)
     assert resolve_workers() == 1
     assert resolve_workers(4) == 4
@@ -173,6 +175,9 @@ def test_resolve_workers_capped_at_cpu_count(monkeypatch):
     assert resolve_workers() == 3
     assert resolve_workers(8) == 3
     assert resolve_workers(2) == 2
+    # an explicit request is capped too, without RBL_WORKERS
+    monkeypatch.delenv("RBL_WORKERS")
+    assert resolve_workers(100_000) == 3
 
 
 def test_mc_rejects_bad_n():
@@ -423,3 +428,39 @@ def test_analytic_correlations_uses_quadrature_without_closed_form():
     expect = float(hardy_closed_form_E(QUARTET["a"], QUARTET["b"], QUARTET["a"], QUARTET["b"]))
     assert corr.lookup(("a", "b", "a", "b")).estimate == pytest.approx(expect, abs=1e-4)
     assert corr.lookup(("a", "b", "a", "b")).standard_error == 0.0
+
+
+def test_exact_values_quadrature_matches_closed_forms_on_a_grid():
+    # the same broadcast settings through both branches of the dispatch
+    bare = DeterministicLHV(
+        name="no-closed-form",
+        hidden=HARDY.hidden,
+        outcome_A=HARDY.outcome_A,
+        outcome_B=HARDY.outcome_B,
+    )
+    a = np.array([[0.2], [1.7]])
+    b = np.array([0.0, 2.5, 4.0])
+    a_r, b_r = 3.1, np.array([0.5, 1.0, 5.5])
+    for quantity in ("E", "p12", "marginals"):
+        closed = exact_values(HARDY, quantity)(a, b, a_r, b_r)
+        quad = exact_values(bare, quantity, nodes=20_000)(a, b, a_r, b_r)
+        assert len(closed) == len(quad) == (2 if quantity == "marginals" else 1)
+        for c, q in zip(closed, quad):
+            assert q.shape == (2, 3)
+            np.testing.assert_allclose(q, np.broadcast_to(c, q.shape), atol=1e-3)
+    # one point of the grid is exactly the scalar quadrature
+    (e,) = exact_values(bare, "E", nodes=20_000)(a, b, a_r, b_r)
+    assert e[1, 2] == quadrature_E(bare, 1.7, 4.0, 3.1, 5.5, nodes=20_000)
+
+
+def test_exact_values_rejects_nonlocal_model_without_closed_forms():
+    p1, p2 = exact_values(QUANTUM, "marginals")(np.zeros(4), 1.0, 0.0, 0.0)
+    assert float(p1) == float(p2) == 0.5  # constant closed forms stay scalars
+
+    class SamplerOnly:
+        name = "sampler-only"
+        is_local = False
+
+    for quantity in ("E", "p12", "marginals"):
+        with pytest.raises(UnsupportedModelError):
+            exact_values(SamplerOnly(), quantity)

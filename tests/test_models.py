@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st_
 
 from conftest import piecewise_constant_mean
-from rbell.errors import UnknownModelError
+from rbell.errors import UnknownModelError, UnsupportedModelError
 from rbell.models import (
     DeterministicLHV,
     HiddenSpace,
@@ -23,7 +23,9 @@ from rbell.models import (
     quantum_joint_probs,
     quantum_sample_pair,
     quantum_sample_pairs,
+    sample_outcomes,
 )
+from rbell.estimation import substream
 
 angles = st_.floats(-10.0, 10.0)
 
@@ -249,6 +251,58 @@ def test_quantum_sampling_matches_expectation():
     assert abs(e_hat - (-0.5)) <= 5 * se
     p1_hat = float(np.mean(o1 == 1))
     assert abs(p1_hat - 0.5) <= 5 * math.sqrt(0.25 / n)
+
+
+def test_quantum_sampler_matches_joint_probability_thresholds():
+    # the sampler's thresholds p_same, p_same + p_diff, p_same + 2 p_diff
+    # give the same outcomes as cumulating quantum_joint_probs
+    grid = np.linspace(-4.0, 4.0, 9)
+    for k, (a, b) in enumerate((x, y) for x in grid for y in grid):
+        p_pp, p_pm, p_mp, _ = quantum_joint_probs(a, b)
+        u = np.random.default_rng(k).random(2000)
+        cat = (u >= p_pp).astype(int) + (u >= p_pp + p_pm) + (u >= p_pp + p_pm + p_mp)
+        o1, o2 = quantum_sample_pairs(a, b, np.random.default_rng(k), 2000)
+        np.testing.assert_array_equal(o1, np.where(cat <= 1, 1, -1))
+        np.testing.assert_array_equal(o2, np.where((cat == 0) | (cat == 2), 1, -1))
+
+
+SAMPLED_MODELS = {
+    "hardy": hardy_singlet(),
+    "hardy-lifted": StochasticLHV.from_deterministic(hardy_singlet()),
+    "quantum": QuantumSinglet(),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    name=st_.sampled_from(sorted(SAMPLED_MODELS)),
+    a=angles, b=angles, ar=angles, br=angles,
+    seed=st_.integers(0, 2**32 - 1),
+    n=st_.integers(1, 200),
+)
+def test_sampler_scalar_settings_match_arrays(name, a, b, ar, br, seed, n):
+    # one draw sequence whether the settings are scalars or per-trial arrays
+    model = SAMPLED_MODELS[name]
+    scalar = sample_outcomes(model, a, b, ar, br, substream(seed, 3), n)
+    arrays = sample_outcomes(
+        model, *(np.full(n, x) for x in (a, b, ar, br)), substream(seed, 3), n
+    )
+    for got, want in zip(arrays[:2], scalar[:2]):
+        assert got.shape == (n,) and set(np.unique(got)) <= {-1, 1}
+        np.testing.assert_array_equal(got, want)
+    if name == "quantum":
+        assert scalar[2] is None and arrays[2] is None
+    else:
+        np.testing.assert_array_equal(arrays[2], scalar[2])
+
+
+def test_sampler_rejects_unsampleable_model():
+    class Opaque:
+        name = "opaque"
+        is_local = False
+
+    with pytest.raises(UnsupportedModelError):
+        sample_outcomes(Opaque(), 0.0, 0.0, 0.0, 0.0, np.random.default_rng(0), 4)
 
 
 # ----------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -5,6 +6,14 @@ import numpy as np
 import pytest
 
 from rbell.errors import ConfigError
+from rbell.models import (
+    _FACTORIES,
+    HiddenSpace,
+    StochasticLHV,
+    hardy_outcome_A,
+    hardy_outcome_B,
+    register_model,
+)
 from rbell.scenarios import (
     ScenarioConfig,
     StationConfig,
@@ -254,6 +263,45 @@ def test_run_worker_invariance(monkeypatch):
     assert np.array_equal(serial.log.outcome_1, threaded.log.outcome_1)
     assert np.array_equal(serial.log.outcome_2, threaded.log.outcome_2)
     assert np.array_equal(serial.log.lam, threaded.log.lam)
+
+
+def _noisy_hardy():
+    # stochastic: both stations draw a uniform per trial, in station order
+    return StochasticLHV(
+        name="hardy-noisy",
+        hidden=HiddenSpace.uniform_circle(),
+        p1=lambda a, b_r, lam: 0.5 + 0.3 * hardy_outcome_A(a, b_r, lam),
+        p2=lambda b, a_r, lam: 0.5 + 0.3 * hardy_outcome_B(b, a_r, lam),
+    )
+
+
+@pytest.mark.parametrize(
+    "model,trials_sha,table_sha",
+    [
+        ("hardy-singlet", "f87ef2341244d7aad5e9118746834a0aee24b51ea1e6075e022893dc2b580027",
+         "240a892713777b38e2da04168c3ef3c0969c52bb89f2da8d8a2905bf86dd81dc"),
+        ("hardy-noisy", "37bf2d859644f2e9f2dc76089e95745c31b044b89f7be1896ad32bf85c128cc4",
+         "f5e71eb25ea89569c8eb9b3af1b5bb6e2fb645631a062432aef0dfc048dd1fd2"),
+        ("quantum-singlet", "d8a6d99f28fc2f9e319fd95a391cd297c474ca8272e5a185a55335f9121f113d",
+         "fd0e3559414a639511cb3dd0afc7ba9c64c8d58df712feb42f73877c64071170"),
+    ],
+)
+def test_artifacts_match_pinned_digests(tmp_path, model, trials_sha, table_sha):
+    # pinned bytes for (config, seed): a change to the draw order or the
+    # sampling arithmetic of any model kind shows here
+    register_model("hardy-noisy", _noisy_hardy)
+    try:
+        config = base_config(
+            model=model,
+            station1=random_station(1, QUARTET_1, 2.0),
+            station2=random_station(2, QUARTET_2, 2.0),
+            n_trials=3000,
+        )
+        paths = run_scenario(config).write_outputs(tmp_path)
+    finally:
+        _FACTORIES.pop("hardy-noisy", None)
+    assert hashlib.sha256(paths["trials"].read_bytes()).hexdigest() == trials_sha
+    assert hashlib.sha256(paths["correlations"].read_bytes()).hexdigest() == table_sha
 
 
 def test_different_seeds_differ():
