@@ -10,10 +10,13 @@ the ``RBL_WORKERS`` environment variable (0 or unset means serial).
 from __future__ import annotations
 
 import csv
+import io
 import math
 import os
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
@@ -192,30 +195,44 @@ class TrialLog:
 
 TRIAL_HEADER = ["trial_id", "t1", "t2", "a", "b", "a_r", "b_r", "A", "B", "lambda"]
 
+_TRIAL_DTYPE = np.dtype([
+    ("t1", np.float64), ("t2", np.float64),
+    ("a", np.int64), ("b", np.int64), ("a_r", np.int64), ("b_r", np.int64),
+    ("outcome_1", np.int8), ("outcome_2", np.int8), ("lam", np.float64),
+])
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as ``csv.writer`` writes it inside a row (QUOTE_MINIMAL)."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow([text, ""])
+    return buf.getvalue()[: -len(",\r\n")]
+
 
 def write_trial_log(log: TrialLog, path: Union[str, Path]) -> None:
-    """Persist a trial log as CSV; the lambda column is blank for models
-    without a hidden variable.  Floats use shortest round-trip form."""
-    ids = log.ids()
+    """Persist a trial log as CSV, ``BLOCK_SIZE`` rows at a time.
+
+    The bytes are those of ``csv.writer`` with its defaults: CRLF line
+    ends, label ids quoted only when they hold a comma, quote or line
+    break, floats in shortest round-trip form (``repr``), and a blank
+    lambda column for models without a hidden variable.
+    """
+    ids = np.array([_csv_field(i) for i in log.ids()], dtype=object)
+    n = len(log)
     with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRIAL_HEADER)
-        lam = log.lam
-        for i in range(len(log)):
-            writer.writerow(
-                [
-                    i,
-                    repr(float(log.t1[i])),
-                    repr(float(log.t2[i])),
-                    ids[int(log.a[i])],
-                    ids[int(log.b[i])],
-                    ids[int(log.a_r[i])],
-                    ids[int(log.b_r[i])],
-                    int(log.outcome_1[i]),
-                    int(log.outcome_2[i]),
-                    "" if lam is None else repr(float(lam[i])),
-                ]
-            )
+        csv.writer(fh).writerow(TRIAL_HEADER)
+        for lo in range(0, n, BLOCK_SIZE):
+            hi = min(lo + BLOCK_SIZE, n)
+            cols = [
+                map(str, range(lo, hi)),
+                map(repr, log.t1[lo:hi].tolist()),
+                map(repr, log.t2[lo:hi].tolist()),
+                *(ids[col[lo:hi]] for col in (log.a, log.b, log.a_r, log.b_r)),
+                map(str, log.outcome_1[lo:hi].tolist()),
+                map(str, log.outcome_2[lo:hi].tolist()),
+                repeat("", hi - lo) if log.lam is None else map(repr, log.lam[lo:hi].tolist()),
+            ]
+            fh.write("\r\n".join(map(",".join, zip(*cols))) + "\r\n")
 
 
 def read_trial_log(
@@ -225,50 +242,45 @@ def read_trial_log(
     """Load a trial-log CSV.
 
     The file stores label ids only; pass ``palette`` (id -> angle) to
-    recover angles, otherwise labels get angle 0.
+    recover angles, otherwise labels get angle 0.  The log's palette
+    lists ids in first-seen order, row by row over a, b, a_r, b_r.  The
+    log has a lambda column when any lambda field is non-empty.  A
+    malformed row raises one ``ValueError`` that names the file.
     """
-    rows = []
+    index: dict[str, int] = {}
+    has_lam = False
+
+    def label(field: str) -> int:
+        return index.setdefault(field, len(index))
+
+    def lam(field: str) -> float:
+        nonlocal has_lam
+        if field == "":
+            return math.nan
+        has_lam = True
+        return float(field)
+
     with Path(path).open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != TRIAL_HEADER:
+        if next(csv.reader([fh.readline()])) != TRIAL_HEADER:
             raise ValueError(f"{path}: expected header {','.join(TRIAL_HEADER)!r}")
-        rows = [row for row in reader if row]
-    ids: dict[str, None] = {}
-    for row in rows:
-        for c in (3, 4, 5, 6):
-            ids.setdefault(row[c], None)
-    labels = tuple(
-        SettingLabel(i, palette[i] if palette and i in palette else 0.0) for i in ids
-    )
-    index = {lbl.id: k for k, lbl in enumerate(labels)}
-    n = len(rows)
-    t1 = np.empty(n)
-    t2 = np.empty(n)
-    a = np.empty(n, dtype=np.int64)
-    b = np.empty(n, dtype=np.int64)
-    a_r = np.empty(n, dtype=np.int64)
-    b_r = np.empty(n, dtype=np.int64)
-    o1 = np.empty(n, dtype=np.int8)
-    o2 = np.empty(n, dtype=np.int8)
-    lam = np.full(n, math.nan)
-    any_lam = False
-    for k, row in enumerate(rows):
-        t1[k] = float(row[1])
-        t2[k] = float(row[2])
-        a[k] = index[row[3]]
-        b[k] = index[row[4]]
-        a_r[k] = index[row[5]]
-        b_r[k] = index[row[6]]
-        o1[k] = int(row[7])
-        o2[k] = int(row[8])
-        if row[9] != "":
-            lam[k] = float(row[9])
-            any_lam = True
-    return TrialLog(
-        palette=labels, t1=t1, t2=t2, a=a, b=b, a_r=a_r, b_r=b_r,
-        outcome_1=o1, outcome_2=o2, lam=lam if any_lam else None,
-    )
+        try:
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                rows = np.loadtxt(
+                    fh, dtype=_TRIAL_DTYPE, delimiter=",", quotechar='"',
+                    comments=None, usecols=range(1, 10), ndmin=1,
+                    converters={3: label, 4: label, 5: label, 6: label, 9: lam},
+                )
+            labels = tuple(
+                SettingLabel(i, palette[i] if palette and i in palette else 0.0)
+                for i in index
+            )
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    cols = {name: np.ascontiguousarray(rows[name]) for name in _TRIAL_DTYPE.names}
+    if not has_lam:
+        cols["lam"] = None
+    return TrialLog(palette=labels, **cols)
 
 
 # ----------------------------------------------------------------------

@@ -208,8 +208,18 @@ def _parse_id_list(text: str) -> tuple[str, ...]:
     return tuple(s.strip() for s in text.split(",") if s.strip())
 
 
+def _parse_number(path: Path, key: str, text: str, kind: type = float):
+    """``text`` as ``kind`` (float or int); a malformed value raises a
+    ``ConfigError`` naming the file and the ``section.key``."""
+    try:
+        return kind(text)
+    except ValueError:
+        expected = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{path}: {key} must be {expected}, got {text!r}") from None
+
+
 def _station_from_section(
-    station: int, sec: configparser.SectionProxy, config_dir: Path
+    station: int, sec: configparser.SectionProxy, path: Path
 ) -> StationConfig:
     unknown = set(sec) - _STATION_KEYS
     if unknown:
@@ -220,15 +230,19 @@ def _station_from_section(
     stream_path = None
     if "file" in sec:
         p = Path(sec["file"].strip())
-        stream_path = str(p if p.is_absolute() else config_dir / p)
+        stream_path = str(p if p.is_absolute() else path.parent / p)
+
+    def number(key: str, default: Optional[float]) -> Optional[float]:
+        return _parse_number(path, f"station{station}.{key}", sec[key]) if key in sec else default
+
     return StationConfig(
         station=station,
         labels=_parse_labels(sec["labels"]),
         kind=kind,
-        period=float(sec["period"]) if "period" in sec else None,
-        phase=float(sec["phase"]) if "phase" in sec else 0.0,
+        period=number("period", None),
+        phase=number("phase", 0.0),
         cycle=_parse_id_list(sec["cycle"]) if "cycle" in sec else (),
-        rate=float(sec["rate"]) if "rate" in sec else None,
+        rate=number("rate", None),
         switch_labels=_parse_id_list(sec["switch_labels"]) if "switch_labels" in sec else (),
         stream_path=stream_path,
         base=sec["base"].strip() if "base" in sec else None,
@@ -271,13 +285,13 @@ def load_config(path: Union[str, Path]) -> ScenarioConfig:
         raise ConfigError(f"unknown keys in [run]: {sorted(unknown)}")
 
     try:
-        separation = float(geo["separation"])
-        signal_speed = float(geo["signal_speed"])
-        t0 = float(geo["t0"])
-        n_trials = int(run["n_trials"])
-        spacing = float(run["spacing"])
-        start = float(run["start"]) if "start" in run else 0.0
-        seed = int(run["seed"]) if "seed" in run else 0
+        separation = _parse_number(path, "geometry.separation", geo["separation"])
+        signal_speed = _parse_number(path, "geometry.signal_speed", geo["signal_speed"])
+        t0 = _parse_number(path, "geometry.t0", geo["t0"])
+        n_trials = _parse_number(path, "run.n_trials", run["n_trials"], int)
+        spacing = _parse_number(path, "run.spacing", run["spacing"])
+        start = _parse_number(path, "run.start", run.get("start", "0.0"))
+        seed = _parse_number(path, "run.seed", run.get("seed", "0"), int)
         geometry = Geometry(
             separation=separation,
             signal_speed=signal_speed,
@@ -297,16 +311,18 @@ def load_config(path: Union[str, Path]) -> ScenarioConfig:
     return ScenarioConfig(
         geometry=geometry,
         model=model_sec.get("name", "").strip() or "hardy-singlet",
-        station1=_station_from_section(1, parser["station1"], path.parent),
-        station2=_station_from_section(2, parser["station2"], path.parent),
+        station1=_station_from_section(1, parser["station1"], path),
+        station2=_station_from_section(2, parser["station2"], path),
         quartet=(quartet[0], quartet[1], quartet[2], quartet[3]),
         n_trials=n_trials,
         spacing=spacing,
         start=start,
         seed=seed,
         retarded_definition=run.get("retarded_definition", "simple").strip(),
-        intervention_delay=float(run.get("intervention_delay", "0")),
-        min_count=int(run.get("min_count", "100")),
+        intervention_delay=_parse_number(
+            path, "run.intervention_delay", run.get("intervention_delay", "0")
+        ),
+        min_count=_parse_number(path, "run.min_count", run.get("min_count", "100"), int),
     )
 
 
@@ -764,8 +780,12 @@ def replay_retarded(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Recompute the retarded label indices of a log from schedules alone.
 
-    Returns arrays aligned with the log's palette; used to audit that
-    recorded retarded settings are a pure function of (config, times).
+    Only the log's times are used.  The returned arrays index the
+    config's merged palette (station 1's labels, then station 2's new
+    ones, as ``_merge_palettes`` orders them), not ``log.palette``: a
+    log read back from disk lists ids in first-seen order, so compare
+    ids, not indices.  Used to audit that recorded retarded settings
+    are a pure function of (config, times).
     """
     sched1, sched2 = build_schedules(config)
     _, index = _merge_palettes(config)

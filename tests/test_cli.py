@@ -322,6 +322,37 @@ def test_run_rejects_non_finite_and_negative_numbers(tmp_path, capsys, old, new,
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "old,new,key",
+    [
+        ("seed = 42", "seed = 42\nintervention_delay = abc", "run.intervention_delay"),
+        ("min_count = 100", "min_count = 1.5", "run.min_count"),
+        ("seed = 42", "seed = 4x2", "run.seed"),
+        ("n_trials = 20000", "n_trials = many", "run.n_trials"),
+        ("spacing = 1.0", "spacing = wide", "run.spacing"),
+        ("rate = 2.0", "rate = fast", "station1.rate"),
+        ("schedule = random_switch\nrate = 2.0\n",
+         PERIODIC_STATION1.replace("period = 1.0", "period = 1s"), "station1.period"),
+        ("schedule = random_switch\nrate = 2.0\n",
+         PERIODIC_STATION1.replace("phase = 0.0", "phase = late"), "station1.phase"),
+        ("t0 = -6.0", "t0 = early", "geometry.t0"),
+    ],
+    ids=["delay", "min_count", "seed", "n_trials", "spacing", "rate", "period", "phase", "t0"],
+)
+def test_run_malformed_number_names_file_and_key(tmp_path, capsys, old, new, key):
+    assert old in CONFIG_TEXT
+    config = tmp_path / "scenario.ini"
+    config.write_text(CONFIG_TEXT.replace(old, new, 1))
+    code, out, err = run_cli(
+        capsys, ["run", "--config", str(config), "--out", str(tmp_path / "o")]
+    )
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1
+    assert f"{config}: {key} must be" in err
+    assert not (tmp_path / "o").exists()
+
+
 STREAM_CONFIG_TEXT = CONFIG_TEXT.replace(
     "schedule = random_switch\nrate = 2.0\n\n[station2]",
     "schedule = stream\nfile = stream.csv\nbase = a\n\n[station2]",

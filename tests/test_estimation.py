@@ -1,8 +1,19 @@
+import csv
 import math
 import os
+import re
+import tempfile
+import warnings
+from dataclasses import replace
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st_
+
+from rbell import estimation
 
 from rbell.errors import MissingCellError, UnsupportedModelError
 from rbell.estimation import (
@@ -31,6 +42,7 @@ from rbell.models import (
     hardy_closed_form_E,
     hardy_singlet,
 )
+from rbell.scenarios import load_config, run_scenario
 from rbell.spacetime import SettingLabel
 
 HARDY = get_model("hardy")
@@ -331,6 +343,84 @@ def test_estimate_ch_probs_hardy_against_quadrature():
 # ----------------------------------------------------------------------
 
 
+TRIAL_HEADER = ["trial_id", "t1", "t2", "a", "b", "a_r", "b_r", "A", "B", "lambda"]
+
+
+def oracle_write_trial_log(log, path):
+    """Row-by-row ``csv.writer`` trial log: the reference for the bytes."""
+    ids = log.ids()
+    with Path(path).open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(TRIAL_HEADER)
+        lam = log.lam
+        for i in range(len(log)):
+            writer.writerow(
+                [
+                    i,
+                    repr(float(log.t1[i])),
+                    repr(float(log.t2[i])),
+                    ids[int(log.a[i])],
+                    ids[int(log.b[i])],
+                    ids[int(log.a_r[i])],
+                    ids[int(log.b_r[i])],
+                    int(log.outcome_1[i]),
+                    int(log.outcome_2[i]),
+                    "" if lam is None else repr(float(lam[i])),
+                ]
+            )
+
+
+def oracle_read_trial_log(path, palette=None):
+    """Row-by-row ``csv.reader`` trial log: the reference for the columns
+    and for the palette order (first seen, row by row over a, b, a_r, b_r)."""
+    with Path(path).open(newline="") as fh:
+        reader = csv.reader(fh)
+        assert next(reader) == TRIAL_HEADER
+        rows = [row for row in reader if row]
+    ids = {}
+    for row in rows:
+        for c in (3, 4, 5, 6):
+            ids.setdefault(row[c], None)
+    labels = tuple(
+        SettingLabel(i, palette[i] if palette and i in palette else 0.0) for i in ids
+    )
+    index = {lbl.id: k for k, lbl in enumerate(labels)}
+    any_lam = any(row[9] != "" for row in rows)
+    return TrialLog(
+        palette=labels,
+        t1=np.array([float(row[1]) for row in rows]),
+        t2=np.array([float(row[2]) for row in rows]),
+        a=np.array([index[row[3]] for row in rows], dtype=np.int64),
+        b=np.array([index[row[4]] for row in rows], dtype=np.int64),
+        a_r=np.array([index[row[5]] for row in rows], dtype=np.int64),
+        b_r=np.array([index[row[6]] for row in rows], dtype=np.int64),
+        outcome_1=np.array([int(row[7]) for row in rows], dtype=np.int8),
+        outcome_2=np.array([int(row[8]) for row in rows], dtype=np.int8),
+        lam=np.array([float(row[9]) if row[9] else math.nan for row in rows])
+        if any_lam else None,
+    )
+
+
+def bit_equal(x, y):
+    """Equal bit for bit, except that every NaN counts as one value (the
+    log writes each NaN as ``nan``)."""
+    x, y = (np.where(np.isnan(v), np.nan, v) for v in (x, y))
+    return x.dtype == y.dtype and np.array_equal(x.view(np.uint64), y.view(np.uint64))
+
+
+def assert_logs_equal(back, ref):
+    """Same palette (ids, order, angles) and bit-equal columns."""
+    assert back.palette == ref.palette
+    for col in ("t1", "t2"):
+        assert bit_equal(getattr(back, col), getattr(ref, col))
+    for col in ("a", "b", "a_r", "b_r", "outcome_1", "outcome_2"):
+        assert getattr(back, col).dtype == getattr(ref, col).dtype
+        assert np.array_equal(getattr(back, col), getattr(ref, col))
+    assert (back.lam is None) == (ref.lam is None)
+    if ref.lam is not None:
+        assert bit_equal(back.lam, ref.lam)
+
+
 def test_trial_log_roundtrip(tmp_path):
     records = make_records([1, -1, 1])
     log = TrialLog.from_records(records)
@@ -340,7 +430,8 @@ def test_trial_log_roundtrip(tmp_path):
     assert len(back) == 3
     assert np.array_equal(back.outcome_2, log.outcome_2)
     assert back.record(0).a.angle == 0.0
-    assert np.allclose(back.lam, log.lam)
+    assert bit_equal(back.t1, log.t1) and bit_equal(back.t2, log.t2)
+    assert bit_equal(back.lam, log.lam)
 
 
 def test_trial_log_blank_lambda_for_quantum(tmp_path):
@@ -359,6 +450,126 @@ def test_trial_log_blank_lambda_for_quantum(tmp_path):
     assert text[1].endswith(",")  # empty lambda column
     back = read_trial_log(path)
     assert back.lam is None
+
+
+# ids csv must quote (comma, quote, line breaks), ids with spaces and a
+# comment character
+LOG_IDS = ("a", "b2", "a,b", 'x"y', " a b ", "p\nq", "r\rs", "#c")
+LOG_FLOATS = st_.one_of(
+    st_.floats(allow_nan=False),
+    st_.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1e-300, 1e-300, 3.0, -7.0, 1e16]),
+)
+
+
+@st_.composite
+def trial_logs(draw):
+    ids = draw(st_.lists(st_.sampled_from(LOG_IDS), min_size=1, max_size=5, unique=True))
+    n = draw(st_.one_of(st_.just(0), st_.just(1), st_.integers(2, 40)))
+    labels = st_.lists(st_.integers(0, len(ids) - 1), min_size=n, max_size=n)
+    times = st_.lists(LOG_FLOATS, min_size=n, max_size=n)
+    outcomes = st_.lists(st_.integers(-128, 127), min_size=n, max_size=n)
+    lam = draw(st_.one_of(
+        st_.none(),
+        times,
+        st_.lists(st_.one_of(LOG_FLOATS, st_.just(math.nan)), min_size=n, max_size=n),
+    ))
+    return TrialLog(
+        palette=[SettingLabel(i, 0.25 * k) for k, i in enumerate(ids)],
+        t1=np.array(draw(times), dtype=np.float64),
+        t2=np.array(draw(times), dtype=np.float64),
+        a=draw(labels), b=draw(labels), a_r=draw(labels), b_r=draw(labels),
+        outcome_1=draw(outcomes), outcome_2=draw(outcomes),
+        lam=None if lam is None else np.array(lam, dtype=np.float64),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(log=trial_logs(), block=st_.integers(1, 8))
+def test_trial_log_matches_row_by_row_oracle(log, block):
+    angles = {lbl.id: lbl.angle for lbl in log.palette}
+    with tempfile.TemporaryDirectory() as tmp:
+        path, ref = Path(tmp) / "trials.csv", Path(tmp) / "oracle.csv"
+        with mock.patch.object(estimation, "BLOCK_SIZE", block):
+            write_trial_log(log, path)
+        oracle_write_trial_log(log, ref)
+        assert path.read_bytes() == ref.read_bytes()
+        back = read_trial_log(path, palette=angles)
+        assert_logs_equal(back, oracle_read_trial_log(ref, palette=angles))
+    # the round trip keeps every column; ids come back in first-seen order
+    ids, back_ids = np.array(log.ids()), np.array(back.ids())
+    for col in ("a", "b", "a_r", "b_r"):
+        assert np.array_equal(back_ids[getattr(back, col)], ids[getattr(log, col)])
+    assert all(lbl.angle == angles[lbl.id] for lbl in back.palette)
+    for col in ("t1", "t2"):
+        assert bit_equal(getattr(back, col), getattr(log, col))
+    assert np.array_equal(back.outcome_1, log.outcome_1)
+    assert np.array_equal(back.outcome_2, log.outcome_2)
+    if log.lam is None or len(log) == 0:
+        assert back.lam is None
+    else:
+        assert bit_equal(back.lam, log.lam)
+
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+
+@pytest.mark.parametrize(
+    "name,model",
+    [(p.name, None) for p in sorted(CONFIG_DIR.glob("*.ini"))]
+    + [("fast_random_switching.ini", "quantum-singlet")],
+)
+def test_scenario_trial_log_matches_oracle(tmp_path, name, model):
+    config = replace(load_config(CONFIG_DIR / name), n_trials=5000)
+    if model is not None:
+        config = replace(config, model=model)
+    result = run_scenario(config)
+    paths = result.write_outputs(tmp_path / "out")
+    oracle_write_trial_log(result.log, tmp_path / "oracle.csv")
+    assert paths["trials"].read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+    assert_logs_equal(read_trial_log(paths["trials"]),
+                      oracle_read_trial_log(tmp_path / "oracle.csv"))
+
+
+GOOD_ROW = "0,1.0,1.0,a,b,a,b,1,-1,\r\n"
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        "0,1.0,1.0,a,b,a,b,1,-1\r\n",  # no lambda column
+        "0,1.0,1.0,a,b\r\n",
+        "0,soon,1.0,a,b,a,b,1,-1,\r\n",
+        "0,1.0,1.0,a,b,a,b,1.5,-1,\r\n",
+        "0,1.0,1.0,a,b,a,b,1,one,\r\n",
+        "0,1.0,1.0,a,b,a,b,1,-1,big\r\n",
+        "0,1.0,1.0,a,,a,b,1,-1,\r\n",
+    ],
+    ids=["short-row", "truncated-row", "non-numeric-time", "non-integer-outcome",
+         "non-numeric-outcome", "non-numeric-lambda", "empty-label"],
+)
+def test_read_trial_log_malformed_row_names_file(tmp_path, row):
+    path = tmp_path / "trials.csv"
+    path.write_bytes((",".join(TRIAL_HEADER) + "\r\n" + GOOD_ROW + row).encode())
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        read_trial_log(path)
+
+
+def test_read_trial_log_bad_header(tmp_path):
+    path = tmp_path / "trials.csv"
+    for text in ("", "trial_id,t1\r\n" + GOOD_ROW):
+        path.write_text(text)
+        with pytest.raises(ValueError, match="expected header"):
+            read_trial_log(path)
+
+
+def test_read_trial_log_header_only_is_empty(tmp_path):
+    path = tmp_path / "trials.csv"
+    write_trial_log(TrialLog.from_records([]), path)
+    assert path.read_bytes() == (",".join(TRIAL_HEADER) + "\r\n").encode()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        back = read_trial_log(path)
+    assert len(back) == 0 and back.palette == () and back.lam is None
 
 
 def test_table_roundtrip_bit_exact(tmp_path):

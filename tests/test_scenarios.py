@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from rbell.errors import ConfigError
+from rbell.estimation import read_trial_log
 from rbell.models import (
     _FACTORIES,
     HiddenSpace,
@@ -234,6 +235,26 @@ def test_replay_recomputes_identical_retarded_labels():
         ar, br = replay_retarded(config, result.log)
         assert np.array_equal(ar, result.log.a_r)
         assert np.array_equal(br, result.log.b_r)
+
+
+def test_replay_indexes_the_merged_palette_not_the_logs(tmp_path):
+    # replay_retarded returns indices into the config's merged palette
+    # (a, a2, b, b2 here); a log read from disk lists ids in first-seen order
+    config = base_config(
+        station1=random_station(1, QUARTET_1, rate=2.0),
+        station2=random_station(2, QUARTET_2, rate=2.0),
+        start=0.7,
+    )
+    result = run_scenario(config)
+    merged = np.array(result.log.ids())
+    assert tuple(merged) == ("a", "a2", "b", "b2")
+    back = read_trial_log(result.write_outputs(tmp_path)["trials"])
+    assert back.ids() == ("a2", "b2", "a", "b")
+    ar, br = replay_retarded(config, back)
+    assert np.array_equal(ar, result.log.a_r) and np.array_equal(br, result.log.b_r)
+    assert not np.array_equal(ar, back.a_r)
+    assert np.array_equal(merged[ar], np.array(back.ids())[back.a_r])
+    assert np.array_equal(merged[br], np.array(back.ids())[back.b_r])
 
 
 def test_run_bit_reproducible():
