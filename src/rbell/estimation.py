@@ -13,7 +13,6 @@ import csv
 import io
 import math
 import os
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
@@ -206,7 +205,7 @@ def _csv_field(text: str) -> str:
     """``text`` as ``csv.writer`` writes it inside a row (QUOTE_MINIMAL)."""
     buf = io.StringIO()
     csv.writer(buf).writerow([text, ""])
-    return buf.getvalue()[: -len(",\r\n")]
+    return buf.getvalue()[: -len("," + csv.excel.lineterminator)]
 
 
 def write_trial_log(log: TrialLog, path: Union[str, Path]) -> None:
@@ -215,12 +214,16 @@ def write_trial_log(log: TrialLog, path: Union[str, Path]) -> None:
     The bytes are those of ``csv.writer`` with its defaults: CRLF line
     ends, label ids quoted only when they hold a comma, quote or line
     break, floats in shortest round-trip form (``repr``), and a blank
-    lambda column for models without a hidden variable.
+    lambda column for models without a hidden variable.  Rows are joined
+    by hand, which is faster than ``writer.writerows``; only the ids can
+    need quoting, so each is escaped once through ``csv.writer``.
     """
     ids = np.array([_csv_field(i) for i in log.ids()], dtype=object)
     n = len(log)
     with Path(path).open("w", newline="") as fh:
-        csv.writer(fh).writerow(TRIAL_HEADER)
+        writer = csv.writer(fh)
+        writer.writerow(TRIAL_HEADER)
+        eol = writer.dialect.lineterminator
         for lo in range(0, n, BLOCK_SIZE):
             hi = min(lo + BLOCK_SIZE, n)
             cols = [
@@ -232,7 +235,7 @@ def write_trial_log(log: TrialLog, path: Union[str, Path]) -> None:
                 map(str, log.outcome_2[lo:hi].tolist()),
                 repeat("", hi - lo) if log.lam is None else map(repr, log.lam[lo:hi].tolist()),
             ]
-            fh.write("\r\n".join(map(",".join, zip(*cols))) + "\r\n")
+            fh.write(eol.join(map(",".join, zip(*cols))) + eol)
 
 
 def read_trial_log(
@@ -263,14 +266,18 @@ def read_trial_log(
     with Path(path).open(newline="") as fh:
         if next(csv.reader([fh.readline()])) != TRIAL_HEADER:
             raise ValueError(f"{path}: expected header {','.join(TRIAL_HEADER)!r}")
+        pos = fh.tell()
         try:
-            with warnings.catch_warnings():
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            if fh.read(1):
+                fh.seek(pos)
+                # encoding=None: converters get str, not bytes, on numpy 1.x too.
                 rows = np.loadtxt(
                     fh, dtype=_TRIAL_DTYPE, delimiter=",", quotechar='"',
-                    comments=None, usecols=range(1, 10), ndmin=1,
+                    comments=None, usecols=range(1, 10), ndmin=1, encoding=None,
                     converters={3: label, 4: label, 5: label, 6: label, 9: lam},
                 )
+            else:
+                rows = np.empty(0, dtype=_TRIAL_DTYPE)
             labels = tuple(
                 SettingLabel(i, palette[i] if palette and i in palette else 0.0)
                 for i in index

@@ -452,6 +452,27 @@ def test_trial_log_blank_lambda_for_quantum(tmp_path):
     assert back.lam is None
 
 
+@pytest.mark.parametrize("with_lam", [False, True])
+def test_read_trial_log_under_bytes_default_encoding(tmp_path, monkeypatch, with_lam):
+    # numpy 1.23-1.26 default loadtxt to encoding="bytes", which hands the
+    # converters latin-1 bytes; the reader must still see str ids and blanks
+    loadtxt = np.loadtxt
+
+    def bytes_default(*args, encoding="bytes", **kwargs):
+        return loadtxt(*args, encoding=encoding, **kwargs)
+
+    log = TrialLog.from_records(make_records([1, -1, 1]))
+    if not with_lam:
+        log.lam = None
+    path = tmp_path / "trials.csv"
+    write_trial_log(log, path)
+    angles = {"a": 0.0, "b": 1.0}
+    monkeypatch.setattr(np, "loadtxt", bytes_default)
+    back = read_trial_log(path, palette=angles)
+    assert_logs_equal(back, oracle_read_trial_log(path, palette=angles))
+    assert back.ids() == ("a", "b") and back.record(0).b.angle == 1.0
+
+
 # ids csv must quote (comma, quote, line breaks), ids with spaces and a
 # comment character
 LOG_IDS = ("a", "b2", "a,b", 'x"y', " a b ", "p\nq", "r\rs", "#c")
