@@ -22,9 +22,8 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -38,17 +37,14 @@ from .estimation import (
     resolve_workers,
 )
 from .inequalities import (
+    ANGLE_FLAGS,
+    INEQUALITIES,
+    QUARTET,
+    RETARDED_FLAGS,
     CorrelationInput,
     InequalityReport,
-    Quad,
-    both_equal_reduction,
     ch_identity_check,
     chsh_identity_check,
-    chsh_quadruples,
-    one_end_equal_chsh,
-    retarded_ch,
-    retarded_chsh,
-    same_retarded_chsh,
 )
 from .models import (
     get_model,
@@ -66,69 +62,8 @@ EXIT_ERROR = 1
 EXIT_INSUFFICIENT = 2
 EXIT_VIOLATED = 3
 
-ANGLE_FLAGS = ("a", "a2", "b", "b2", "ar", "a2r", "br", "b2r")
-QUARTET = ANGLE_FLAGS[:4]
-RETARDED_FLAGS = ANGLE_FLAGS[4:]
-
-
-def _octuple(ids: dict[str, str], retarded: Sequence[str] = RETARDED_FLAGS) -> tuple[str, ...]:
-    """Cell ids of the actual quartet, then of the flags that stand in
-    for (ar, a2r, br, b2r)."""
-    return tuple(ids[k] for k in QUARTET + tuple(retarded))
-
-
-@dataclass(frozen=True)
-class Inequality:
-    """One inequality of the CLI: the flags it requires, its cells for
-    resolved flag ids, and its evaluation over correlations."""
-
-    needs: tuple[str, ...]
-    cells: Callable[[dict[str, str]], Sequence[Quad]]
-    evaluate: Optional[Callable[[CorrelationInput, dict[str, str]], InequalityReport]]
-
-
-#: Inequality name -> its table entry.  ``retarded_ch`` has no
-#: correlation form: ``analytic`` evaluates it from probabilities and
-#: ``check`` refuses it.
-INEQUALITIES = {
-    "retarded_chsh": Inequality(
-        QUARTET,
-        lambda ids: chsh_quadruples(*_octuple(ids)),
-        lambda corr, ids: retarded_chsh(corr, *_octuple(ids)),
-    ),
-    "same_retarded_chsh": Inequality(
-        QUARTET,
-        lambda ids: chsh_quadruples(*_octuple(ids, ("a", "a", "b", "b"))),
-        lambda corr, ids: same_retarded_chsh(corr, *_octuple(ids)[:4]),
-    ),
-    "chsh": Inequality(
-        QUARTET,
-        lambda ids: chsh_quadruples(*_octuple(ids, QUARTET)),
-        lambda corr, ids: retarded_chsh(corr, *_octuple(ids, QUARTET), name="chsh"),
-    ),
-    "both_equal": Inequality(
-        ("a", "b"),
-        lambda ids: [(ids["a"], ids["b"], ids["a"], ids["b"])],
-        lambda corr, ids: both_equal_reduction(corr, ids["a"], ids["b"]),
-    ),
-    "one_end_equal": Inequality(
-        ("a", "b", "b2"),
-        lambda ids: [
-            (ids["a"], ids["b2"], ids["a"], ids["b2r"]),
-            (ids["a"], ids["b"], ids["a"], ids["b2r"]),
-            (ids["a"], ids["b2"], ids["a"], ids["br"]),
-            (ids["a"], ids["b"], ids["a"], ids["br"]),
-        ],
-        lambda corr, ids: one_end_equal_chsh(
-            corr, *(ids[k] for k in ("a", "b", "b2", "br", "b2r"))
-        ),
-    ),
-    "retarded_ch": Inequality(
-        QUARTET, lambda ids: chsh_quadruples(*_octuple(ids)), None
-    ),
-}
 ANALYTIC_INEQS = tuple(INEQUALITIES)
-CORRELATION_INEQS = tuple(n for n, q in INEQUALITIES.items() if q.evaluate is not None)
+CORRELATION_INEQS = tuple(n for n, q in INEQUALITIES.items() if not q.probability)
 
 
 def _say(text: str) -> None:
@@ -185,10 +120,12 @@ def _analytic(args) -> int:
     angles = {k: parse_angle(getattr(args, k)) for k in spec.needs + tuple(given)}
     quads = spec.cells(ids)
 
-    if spec.evaluate is None:
-        cells = analytic_ch_probs(model, angles, quads)
-        p1, p2 = analytic_marginals(model, angles[ids["a2"]], angles[ids["b2"]])
-        report = retarded_ch(cells, p1, p2, *_octuple(ids))
+    if spec.probability:
+        cells = CorrelationInput(analytic_ch_probs(model, angles, quads))
+        singles = analytic_marginals(
+            model, angles[spec.flag(ids, "a2")], angles[spec.flag(ids, "b2")]
+        )
+        report = spec.evaluate(cells, ids, singles)
     else:
         report = spec.evaluate(analytic_correlations(model, angles, quads), ids)
 
@@ -196,7 +133,7 @@ def _analytic(args) -> int:
     payload["angles"] = angles
     reports = [report]
 
-    if args.n and spec.evaluate is None:
+    if args.n and spec.probability:
         _say(f"note: --n is ignored for {ineq}")
     elif args.n:
         mc = mc_correlations(model, angles, quads, n=args.n, seed=args.seed)
@@ -286,12 +223,12 @@ def _optimize(args) -> int:
         spec = ObjectiveSpec.from_json(Path(args.spec).read_text())
     else:
         fixed = {}
-        for name in ("a", "a2", "b", "b2"):
+        for name in QUARTET:
             raw = getattr(args, name, None)
             if raw is not None:
                 fixed[name] = parse_angle(raw)
         retarded_fixed = {}
-        for name in ("ar", "a2r", "br", "b2r"):
+        for name in RETARDED_FLAGS:
             raw = getattr(args, name, None)
             if raw is not None:
                 retarded_fixed[name] = parse_angle(raw)
@@ -393,13 +330,13 @@ def _verify_checks(rng: np.random.Generator) -> list[tuple[str, bool, str]]:
     checks.append(("quantum-joint-consistent", worst <= 1e-12, f"worst {worst:.2e}"))
 
     worst = 0.0
+    same, general = INEQUALITIES["same_retarded_chsh"], INEQUALITIES["retarded_chsh"]
+    tied = dict(zip(ANGLE_FLAGS, QUARTET + ("a", "a", "b", "b")))
     for _ in range(100):
-        qa, qa2, qb, qb2 = rng.uniform(0, math.tau, 4)
-        amap = {"a": qa, "a2": qa2, "b": qb, "b2": qb2}
-        quads = chsh_quadruples("a", "a2", "b", "b2", "a", "a", "b", "b")
-        corr = analytic_correlations(hardy, amap, quads)
-        r1 = same_retarded_chsh(corr, "a", "a2", "b", "b2")
-        r2 = retarded_chsh(corr, "a", "a2", "b", "b2", "a", "a", "b", "b")
+        amap = dict(zip(QUARTET, rng.uniform(0, math.tau, 4)))
+        corr = analytic_correlations(hardy, amap, general.cells(tied))
+        r1 = same.evaluate(corr, tied)
+        r2 = general.evaluate(corr, tied)
         worst = max(worst, abs(r1.value - r2.value))
     checks.append(("same-retarded-reduction-exact", worst == 0.0, f"worst {worst:.2e}"))
 
@@ -491,6 +428,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # checked here, not by argparse, whose exit code 2 means "insufficient data"
+        if getattr(args, "seed", None) is not None and args.seed < 0:
+            raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
         return args.func(args)
     except CellError as exc:
         _say(f"error: {exc}")

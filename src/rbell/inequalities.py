@@ -1,9 +1,11 @@
 """Inequality evaluation over correlation and probability inputs.
 
 Correlations are keyed by the setting quadruple (actual pair, retarded
-pair); each evaluator pulls the cells it needs, combines their standard
-errors in quadrature, and issues a verdict against the inequality's
-bounds with a 3-sigma tolerance band (zero for analytic inputs).
+pair).  ``INEQUALITIES`` states each member of the family once, as
+signed terms over setting flags; its ``evaluate`` pulls the cells a row
+needs, combines their standard errors in quadrature, and issues a
+verdict against the row's bounds with a 3-sigma tolerance band (zero
+for analytic inputs).
 
 Note on the probability-form inequality: the algebraic bound used here
 is ``-1 <= x'y' + x'y + xy' - xy - x' - y' <= 0`` for x, y, x', y' in
@@ -19,7 +21,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence, Union
+from typing import Any, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -157,12 +159,138 @@ def _report(
 
 
 def _combine(terms: Sequence[tuple[float, Correlation]]) -> tuple[float, float]:
-    value = 0.0
-    var = 0.0
-    for sign, cell in terms:
-        value += sign * cell.estimate
-        var += cell.standard_error**2
+    """Signed sum of the estimates and quadrature sum of the scaled
+    errors, both in term order and started from the first term."""
+    (coef, cell), *rest = terms
+    value = coef * cell.estimate
+    var = (coef * cell.standard_error) ** 2
+    for coef, cell in rest:
+        value += coef * cell.estimate
+        var += (coef * cell.standard_error) ** 2
     return value, math.sqrt(var)
+
+
+Estimate = Union[float, tuple[float, float], Correlation]
+
+
+def _as_probability(value: Estimate, what: str) -> Correlation:
+    if isinstance(value, Correlation):
+        cell = value
+    elif isinstance(value, tuple):
+        cell = Correlation(float(value[0]), float(value[1]))
+    else:
+        cell = Correlation(float(value))
+    if not (0.0 <= cell.estimate <= 1.0):
+        raise ValueError(f"{what} = {cell.estimate} outside [0, 1]")
+    return cell
+
+
+# ----------------------------------------------------------------------
+# The inequality table
+# ----------------------------------------------------------------------
+
+#: Setting flags: the actual quartet, then the retarded settings that
+#: go with a, a2, b and b2.
+ANGLE_FLAGS = ("a", "a2", "b", "b2", "ar", "a2r", "br", "b2r")
+QUARTET = ANGLE_FLAGS[:4]
+RETARDED_FLAGS = ANGLE_FLAGS[4:]
+
+#: E(a2,b2|a2r,b2r) + E(a2,b|ar,b2r) + E(a,b2|a2r,br) - E(a,b|ar,br):
+#: signed cells (actual pair, retarded pair) over flags.
+CHSH_TERMS = (
+    (1.0, ("a2", "b2", "a2r", "b2r")),
+    (1.0, ("a2", "b", "ar", "b2r")),
+    (1.0, ("a", "b2", "a2r", "br")),
+    (-1.0, ("a", "b", "ar", "br")),
+)
+
+
+@dataclass(frozen=True)
+class Inequality:
+    """One member of the retarded inequality family.
+
+    ``name`` is the report name and ``needs`` the flags a caller must
+    give.  A flag in ``ties`` takes the value of the flag it maps to.
+    ``terms`` are signed cells over flags, ``inputs`` the flags recorded
+    in the report, and ``lower``/``upper`` its bounds.  A
+    ``probability`` row sums joint +1 probabilities and subtracts the
+    +1 singles at a2 and b2.
+    """
+
+    name: str
+    needs: tuple[str, ...]
+    terms: tuple[tuple[float, tuple[str, str, str, str]], ...]
+    inputs: tuple[str, ...]
+    lower: float
+    upper: float
+    ties: Mapping[str, str] = field(default_factory=dict)
+    probability: bool = False
+
+    def flag(self, ids: Mapping[str, Any], name: str) -> Any:
+        """The value (cell id or angle) of flag ``name`` after the ties."""
+        return ids[self.ties.get(name, name)]
+
+    def cells(self, ids: Mapping[str, Any]) -> tuple[tuple, ...]:
+        """The cell of each term, in term order, for flag values ``ids``."""
+        return tuple(tuple(self.flag(ids, k) for k in flags) for _, flags in self.terms)
+
+    def evaluate(
+        self,
+        corr: CorrelationInput,
+        ids: Mapping[str, str],
+        singles: Optional[tuple[Estimate, Estimate]] = None,
+    ) -> InequalityReport:
+        """Report over correlations, or over joint +1 probabilities and
+        the +1 ``singles`` (p1 at a2, p2 at b2) for a probability row."""
+        if self.probability and singles is None:
+            raise ValueError(f"{self.name} needs the +1 singles at a2 and b2")
+        terms = []
+        for (coef, _), quad in zip(self.terms, self.cells(ids)):
+            cell = corr.lookup(quad)
+            if self.probability:
+                cell = _as_probability(cell, f"p12{quad!r}")
+            terms.append((coef, cell))
+        if self.probability:
+            terms += [(-1.0, _as_probability(p, what)) for p, what in zip(singles, ("p1", "p2"))]
+        value, se = _combine(terms)
+        inputs = {k: self.flag(ids, k) for k in self.inputs}
+        return _report(self.name, value, self.lower, self.upper, se, inputs)
+
+
+#: CLI name -> inequality.  ``analytic``, ``check``, scenario runs and
+#: the optimizer all read this table: a new inequality is one row.
+INEQUALITIES = {
+    "retarded_chsh": Inequality(
+        "retarded_chsh", QUARTET, CHSH_TERMS, ANGLE_FLAGS, -2.0, 2.0,
+    ),
+    # one retarded pair (a, b) shared by every term
+    "same_retarded_chsh": Inequality(
+        "same_retarded_chsh", QUARTET, CHSH_TERMS, ANGLE_FLAGS, -2.0, 2.0,
+        ties={"ar": "a", "a2r": "a", "br": "b", "b2r": "b"},
+    ),
+    # retarded settings equal to the actual ones
+    "chsh": Inequality(
+        "chsh", QUARTET, CHSH_TERMS, ANGLE_FLAGS, -2.0, 2.0,
+        ties=dict(zip(RETARDED_FLAGS, QUARTET)),
+    ),
+    # 2*E(a,b|a,b): no correlation bounded by 1 leaves [-2, 2], so this
+    # case carries no constraint
+    "both_equal": Inequality(
+        "both_equal_reduction", ("a", "b"), ((2.0, ("a", "b", "a", "b")),),
+        ("a", "b"), -2.0, 2.0,
+    ),
+    # station 1 fixed at a with retarded equal to actual; correlations
+    # that ignore retarded settings collapse this to 2*E(a,b2)
+    "one_end_equal": Inequality(
+        "one_end_equal_chsh", ("a", "b", "b2"), CHSH_TERMS,
+        ("a", "b", "b2", "br", "b2r"), -2.0, 2.0,
+        ties={"a2": "a", "ar": "a", "a2r": "a"},
+    ),
+    # probability form with range [-1, 0]
+    "retarded_ch": Inequality(
+        "retarded_ch", QUARTET, CHSH_TERMS, ANGLE_FLAGS, -1.0, 0.0, probability=True,
+    ),
+}
 
 
 def chsh_quadruples(
@@ -170,12 +298,8 @@ def chsh_quadruples(
 ) -> tuple[Quad, Quad, Quad, Quad]:
     """The four cells entering the retarded four-correlation combination,
     in term order (+, +, +, -)."""
-    return (
-        (a2, b2, a2r, b2r),
-        (a2, b, ar, b2r),
-        (a, b2, a2r, br),
-        (a, b, ar, br),
-    )
+    ids = dict(zip(ANGLE_FLAGS, (a, a2, b, b2, ar, a2r, br, b2r)))
+    return INEQUALITIES["retarded_chsh"].cells(ids)
 
 
 def retarded_chsh(
@@ -188,35 +312,22 @@ def retarded_chsh(
     a2r: str,
     br: str,
     b2r: str,
-    name: str = "retarded_chsh",
 ) -> InequalityReport:
     """Four-correlation combination conditioned on retarded settings.
 
     value = E(a2,b2|a2r,b2r) + E(a2,b|ar,b2r) + E(a,b2|a2r,br) - E(a,b|ar,br),
     bounded by [-2, 2] for any local model.
     """
-    quads = chsh_quadruples(a, a2, b, b2, ar, a2r, br, b2r)
-    terms = [
-        (1.0, corr.lookup(quads[0])),
-        (1.0, corr.lookup(quads[1])),
-        (1.0, corr.lookup(quads[2])),
-        (-1.0, corr.lookup(quads[3])),
-    ]
-    value, se = _combine(terms)
-    inputs = {
-        "a": a, "a2": a2, "b": b, "b2": b2,
-        "ar": ar, "a2r": a2r, "br": br, "b2r": b2r,
-    }
-    return _report(name, value, -2.0, 2.0, se, inputs)
+    ids = dict(zip(ANGLE_FLAGS, (a, a2, b, b2, ar, a2r, br, b2r)))
+    return INEQUALITIES["retarded_chsh"].evaluate(corr, ids)
 
 
 def same_retarded_chsh(
     corr: CorrelationInput, a: str, a2: str, b: str, b2: str
 ) -> InequalityReport:
     """Retarded combination with one retarded pair (a, b) shared by every term."""
-    return retarded_chsh(
-        corr, a, a2, b, b2, ar=a, a2r=a, br=b, b2r=b, name="same_retarded_chsh"
-    )
+    ids = dict(zip(QUARTET, (a, a2, b, b2)))
+    return INEQUALITIES["same_retarded_chsh"].evaluate(corr, ids)
 
 
 def both_equal_reduction(
@@ -227,12 +338,7 @@ def both_equal_reduction(
     Collapses to 2*E(a,b|a,b), which no correlation bounded by 1 can
     push outside [-2, 2]: this case carries no constraint.
     """
-    cell = corr.lookup((a, b, a, b))
-    value = 2.0 * cell.estimate
-    se = 2.0 * cell.standard_error
-    return _report(
-        "both_equal_reduction", value, -2.0, 2.0, se, {"a": a, "b": b}
-    )
+    return INEQUALITIES["both_equal"].evaluate(corr, {"a": a, "b": b})
 
 
 def one_end_equal_chsh(
@@ -240,19 +346,12 @@ def one_end_equal_chsh(
 ) -> InequalityReport:
     """Reduction when station 1 has retarded equal to actual (both fixed at a).
 
-    value = E(a,b2|a,b2r) + E(a,b|a,b2r) + E(a,b2|a,br) - E(a,b|a,br).
-    Theories whose correlations ignore retarded settings collapse this
-    to 2*E(a,b2), which cannot leave [-2, 2].
+    The retarded combination with a2, ar and a2r all set to a.  Theories
+    whose correlations ignore retarded settings collapse this to
+    2*E(a,b2), which cannot leave [-2, 2].
     """
-    terms = [
-        (1.0, corr.lookup((a, b2, a, b2r))),
-        (1.0, corr.lookup((a, b, a, b2r))),
-        (1.0, corr.lookup((a, b2, a, br))),
-        (-1.0, corr.lookup((a, b, a, br))),
-    ]
-    value, se = _combine(terms)
-    inputs = {"a": a, "b": b, "b2": b2, "br": br, "b2r": b2r}
-    return _report("one_end_equal_chsh", value, -2.0, 2.0, se, inputs)
+    ids = {"a": a, "b": b, "b2": b2, "br": br, "b2r": b2r}
+    return INEQUALITIES["one_end_equal"].evaluate(corr, ids)
 
 
 def averaged_chsh(
@@ -304,21 +403,6 @@ def averaged_chsh(
     return _report("averaged_chsh", value, -2.0, 2.0, se, inputs)
 
 
-Estimate = Union[float, tuple[float, float], Correlation]
-
-
-def _as_probability(value: Estimate, what: str) -> Correlation:
-    if isinstance(value, Correlation):
-        cell = value
-    elif isinstance(value, tuple):
-        cell = Correlation(float(value[0]), float(value[1]))
-    else:
-        cell = Correlation(float(value))
-    if not (0.0 <= cell.estimate <= 1.0):
-        raise ValueError(f"{what} = {cell.estimate} outside [0, 1]")
-    return cell
-
-
 def retarded_ch(
     p12: Union[Mapping[Quad, Correlation], CorrelationInput],
     p1: Estimate,
@@ -342,28 +426,10 @@ def retarded_ch(
     subtracted).  Retarded-dependent marginals are supported by simply
     passing the appropriately conditioned numbers.
     """
-    if isinstance(p12, CorrelationInput):
-        prob_input = p12
-    else:
-        prob_input = CorrelationInput(dict(p12), source="monte-carlo")
-    quads = chsh_quadruples(a, a2, b, b2, ar, a2r, br, b2r)
-    cells = [_as_probability(prob_input.lookup(q), f"p12{q!r}") for q in quads]
-    single_1 = _as_probability(p1, "p1")
-    single_2 = _as_probability(p2, "p2")
-    terms = [
-        (1.0, cells[0]),
-        (1.0, cells[1]),
-        (1.0, cells[2]),
-        (-1.0, cells[3]),
-        (-1.0, single_1),
-        (-1.0, single_2),
-    ]
-    value, se = _combine(terms)
-    inputs = {
-        "a": a, "a2": a2, "b": b, "b2": b2,
-        "ar": ar, "a2r": a2r, "br": br, "b2r": b2r,
-    }
-    return _report("retarded_ch", value, -1.0, 0.0, se, inputs)
+    if not isinstance(p12, CorrelationInput):
+        p12 = CorrelationInput(dict(p12), source="monte-carlo")
+    ids = dict(zip(ANGLE_FLAGS, (a, a2, b, b2, ar, a2r, br, b2r)))
+    return INEQUALITIES["retarded_ch"].evaluate(p12, ids, singles=(p1, p2))
 
 
 # ----------------------------------------------------------------------

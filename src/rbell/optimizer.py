@@ -1,7 +1,9 @@
 """Derivative-free search over measurement angles.
 
-Objectives are inequality expressions evaluated through a model's
-closed form (or lambda-quadrature when no closed form exists); Monte
+An objective is any row of ``rbell.inequalities.INEQUALITIES``: the
+row's signed terms over the resolved angle arrays, evaluated through a
+model's closed form (or lambda-quadrature when no closed form exists),
+so an inequality added to the table can be optimized as it is.  Monte
 Carlo backed objectives are rejected.  The search is a coarse grid scan
 followed by compass pattern refinement with a halving step, which is
 plenty for the smooth trigonometric surfaces that arise here.
@@ -18,13 +20,10 @@ import numpy as np
 
 from .errors import UnsupportedModelError, UnsupportedObjectiveError
 from .estimation import exact_values
+from .inequalities import ANGLE_FLAGS, INEQUALITIES
 from .models import Model, get_model
 
 TAU = math.tau
-
-OCTUPLE = ("a", "a2", "b", "b2", "ar", "a2r", "br", "b2r")
-
-INEQUALITY_KINDS = ("retarded_chsh", "same_retarded_chsh", "retarded_ch", "chsh")
 
 #: Default coarse-grid resolution.
 GRID_STEP = math.pi / 24
@@ -55,15 +54,15 @@ class ObjectiveSpec:
     quadrature_nodes: int = 100_000
 
     def __post_init__(self) -> None:
-        if self.inequality not in INEQUALITY_KINDS:
-            raise ValueError(f"inequality must be one of {INEQUALITY_KINDS}")
+        if self.inequality not in INEQUALITIES:
+            raise ValueError(f"inequality must be one of {tuple(INEQUALITIES)}")
         if self.direction not in ("minimize", "maximize"):
             raise ValueError("direction must be 'minimize' or 'maximize'")
         for name in self.free:
-            if name not in OCTUPLE:
+            if name not in ANGLE_FLAGS:
                 raise ValueError(f"unknown variable {name!r}")
         for name in self.fixed:
-            if name not in OCTUPLE:
+            if name not in ANGLE_FLAGS:
                 raise ValueError(f"unknown fixed variable {name!r}")
         if isinstance(self.retarded, str):
             if self.retarded not in ("tied", "free"):
@@ -125,12 +124,14 @@ def _exact(model: Model, quantity: str, nodes: int) -> Callable[..., tuple]:
 
 
 def build_objective(spec: ObjectiveSpec) -> Callable[[Mapping[str, np.ndarray]], np.ndarray]:
-    """Vectorized objective over dicts of free-variable arrays."""
+    """Vectorized objective over dicts of free-variable arrays: the signed
+    sum of the table row's terms, in term order, minus the +1 singles
+    at a2 and b2 for a probability row."""
     model = get_model(spec.model)
-    exact_E = _exact(model, "E", spec.quadrature_nodes)
-
-    def E(*settings: np.ndarray) -> np.ndarray:
-        return exact_E(*settings)[0]
+    row = INEQUALITIES[spec.inequality]
+    exact = _exact(model, "p12" if row.probability else "E", spec.quadrature_nodes)
+    if row.probability:
+        marginals = _exact(model, "marginals", spec.quadrature_nodes)
 
     def resolve(assign: Mapping[str, np.ndarray], name: str) -> np.ndarray:
         if name in assign:
@@ -145,54 +146,17 @@ def build_objective(spec: ObjectiveSpec) -> Callable[[Mapping[str, np.ndarray]],
                 return np.asarray(spec.retarded[name], dtype=float)
         return np.asarray(0.0)
 
-    if spec.inequality in ("retarded_chsh", "chsh", "same_retarded_chsh"):
-        def objective(assign: Mapping[str, np.ndarray]) -> np.ndarray:
-            a = resolve(assign, "a")
-            a2 = resolve(assign, "a2")
-            b = resolve(assign, "b")
-            b2 = resolve(assign, "b2")
-            if spec.inequality == "same_retarded_chsh":
-                ar = a2r = a
-                br = b2r = b
-            elif spec.inequality == "chsh":
-                ar, a2r, br, b2r = a, a2, b, b2
-            else:
-                ar = resolve(assign, "ar")
-                a2r = resolve(assign, "a2r")
-                br = resolve(assign, "br")
-                b2r = resolve(assign, "b2r")
-            return (
-                E(a2, b2, a2r, b2r)
-                + E(a2, b, ar, b2r)
-                + E(a, b2, a2r, br)
-                - E(a, b, ar, br)
-            )
-        return objective
-
-    exact_p12 = _exact(model, "p12", spec.quadrature_nodes)
-    marginals = _exact(model, "marginals", spec.quadrature_nodes)
-
-    def p12(*settings: np.ndarray) -> np.ndarray:
-        return exact_p12(*settings)[0]
-
     def objective(assign: Mapping[str, np.ndarray]) -> np.ndarray:
-        a = resolve(assign, "a")
-        a2 = resolve(assign, "a2")
-        b = resolve(assign, "b")
-        b2 = resolve(assign, "b2")
-        ar = resolve(assign, "ar")
-        a2r = resolve(assign, "a2r")
-        br = resolve(assign, "br")
-        b2r = resolve(assign, "b2r")
-        m1, m2 = marginals(a2, b2, 0.0, 0.0)
-        return (
-            p12(a2, b2, a2r, b2r)
-            + p12(a2, b, ar, b2r)
-            + p12(a, b2, a2r, br)
-            - p12(a, b, ar, br)
-            - m1
-            - m2
-        )
+        angles = {name: resolve(assign, name) for name in ANGLE_FLAGS}
+        (coef, _), *rest = row.terms
+        first, *cells = row.cells(angles)
+        value = coef * exact(*first)[0]
+        for (coef, _), cell in zip(rest, cells):
+            value = value + coef * exact(*cell)[0]
+        if row.probability:
+            m1, m2 = marginals(row.flag(angles, "a2"), row.flag(angles, "b2"), 0.0, 0.0)
+            value = value - m1 - m2
+        return value
 
     return objective
 

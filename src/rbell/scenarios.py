@@ -37,13 +37,13 @@ from .estimation import (
     write_trial_log,
 )
 from .inequalities import (
+    INEQUALITIES,
+    QUARTET,
+    RETARDED_FLAGS,
     Correlation,
+    CorrelationInput,
     InequalityReport,
     averaged_chsh,
-    chsh_quadruples,
-    retarded_ch,
-    retarded_chsh,
-    same_retarded_chsh,
 )
 from .models import Model, get_model, sample_outcomes
 from .spacetime import (
@@ -189,18 +189,21 @@ _RUN_KEYS = {
 }
 
 
-def _parse_labels(text: str) -> dict[str, float]:
+def _parse_labels(path: Path, key: str, text: str) -> dict[str, float]:
     out: dict[str, float] = {}
     for item in text.split(","):
         item = item.strip()
         if not item:
             continue
         if "=" not in item:
-            raise ConfigError(f"label entry {item!r} must look like id=angle")
+            raise ConfigError(f"{path}: {key} entry {item!r} must look like id=angle")
         lid, ang = item.split("=", 1)
-        out[lid.strip()] = parse_angle(ang.strip())
+        try:
+            out[lid.strip()] = parse_angle(ang.strip())
+        except ValueError as exc:
+            raise ConfigError(f"{path}: {key} must be id=angle entries; {exc}") from None
     if not out:
-        raise ConfigError("empty label list")
+        raise ConfigError(f"{path}: {key} is an empty label list")
     return out
 
 
@@ -237,7 +240,7 @@ def _station_from_section(
 
     return StationConfig(
         station=station,
-        labels=_parse_labels(sec["labels"]),
+        labels=_parse_labels(path, f"station{station}.labels", sec["labels"]),
         kind=kind,
         period=number("period", None),
         phase=number("phase", 0.0),
@@ -292,6 +295,8 @@ def load_config(path: Union[str, Path]) -> ScenarioConfig:
         spacing = _parse_number(path, "run.spacing", run["spacing"])
         start = _parse_number(path, "run.start", run.get("start", "0.0"))
         seed = _parse_number(path, "run.seed", run.get("seed", "0"), int)
+        if seed < 0:
+            raise ConfigError(f"{path}: run.seed must be non-negative, got {seed}")
         geometry = Geometry(
             separation=separation,
             signal_speed=signal_speed,
@@ -612,6 +617,7 @@ def _evaluate_reports(
     weights: dict[tuple[str, str], float],
 ) -> tuple[list[InequalityReport], list[dict]]:
     qa, qa2, qb, qb2 = config.quartet
+    quartet = dict(zip(QUARTET, config.quartet))
     corr = table.to_correlation_input()
     reports: list[InequalityReport] = []
     skipped: list[dict] = []
@@ -628,11 +634,12 @@ def _evaluate_reports(
     d_12 = table.observed_retarded_pairs(qa, qb2)
     d_11 = table.observed_retarded_pairs(qa, qb)
 
+    # flag -> label id of each complete retarded octuple
     octuples = []
     for (a2r, b2r) in sorted(d_22):
         for (ar, br) in sorted(d_11):
             if (ar, b2r) in d_21 and (a2r, br) in d_12:
-                octuples.append((ar, a2r, br, b2r))
+                octuples.append({**quartet, "ar": ar, "a2r": a2r, "br": br, "b2r": b2r})
 
     if not octuples:
         skipped.append(
@@ -642,19 +649,17 @@ def _evaluate_reports(
             }
         )
 
-    for (ar, a2r, br, b2r) in octuples:
+    for ids in octuples:
         try_report(
             "retarded_chsh",
-            lambda ar=ar, a2r=a2r, br=br, b2r=b2r: retarded_chsh(
-                corr, qa, qa2, qb, qb2, ar, a2r, br, b2r
-            ),
-            {"ar": ar, "a2r": a2r, "br": br, "b2r": b2r},
+            lambda ids=ids: INEQUALITIES["retarded_chsh"].evaluate(corr, ids),
+            {k: ids[k] for k in RETARDED_FLAGS},
         )
 
     if (qa, qb) in (d_22 & d_21 & d_12 & d_11):
         try_report(
             "same_retarded_chsh",
-            lambda: same_retarded_chsh(corr, qa, qa2, qb, qb2),
+            lambda: INEQUALITIES["same_retarded_chsh"].evaluate(corr, quartet),
             {"ar": qa, "br": qb},
         )
     else:
@@ -691,20 +696,14 @@ def _evaluate_reports(
         single_1 = Correlation(p1, p1_se, n1)
         single_2 = Correlation(p2, p2_se, n2)
 
-    for (ar, a2r, br, b2r) in octuples:
-        def ch_eval(ar=ar, a2r=a2r, br=br, b2r=b2r):
-            quads = chsh_quadruples(qa, qa2, qb, qb2, ar, a2r, br, b2r)
-            cells = {q: p12_cell(q) for q in quads}
-            return retarded_ch(
-                cells, single_1, single_2,
-                qa, qa2, qb, qb2, ar, a2r, br, b2r,
-            )
+    ch = INEQUALITIES["retarded_ch"]
+    for ids in octuples:
+        def ch_eval(ids=ids):
+            # every cell is counted before any is checked for min_count
+            cells = CorrelationInput({q: p12_cell(q) for q in ch.cells(ids)}, "monte-carlo")
+            return ch.evaluate(cells, ids, (single_1, single_2))
 
-        try_report(
-            "retarded_ch",
-            ch_eval,
-            {"ar": ar, "a2r": a2r, "br": br, "b2r": b2r},
-        )
+        try_report("retarded_ch", ch_eval, {k: ids[k] for k in RETARDED_FLAGS})
 
     both_random = (
         config.station1.kind == "random_switch"

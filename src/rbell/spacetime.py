@@ -88,11 +88,6 @@ class SettingLabel:
         object.__setattr__(self, "angle", normalize_angle(self.angle))
 
 
-def make_palette(angles: Mapping[str, float]) -> dict[str, SettingLabel]:
-    """Build id -> SettingLabel from an id -> angle mapping."""
-    return {name: SettingLabel(name, angle) for name, angle in angles.items()}
-
-
 @dataclass(frozen=True)
 class Geometry:
     """Lab-frame layout of the experiment.

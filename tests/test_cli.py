@@ -286,36 +286,53 @@ def test_run_bad_config(tmp_path, capsys):
 PERIODIC_STATION1 = "schedule = periodic\nperiod = 1.0\nphase = 0.0\ncycle = a, a2\n"
 
 
+def RUN(config, out):
+    return ["run", "--config", config, "--out", out]
+
+
 @pytest.mark.parametrize(
-    "old,new,message",
+    "old,new,message,argv",
     [
-        ("spacing = 1.0", "spacing = inf", "run.spacing must be finite"),
-        ("spacing = 1.0", "spacing = nan", "run.spacing must be finite"),
-        ("start = 0.0", "start = nan", "must be finite"),
-        ("start = 0.0", "start = -inf", "must be finite"),
-        ("seed = 42", "seed = 42\nintervention_delay = inf", "intervention_delay must be finite"),
-        ("rate = 2.0", "rate = inf", "station1.rate must be finite"),
-        ("rate = 2.0", "rate = nan", "station1.rate must be finite"),
-        ("schedule = random_switch\nrate = 2.0\n",
-         PERIODIC_STATION1.replace("period = 1.0", "period = inf"), "station1.period must be finite"),
-        ("schedule = random_switch\nrate = 2.0\n",
-         PERIODIC_STATION1.replace("phase = 0.0", "phase = nan"), "station1.phase must be finite"),
-        ("separation = 4.0", "separation = inf", "separation must be finite"),
-        ("signal_speed = 1.0", "signal_speed = nan", "signal_speed must be finite"),
-        ("t0 = -6.0", "t0 = -inf", "t0 must be finite"),
-        ("min_count = 100", "min_count = -5", "min_count must be non-negative"),
+        (old, new, message, RUN) for old, new, message in [
+            ("spacing = 1.0", "spacing = inf", "run.spacing must be finite"),
+            ("spacing = 1.0", "spacing = nan", "run.spacing must be finite"),
+            ("start = 0.0", "start = nan", "must be finite"),
+            ("start = 0.0", "start = -inf", "must be finite"),
+            ("seed = 42", "seed = 42\nintervention_delay = inf",
+             "intervention_delay must be finite"),
+            ("rate = 2.0", "rate = inf", "station1.rate must be finite"),
+            ("rate = 2.0", "rate = nan", "station1.rate must be finite"),
+            ("schedule = random_switch\nrate = 2.0\n",
+             PERIODIC_STATION1.replace("period = 1.0", "period = inf"),
+             "station1.period must be finite"),
+            ("schedule = random_switch\nrate = 2.0\n",
+             PERIODIC_STATION1.replace("phase = 0.0", "phase = nan"),
+             "station1.phase must be finite"),
+            ("separation = 4.0", "separation = inf", "separation must be finite"),
+            ("signal_speed = 1.0", "signal_speed = nan", "signal_speed must be finite"),
+            ("t0 = -6.0", "t0 = -inf", "t0 must be finite"),
+            ("min_count = 100", "min_count = -5", "min_count must be non-negative"),
+        ]
+    ] + [
+        # a negative --seed flag, checked before the command runs
+        ("", "", "--seed must be a non-negative integer",
+         lambda config, out: RUN(config, out) + ["--seed", "-1"]),
+        ("", "", "--seed must be a non-negative integer",
+         lambda config, out: ["analytic", "hardy", "chsh", *QUARTET_FLAGS,
+                              "--n", "100", "--seed", "-1"]),
+        ("", "", "--seed must be a non-negative integer",
+         lambda config, out: ["verify", "--seed", "-1"]),
     ],
     ids=["spacing-inf", "spacing-nan", "start-nan", "start-inf", "delay-inf", "rate-inf",
          "rate-nan", "period-inf", "phase-nan", "separation-inf", "signal_speed-nan",
-         "t0-inf", "min_count-negative"],
+         "t0-inf", "min_count-negative", "run-seed-flag-negative",
+         "analytic-seed-flag-negative", "verify-seed-flag-negative"],
 )
-def test_run_rejects_non_finite_and_negative_numbers(tmp_path, capsys, old, new, message):
+def test_run_rejects_non_finite_and_negative_numbers(tmp_path, capsys, old, new, message, argv):
     assert old in CONFIG_TEXT
     config = tmp_path / "scenario.ini"
     config.write_text(CONFIG_TEXT.replace(old, new, 1))
-    code, out, err = run_cli(
-        capsys, ["run", "--config", str(config), "--out", str(tmp_path / "o")]
-    )
+    code, out, err = run_cli(capsys, argv(str(config), str(tmp_path / "o")))
     assert code == 1
     assert out == ""
     assert err.count("\n") == 1 and message in err
@@ -336,8 +353,11 @@ def test_run_rejects_non_finite_and_negative_numbers(tmp_path, capsys, old, new,
         ("schedule = random_switch\nrate = 2.0\n",
          PERIODIC_STATION1.replace("phase = 0.0", "phase = late"), "station1.phase"),
         ("t0 = -6.0", "t0 = early", "geometry.t0"),
+        ("seed = 42", "seed = -1", "run.seed"),
+        ("labels = a=pi/2, a2=0", "labels = a=abc, a2=0", "station1.labels"),
     ],
-    ids=["delay", "min_count", "seed", "n_trials", "spacing", "rate", "period", "phase", "t0"],
+    ids=["delay", "min_count", "seed", "n_trials", "spacing", "rate", "period", "phase", "t0",
+         "seed-negative", "labels-angle"],
 )
 def test_run_malformed_number_names_file_and_key(tmp_path, capsys, old, new, key):
     assert old in CONFIG_TEXT

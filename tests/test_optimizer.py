@@ -3,10 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st_
 
 from conftest import grid_min
 from rbell.errors import UnsupportedObjectiveError
-from rbell.models import DeterministicLHV, HiddenSpace
+from rbell.estimation import analytic_ch_probs, analytic_correlations, analytic_marginals
+from rbell.inequalities import ANGLE_FLAGS, INEQUALITIES, QUARTET, CorrelationInput
+from rbell.models import DeterministicLHV, HiddenSpace, get_model
 from rbell.optimizer import ObjectiveSpec, build_objective, optimize
 
 SQRT2 = math.sqrt(2)
@@ -197,3 +201,38 @@ def test_optimum_json_shape():
     data = json.loads(opt.to_json())
     assert set(data) == {"settings", "value", "evaluations", "trace"}
     assert isinstance(data["trace"][0], list)
+
+
+@pytest.mark.parametrize("retarded", [False, True], ids=["tied", "retarded"])
+@pytest.mark.parametrize("model", ["hardy", "quantum"])
+@pytest.mark.parametrize("ineq", list(INEQUALITIES))
+@settings(max_examples=25, deadline=None)
+@given(data=st_.data())
+def test_objective_matches_table_evaluate(ineq, model, retarded, data):
+    # the optimizer's vectorized objective against the row's scalar
+    # evaluate on exact cells, point by point
+    flags = ANGLE_FLAGS if retarded else QUARTET
+    n = data.draw(st_.integers(1, 6), label="n")
+    angle = st_.floats(-2 * math.pi, 2 * math.pi, allow_nan=False)
+    assign = {
+        k: np.array(data.draw(st_.lists(angle, min_size=n, max_size=n), label=k))
+        for k in flags
+    }
+    spec = ObjectiveSpec(model=model, inequality=ineq, free=flags,
+                         retarded="free" if retarded else "tied")
+    values = np.broadcast_to(build_objective(spec)(assign), n)
+    row, m = INEQUALITIES[ineq], get_model(model)
+    # an absent retarded flag takes its actual flag's angle, as in `analytic`
+    ids = {k: k if k in flags else k[:-1] for k in ANGLE_FLAGS}
+    quads = row.cells(ids)
+    for i in range(n):
+        angles = {k: float(v[i]) for k, v in assign.items()}
+        if row.probability:
+            cells = CorrelationInput(analytic_ch_probs(m, angles, quads))
+            singles = analytic_marginals(
+                m, angles[row.flag(ids, "a2")], angles[row.flag(ids, "b2")]
+            )
+            report = row.evaluate(cells, ids, singles)
+        else:
+            report = row.evaluate(analytic_correlations(m, angles, quads), ids)
+        assert abs(values[i] - report.value) <= 1e-12

@@ -297,17 +297,20 @@ def _noisy_hardy():
 
 
 @pytest.mark.parametrize(
-    "model,trials_sha,table_sha",
+    "model,trials_sha,table_sha,reports_sha",
     [
         ("hardy-singlet", "f87ef2341244d7aad5e9118746834a0aee24b51ea1e6075e022893dc2b580027",
-         "240a892713777b38e2da04168c3ef3c0969c52bb89f2da8d8a2905bf86dd81dc"),
+         "240a892713777b38e2da04168c3ef3c0969c52bb89f2da8d8a2905bf86dd81dc",
+         "a0e5a8992997ef365c9f4810abff2c952236c3722a1266f7573524e3e8d41374"),
         ("hardy-noisy", "37bf2d859644f2e9f2dc76089e95745c31b044b89f7be1896ad32bf85c128cc4",
-         "f5e71eb25ea89569c8eb9b3af1b5bb6e2fb645631a062432aef0dfc048dd1fd2"),
+         "f5e71eb25ea89569c8eb9b3af1b5bb6e2fb645631a062432aef0dfc048dd1fd2",
+         "cb380d781001b2acefabd5fb47f461ed49a3c6f4d7365cda72659e3c44d3f3fa"),
         ("quantum-singlet", "d8a6d99f28fc2f9e319fd95a391cd297c474ca8272e5a185a55335f9121f113d",
-         "fd0e3559414a639511cb3dd0afc7ba9c64c8d58df712feb42f73877c64071170"),
+         "fd0e3559414a639511cb3dd0afc7ba9c64c8d58df712feb42f73877c64071170",
+         "7f6fcaadc417707e13d88da210ea4992fa64006919e611dc34cefb667aa7e827"),
     ],
 )
-def test_artifacts_match_pinned_digests(tmp_path, model, trials_sha, table_sha):
+def test_artifacts_match_pinned_digests(tmp_path, model, trials_sha, table_sha, reports_sha):
     # pinned bytes for (config, seed): a change to the draw order or the
     # sampling arithmetic of any model kind shows here
     register_model("hardy-noisy", _noisy_hardy)
@@ -323,6 +326,7 @@ def test_artifacts_match_pinned_digests(tmp_path, model, trials_sha, table_sha):
         _FACTORIES.pop("hardy-noisy", None)
     assert hashlib.sha256(paths["trials"].read_bytes()).hexdigest() == trials_sha
     assert hashlib.sha256(paths["correlations"].read_bytes()).hexdigest() == table_sha
+    assert hashlib.sha256(paths["reports"].read_bytes()).hexdigest() == reports_sha
 
 
 def test_different_seeds_differ():
