@@ -431,6 +431,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # checked here, not by argparse, whose exit code 2 means "insufficient data"
         if getattr(args, "seed", None) is not None and args.seed < 0:
             raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
+        if args.command == "run" and args.n is not None and args.n < 1:
+            raise ConfigError(f"--n must be at least 1, got {args.n}")
+        if getattr(args, "min_count", None) is not None and args.min_count < 0:
+            raise ConfigError(f"--min-count must be non-negative, got {args.min_count}")
         return args.func(args)
     except CellError as exc:
         _say(f"error: {exc}")

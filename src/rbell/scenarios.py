@@ -22,7 +22,6 @@ from pathlib import Path
 from typing import Optional, Union
 
 import numpy as np
-from scipy import stats
 
 from .errors import CellError, ConfigError, MissingCellError
 from .estimation import (
@@ -429,7 +428,14 @@ def build_schedules(config: ScenarioConfig) -> tuple[SettingSchedule, SettingSch
 
 @dataclass
 class IndependenceCheck:
-    """Chi-squared independence of the retarded pair from the actual pair."""
+    """Chi-squared independence of the retarded pair from the actual pair.
+
+    ``statistic`` is Pearson's chi-squared over the (actual pair) x
+    (retarded pair) table, with Yates' continuity correction when
+    ``dof == 1``.  ``critical_999`` is the 0.999 quantile of the
+    chi-squared distribution with ``dof`` degrees of freedom, computed
+    with ``math`` alone (:func:`chi2_upper_quantile`).
+    """
 
     statistic: float
     dof: int
@@ -586,22 +592,101 @@ def empirical_weights(log: TrialLog) -> dict[tuple[str, str], float]:
     }
 
 
+# B_2k / (2k (2k - 1)) for k = 1..8: the Stirling series of lgamma(s)
+# beyond (s - 1/2) log s - s + log(2 pi) / 2, accurate to 1e-17 for s >= 10
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156,
+             -3617 / 122400)
+
+
+def _log_gamma_prefix(s: float, x: float) -> float:
+    """log(x**s * exp(-x) / Gamma(s)), with the large terms cancelled
+    analytically for s >= 10 so the result keeps full relative precision."""
+    if s < 10.0:
+        return s * math.log(x) - x - math.lgamma(s)
+    tail = 0.0
+    for coef in reversed(_STIRLING):
+        tail = tail / (s * s) + coef
+    u = (x - s) / s
+    return s * (math.log1p(u) - u) + 0.5 * math.log(s / (2 * math.pi)) - tail / s
+
+
+def _upper_gamma_q(s: float, x: float) -> float:
+    """Regularized upper incomplete gamma Q(s, x): the power series for
+    x < s + 1, the Lentz continued fraction above it."""
+    if x <= 0.0:
+        return 1.0
+    prefix = math.exp(_log_gamma_prefix(s, x))
+    if x < s + 1.0:
+        term = total = 1.0 / s
+        k = s
+        while term > total * 1e-17:
+            k += 1.0
+            term *= x / k
+            total += term
+        return 1.0 - prefix * total
+    tiny = 1e-300
+    b = x + 1.0 - s
+    c = 1.0 / tiny
+    d = 1.0 / b
+    h = d
+    for i in range(1, 10_000):
+        an = -i * (i - s)
+        b += 2.0
+        d = an * d + b
+        d = 1.0 / (d if abs(d) > tiny else tiny)
+        c = b + an / c
+        c = c if abs(c) > tiny else tiny
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) <= 2.3e-16:
+            break
+    return prefix * h
+
+
+def chi2_upper_quantile(q: float, dof: int) -> float:
+    """The x with P(chi2_dof > x) = q, by bisection on Q(dof / 2, x / 2)
+    down to adjacent floats."""
+    s = dof / 2.0
+    lo, hi = 0.0, max(1.0, float(dof))
+    while _upper_gamma_q(s, hi / 2.0) > q:
+        lo, hi = hi, 2.0 * hi
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            return hi
+        if _upper_gamma_q(s, mid / 2.0) > q:
+            lo = mid
+        else:
+            hi = mid
+
+
 def independence_check(log: TrialLog) -> Optional[IndependenceCheck]:
-    """Chi-squared test of (actual pair) x (retarded pair) independence."""
+    """Pearson chi-squared test of (actual pair) x (retarded pair)
+    independence.
+
+    Rows and columns that never occur are dropped; a table left with
+    fewer than two rows or columns gives ``None``.  With one degree of
+    freedom, Yates' correction moves each observed count towards its
+    expected count by min(0.5, |E - O|).  The critical value is the
+    ``math``-only quantile :func:`chi2_upper_quantile` at q = 0.001.
+    """
     ids = log.ids()
     p = len(ids)
-    actual = log.a * p + log.b
-    ret = log.a_r * p + log.b_r
-    table = np.zeros((p * p, p * p), dtype=np.int64)
-    np.add.at(table, (actual, ret), 1)
-    rows = table[table.sum(axis=1) > 0][:, table.sum(axis=0) > 0]
-    if rows.shape[0] < 2 or rows.shape[1] < 2:
+    code = (log.a * p + log.b) * (p * p) + log.a_r * p + log.b_r
+    table = np.bincount(code, minlength=p**4).reshape(p * p, p * p)
+    observed = table[table.sum(axis=1) > 0][:, table.sum(axis=0) > 0].astype(np.float64)
+    r, c = observed.shape
+    if r < 2 or c < 2:
         return None
-    stat, _, dof, _ = stats.chi2_contingency(rows)
+    dof = (r - 1) * (c - 1)
+    expected = np.multiply.outer(observed.sum(axis=1), observed.sum(axis=0)) / observed.sum()
+    if dof == 1:
+        diff = expected - observed
+        observed = observed + np.minimum(0.5, np.abs(diff)) * np.sign(diff)
     return IndependenceCheck(
-        statistic=float(stat),
-        dof=int(dof),
-        critical_999=float(stats.chi2.ppf(0.999, dof)),
+        statistic=float(((observed - expected) ** 2 / expected).sum()),
+        dof=dof,
+        critical_999=chi2_upper_quantile(0.001, dof),
     )
 
 

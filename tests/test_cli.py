@@ -322,11 +322,17 @@ def RUN(config, out):
                               "--n", "100", "--seed", "-1"]),
         ("", "", "--seed must be a non-negative integer",
          lambda config, out: ["verify", "--seed", "-1"]),
+        # --n and --min-count overrides, named as flags rather than config keys
+        ("", "", "--n must be at least 1",
+         lambda config, out: RUN(config, out) + ["--n", "-1"]),
+        ("", "", "--min-count must be non-negative",
+         lambda config, out: RUN(config, out) + ["--min-count", "-5"]),
     ],
     ids=["spacing-inf", "spacing-nan", "start-nan", "start-inf", "delay-inf", "rate-inf",
          "rate-nan", "period-inf", "phase-nan", "separation-inf", "signal_speed-nan",
          "t0-inf", "min_count-negative", "run-seed-flag-negative",
-         "analytic-seed-flag-negative", "verify-seed-flag-negative"],
+         "analytic-seed-flag-negative", "verify-seed-flag-negative", "run-n-flag-negative",
+         "run-min-count-flag-negative"],
 )
 def test_run_rejects_non_finite_and_negative_numbers(tmp_path, capsys, old, new, message, argv):
     assert old in CONFIG_TEXT
@@ -503,3 +509,19 @@ def test_console_script_runs():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["value"] == pytest.approx(-math.sqrt(2))
+
+
+def test_runtime_imports_no_scipy():
+    # numpy is the only runtime dependency: neither the package nor the
+    # CLI may load scipy, whose import would dominate start-up time
+    code = (
+        "import json, sys\n"
+        "scipy = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "import rbell\n"
+        "after_package = scipy()\n"
+        "import rbell.cli\n"
+        "print(json.dumps([after_package, scipy()]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[], []]

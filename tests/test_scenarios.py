@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st_
 
 from rbell.errors import ConfigError
-from rbell.estimation import read_trial_log
+from rbell.estimation import TrialLog, read_trial_log
 from rbell.models import (
     _FACTORIES,
     HiddenSpace,
@@ -18,6 +20,7 @@ from rbell.models import (
 from rbell.scenarios import (
     ScenarioConfig,
     StationConfig,
+    chi2_upper_quantile,
     classify_fractions,
     empirical_weights,
     independence_check,
@@ -26,7 +29,7 @@ from rbell.scenarios import (
     replay_retarded,
     run_scenario,
 )
-from rbell.spacetime import Geometry
+from rbell.spacetime import Geometry, SettingLabel
 
 QUARTET_1 = {"a": math.pi / 2, "a2": 0.0}
 QUARTET_2 = {"b": -math.pi / 4, "b2": math.pi / 4}
@@ -493,3 +496,89 @@ def test_independence_check_none_for_degenerate():
     )
     res = run_scenario(config)
     assert res.independence is None
+
+
+# ----------------------------------------------------------------------
+# independence_check against scipy
+# ----------------------------------------------------------------------
+
+
+def log_with_table(table):
+    """A trial log whose (actual pair) x (retarded pair) table, over a
+    four-label palette, is ``table`` padded with zero rows and columns."""
+    p = 4
+    rows, cols = np.nonzero(table)
+    counts = table[rows, cols]
+    actual, ret = np.repeat(rows, counts), np.repeat(cols, counts)
+    n = len(actual)
+    return TrialLog(
+        palette=tuple(SettingLabel(f"s{k}", 0.0) for k in range(p)),
+        t1=np.zeros(n), t2=np.zeros(n),
+        a=actual // p, b=actual % p, a_r=ret // p, b_r=ret % p,
+        outcome_1=np.ones(n), outcome_2=np.ones(n),
+    )
+
+
+@st_.composite
+def count_tables(draw, max_side=16):
+    """Count tables from 2 x 2 to max_side x max_side with zero cells but
+    no zero row or column."""
+    r = draw(st_.integers(2, max_side))
+    c = draw(st_.integers(2, max_side))
+    cells = draw(st_.lists(st_.integers(0, 40), min_size=r * c, max_size=r * c))
+    table = np.array(cells, dtype=np.int64).reshape(r, c)
+    table[np.arange(r), np.arange(r) % c] += 1
+    table[np.arange(c) % r, np.arange(c)] += 1
+    return table
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=count_tables())
+@example(table=np.array([[2, 3], [3, 5]]))  # Yates: every |E - O| < 0.5
+@example(table=np.array([[0, 7], [4, 0]]))  # Yates with zero cells
+@example(table=np.ones((16, 16), dtype=np.int64))  # the largest table, dof 225
+def test_independence_statistic_matches_scipy(table):
+    stats = pytest.importorskip("scipy.stats")
+    res = independence_check(log_with_table(table))
+    stat, _, dof, _ = stats.chi2_contingency(table)
+    assert res.statistic == float(stat)
+    assert res.dof == int(dof)
+
+
+def test_critical_value_matches_scipy_for_every_dof():
+    stats = pytest.importorskip("scipy.stats")
+    # 225 = (16 - 1)**2 is the largest dof of a four-label palette
+    for dof in range(1, 226):
+        ref = float(stats.chi2.ppf(0.999, dof))
+        assert abs(chi2_upper_quantile(0.001, dof) - ref) <= 5e-15 * ref, dof
+
+
+# 0.999 quantiles, to 20 digits, of a 40-digit mpmath root of Q(dof / 2, x / 2) = 0.001
+@pytest.mark.parametrize("dof,quantile", [
+    (1, "10.827566170662732293"), (2, "13.815510557964274104"),
+    (9, "27.877164871256573469"), (19, "43.820195964517533352"),
+    (20, "45.314746618125861484"), (100, "149.44925277903871123"),
+    (215, "284.81526332746784475"), (225, "296.28792609374677944"),
+])
+def test_critical_value_within_two_ulp_of_reference(dof, quantile):
+    ref = float(quantile)
+    assert abs(chi2_upper_quantile(0.001, dof) - ref) <= 4e-16 * ref
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    table=count_tables(max_side=8),
+    rows=st_.lists(st_.integers(0, 15), min_size=8, max_size=8, unique=True),
+    cols=st_.lists(st_.integers(0, 15), min_size=8, max_size=8, unique=True),
+)
+def test_independence_check_drops_empty_rows_and_columns(table, rows, cols):
+    stats = pytest.importorskip("scipy.stats")
+    r, c = table.shape
+    padded = np.zeros((16, 16), dtype=np.int64)
+    padded[np.ix_(sorted(rows[:r]), sorted(cols[:c]))] = table
+    res = independence_check(log_with_table(padded))
+    stat, _, dof, _ = stats.chi2_contingency(table)
+    ref = float(stats.chi2.ppf(0.999, dof))
+    assert (res.statistic, res.dof) == (float(stat), int(dof))
+    assert abs(res.critical_999 - ref) <= 5e-15 * ref
+    assert res.independent == (float(stat) <= ref)
