@@ -234,6 +234,9 @@ def _optimize(args) -> int:
                 retarded_fixed[name] = parse_angle(raw)
         retarded = retarded_fixed if retarded_fixed else args.retarded
         free = tuple(s.strip() for s in args.free.split(",") if s.strip())
+        grid_step = parse_angle(args.grid_step)
+        if not (math.isfinite(grid_step) and grid_step > 0):
+            raise ConfigError(f"--grid-step must be finite and positive, got {args.grid_step}")
         spec = ObjectiveSpec(
             model=args.model,
             inequality=args.ineq,
@@ -241,7 +244,7 @@ def _optimize(args) -> int:
             free=free,
             fixed=fixed,
             retarded=retarded,
-            grid_step=parse_angle(args.grid_step),
+            grid_step=grid_step,
         )
     optimum = optimize(spec)
     print(json.dumps(optimum.to_dict(), indent=2))

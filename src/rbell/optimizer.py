@@ -58,9 +58,11 @@ class ObjectiveSpec:
             raise ValueError(f"inequality must be one of {tuple(INEQUALITIES)}")
         if self.direction not in ("minimize", "maximize"):
             raise ValueError("direction must be 'minimize' or 'maximize'")
-        for name in self.free:
+        for i, name in enumerate(self.free):
             if name not in ANGLE_FLAGS:
                 raise ValueError(f"unknown variable {name!r}")
+            if name in self.free[:i]:
+                raise ValueError(f"free variable {name!r} is listed more than once")
         for name in self.fixed:
             if name not in ANGLE_FLAGS:
                 raise ValueError(f"unknown fixed variable {name!r}")
@@ -71,6 +73,8 @@ class ObjectiveSpec:
             object.__setattr__(self, "retarded", dict(self.retarded))
         if not self.free:
             raise ValueError("at least one free variable is required")
+        if not (math.isfinite(self.grid_step) and self.grid_step > 0):
+            raise ValueError(f"grid_step must be finite and positive, got {self.grid_step!r}")
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "ObjectiveSpec":
@@ -175,6 +179,30 @@ def _grid_axes(spec: ObjectiveSpec, model_is_quadrature: bool) -> tuple[float, n
     return step, np.arange(0.0, TAU, step)
 
 
+def _grid_scan(
+    objective: Callable[[Mapping[str, np.ndarray]], np.ndarray],
+    free: tuple[str, ...],
+    axis: np.ndarray,
+    sign: float,
+) -> tuple[int, float, int]:
+    """Scan every point of the grid ``axis`` x ... x ``axis``, one axis per
+    free variable, for the least ``sign * objective``.
+
+    Each free variable gets ``axis`` along a dimension of its own, so the
+    objective broadcasts: a cell costs k**(its angles), not k**len(free).
+    Returns the C-order flat index of the first least point, its signed
+    value and the number of points evaluated (one for an objective that
+    no free variable reaches).
+    """
+    n = len(free)
+    axes = {name: axis.reshape((-1,) + (1,) * (n - 1 - i)) for i, name in enumerate(free)}
+    values = sign * np.asarray(objective(axes), dtype=float)
+    size = axis.size**n if values.ndim else 1
+    values = np.broadcast_to(values, (axis.size,) * n).ravel()
+    best_flat = int(np.argmin(values))
+    return best_flat, float(values[best_flat]), size
+
+
 def optimize(spec: ObjectiveSpec) -> Optimum:
     """Coarse grid scan plus compass refinement (step halves to 1e-7).
 
@@ -194,13 +222,10 @@ def optimize(spec: ObjectiveSpec) -> Optimum:
     quadrature_backed = _uses_quadrature(model)
     step, axis = _grid_axes(spec, quadrature_backed)
     free = spec.free
-    grids = np.meshgrid(*[axis] * len(free), indexing="ij")
-    flat = {name: g.ravel() for name, g in zip(free, grids)}
-    values = sign * np.asarray(objective(flat), dtype=float).ravel()
-    evaluations += values.size
-    best_flat = int(np.argmin(values))
-    best_point = {name: float(flat[name][best_flat]) for name in free}
-    best_value = float(values[best_flat])
+    best_flat, best_value, size = _grid_scan(objective, free, axis, sign)
+    evaluations += size
+    index = np.unravel_index(best_flat, (axis.size,) * len(free))
+    best_point = {name: float(axis[i]) for name, i in zip(free, index)}
     trace = [(0, sign * best_value)]
 
     # --- compass refinement ----------------------------------------------

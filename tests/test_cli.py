@@ -290,6 +290,9 @@ def RUN(config, out):
     return ["run", "--config", config, "--out", out]
 
 
+OPTIMIZE = ["optimize", "--model", "quantum", "--ineq", "chsh"]
+
+
 @pytest.mark.parametrize(
     "old,new,message,argv",
     [
@@ -327,12 +330,21 @@ def RUN(config, out):
          lambda config, out: RUN(config, out) + ["--n", "-1"]),
         ("", "", "--min-count must be non-negative",
          lambda config, out: RUN(config, out) + ["--min-count", "-5"]),
+    ] + [
+        # a grid step that would divide by zero, scan an empty grid or never halve
+        ("", "", "--grid-step must be finite and positive",
+         lambda config, out, step=step: OPTIMIZE + [f"--grid-step={step}"])
+        for step in ("0", "-0.1", "nan", "inf")
+    ] + [
+        ("", "", "free variable 'a' is listed more than once",
+         lambda config, out: OPTIMIZE + ["--free", "a,a,b"]),
     ],
     ids=["spacing-inf", "spacing-nan", "start-nan", "start-inf", "delay-inf", "rate-inf",
          "rate-nan", "period-inf", "phase-nan", "separation-inf", "signal_speed-nan",
          "t0-inf", "min_count-negative", "run-seed-flag-negative",
          "analytic-seed-flag-negative", "verify-seed-flag-negative", "run-n-flag-negative",
-         "run-min-count-flag-negative"],
+         "run-min-count-flag-negative", "grid-step-zero", "grid-step-negative",
+         "grid-step-nan", "grid-step-inf", "optimize-free-repeated"],
 )
 def test_run_rejects_non_finite_and_negative_numbers(tmp_path, capsys, old, new, message, argv):
     assert old in CONFIG_TEXT

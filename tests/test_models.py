@@ -8,10 +8,12 @@ from hypothesis import strategies as st_
 from conftest import piecewise_constant_mean
 from rbell.errors import UnknownModelError, UnsupportedModelError
 from rbell.models import (
+    TAU,
     DeterministicLHV,
     HiddenSpace,
     QuantumSinglet,
     StochasticLHV,
+    _half_circle_sign,
     get_model,
     hardy_closed_form_E,
     hardy_outcome_A,
@@ -87,6 +89,46 @@ def test_outcomes_are_signs():
     lam = rng.uniform(0, math.tau, 1000)
     out = hardy_outcome_A(0.3, 1.2, lam)
     assert set(np.unique(out)) <= {-1, 1}
+
+
+def _half_circle_sign_by_remainder(theta, lam):
+    """The kernel as numpy's float remainder states it."""
+    return np.where((np.asarray(lam) - theta) % TAU < np.pi, 1, -1).astype(np.int8)
+
+
+# lam - theta at the period, the half period and zero, one ulp either
+# side of each, at large magnitudes, infinite and nan
+_EDGES = [
+    x
+    for v in (-TAU, -0.0, 0.0, math.pi, TAU, 2 * TAU)
+    for x in (np.nextafter(v, -math.inf), v, np.nextafter(v, math.inf))
+] + [1e300, -1e300, 2.0**53 + 1.0, -(2.0**60), math.inf, -math.inf, math.nan]
+_differences = st_.one_of(st_.sampled_from(_EDGES), st_.floats(allow_nan=True))
+_offsets = st_.one_of(st_.sampled_from([0.0, -0.0, math.pi, -math.pi / 2]),
+                      st_.floats(-10.0, 10.0), st_.floats(allow_nan=True))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st_.data())
+def test_half_circle_sign_matches_remainder_form(data):
+    n = data.draw(st_.integers(0, 8), label="n")
+    d = np.array(data.draw(st_.lists(_differences, min_size=n, max_size=n), label="d"))
+    theta_scalar = data.draw(st_.booleans(), label="theta_scalar")
+    if theta_scalar:
+        theta = data.draw(_offsets, label="theta")
+    else:
+        theta = np.array(data.draw(st_.lists(_offsets, min_size=n, max_size=n), label="theta"))
+    # lam = theta + d reaches d itself wherever theta is zero
+    with np.errstate(invalid="ignore", over="ignore"):
+        lam = theta + d
+        cases = [(theta, lam)] + [(theta, x) for x in lam[:2]]
+        if theta_scalar:
+            cases += [(theta, float(x)) for x in d[:2]]
+        for t, x in cases:
+            got, want = _half_circle_sign(t, x), _half_circle_sign_by_remainder(t, x)
+            assert got.dtype == want.dtype == np.int8
+            assert np.shape(got) == np.shape(want)
+            assert np.array_equal(got, want)
 
 
 def test_plus_set_measure_is_half_circle():

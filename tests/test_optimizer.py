@@ -11,7 +11,7 @@ from rbell.errors import UnsupportedObjectiveError
 from rbell.estimation import analytic_ch_probs, analytic_correlations, analytic_marginals
 from rbell.inequalities import ANGLE_FLAGS, INEQUALITIES, QUARTET, CorrelationInput
 from rbell.models import DeterministicLHV, HiddenSpace, get_model
-from rbell.optimizer import ObjectiveSpec, build_objective, optimize
+from rbell.optimizer import ObjectiveSpec, _grid_axes, _grid_scan, build_objective, optimize
 
 SQRT2 = math.sqrt(2)
 
@@ -184,6 +184,14 @@ def test_objective_spec_validation_and_json():
         ObjectiveSpec(model="quantum", inequality="chsh", free=("zz",))
     with pytest.raises(ValueError):
         ObjectiveSpec(model="quantum", inequality="chsh", free=())
+    with pytest.raises(ValueError, match="'a' is listed more than once"):
+        ObjectiveSpec(model="quantum", inequality="chsh", free=("a", "b", "a"))
+    # a zero, negative, nan or infinite step cannot be scanned; inf never halves
+    for step in (0.0, -0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="grid_step must be finite and positive"):
+            ObjectiveSpec(model="quantum", inequality="chsh", grid_step=step)
+    with pytest.raises(ValueError, match="grid_step"):
+        ObjectiveSpec.from_json('{"model": "quantum", "inequality": "chsh", "grid_step": 0}')
     spec = ObjectiveSpec.from_json(json.dumps({
         "model": "hardy",
         "inequality": "same_retarded_chsh",
@@ -236,3 +244,76 @@ def test_objective_matches_table_evaluate(ineq, model, retarded, data):
         else:
             report = row.evaluate(analytic_correlations(m, angles, quads), ids)
         assert abs(values[i] - report.value) <= 1e-12
+
+
+def _meshgrid_scan(objective, free, axis, sign):
+    """The grid stage over full meshgrid arrays, one k**len(free) array per
+    free variable: best flat index, its signed value, points evaluated."""
+    grids = np.meshgrid(*[axis] * len(free), indexing="ij")
+    flat = {name: g.ravel() for name, g in zip(free, grids)}
+    values = sign * np.asarray(objective(flat), dtype=float).ravel()
+    best_flat = int(np.argmin(values))
+    return best_flat, float(values[best_flat]), values.size
+
+
+def _assert_scans_agree(spec, quadrature_backed=False):
+    step, axis = _grid_axes(spec, quadrature_backed)
+    objective = build_objective(spec)
+    sign = 1.0 if spec.direction == "minimize" else -1.0
+    assert _grid_scan(objective, spec.free, axis, sign) == _meshgrid_scan(
+        objective, spec.free, axis, sign
+    )
+
+
+@pytest.mark.parametrize("retarded", ["tied", "free"])
+@pytest.mark.parametrize("model", ["hardy", "quantum"])
+@pytest.mark.parametrize("ineq", list(INEQUALITIES))
+@settings(max_examples=10, deadline=None)
+@given(data=st_.data())
+def test_grid_scan_matches_meshgrid_scan(ineq, model, retarded, data):
+    # broadcasting the free axes finds the same point, value and count as
+    # evaluating the objective on the full meshgrid
+    flags = ANGLE_FLAGS if retarded == "free" else QUARTET
+    free = data.draw(
+        st_.lists(st_.sampled_from(flags), min_size=1, max_size=len(flags), unique=True),
+        label="free",
+    )
+    angle = st_.floats(-2 * math.pi, 2 * math.pi, allow_nan=False)
+    fixed = {k: data.draw(angle, label=k) for k in flags
+             if k not in free and data.draw(st_.booleans(), label=f"fix {k}")}
+    spec = ObjectiveSpec(
+        model=model,
+        inequality=ineq,
+        direction=data.draw(st_.sampled_from(["minimize", "maximize"]), label="direction"),
+        free=tuple(free),
+        fixed=fixed,
+        retarded=retarded,
+        grid_step=data.draw(st_.sampled_from([math.pi / 2, 2 * math.pi / 5, math.pi / 3]),
+                            label="grid_step"),
+    )
+    _assert_scans_agree(spec)
+
+
+@pytest.mark.parametrize("ineq", list(INEQUALITIES))
+def test_grid_scan_matches_meshgrid_scan_by_quadrature(ineq):
+    from rbell.models import _FACTORIES, hardy_outcome_A, hardy_outcome_B, register_model
+
+    register_model("hardy-no-closed-form", lambda: DeterministicLHV(
+        name="hardy-no-closed-form",
+        hidden=HiddenSpace.uniform_circle(),
+        outcome_A=hardy_outcome_A,
+        outcome_B=hardy_outcome_B,
+    ))
+    try:
+        spec = ObjectiveSpec(
+            model="hardy-no-closed-form",
+            inequality=ineq,
+            free=("a", "b2", "ar"),
+            fixed={"b": 0.4},
+            retarded="free",
+            grid_step=math.pi / 2,
+            quadrature_nodes=2_000,
+        )
+        _assert_scans_agree(spec, quadrature_backed=True)
+    finally:
+        _FACTORIES.pop("hardy-no-closed-form", None)
