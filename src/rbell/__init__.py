@@ -71,10 +71,7 @@ from .inequalities import (
     same_retarded_chsh,
 )
 from .estimation import (
-    CorrelationTable,
-    MCEstimate,
     TrialLog,
-    TrialRecord,
     build_table,
     estimate_ch_probs,
     mc_E,

@@ -78,6 +78,19 @@ def _report_line(report: InequalityReport) -> str:
     )
 
 
+def _given_angles(args, flags: Sequence[str]) -> dict[str, float]:
+    """Flag -> angle for each of ``flags`` given on the command line; a
+    malformed angle is reported with its flag."""
+    return {k: _flag_angle(k, getattr(args, k)) for k in flags if getattr(args, k) is not None}
+
+
+def _flag_angle(flag: str, raw: str) -> float:
+    try:
+        return parse_angle(raw)
+    except ValueError as exc:
+        raise ConfigError(f"--{flag}: {exc}") from None
+
+
 def _exit_code_for(reports: Sequence[InequalityReport]) -> int:
     if any(r.verdict == "violated" for r in reports):
         return EXIT_VIOLATED
@@ -116,8 +129,7 @@ def _analytic(args) -> int:
         raise ConfigError(f"unknown inequality {ineq!r}; choose from {ANALYTIC_INEQS}")
     spec = INEQUALITIES[ineq]
     ids = _resolve_ids(args, ineq, by_value=False)
-    given = [k for k in RETARDED_FLAGS if getattr(args, k, None) is not None]
-    angles = {k: parse_angle(getattr(args, k)) for k in spec.needs + tuple(given)}
+    angles = _given_angles(args, spec.needs + RETARDED_FLAGS)
     quads = spec.cells(ids)
 
     if spec.probability:
@@ -160,7 +172,7 @@ def _check(args) -> int:
             f"check supports correlation inequalities {CORRELATION_INEQS}"
         )
     ids = _resolve_ids(args, ineq, by_value=True)
-    report = INEQUALITIES[ineq].evaluate(table.to_correlation_input(), ids)
+    report = INEQUALITIES[ineq].evaluate(table, ids)
     print(json.dumps(report.to_dict(), indent=2))
     _say(_report_line(report))
     return _exit_code_for([report])
@@ -220,21 +232,16 @@ def _run(args) -> int:
 
 def _optimize(args) -> int:
     if args.spec is not None:
-        spec = ObjectiveSpec.from_json(Path(args.spec).read_text())
+        path = Path(args.spec)
+        try:
+            spec = ObjectiveSpec.from_json(path.read_text())
+        except ValueError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
     else:
-        fixed = {}
-        for name in QUARTET:
-            raw = getattr(args, name, None)
-            if raw is not None:
-                fixed[name] = parse_angle(raw)
-        retarded_fixed = {}
-        for name in RETARDED_FLAGS:
-            raw = getattr(args, name, None)
-            if raw is not None:
-                retarded_fixed[name] = parse_angle(raw)
-        retarded = retarded_fixed if retarded_fixed else args.retarded
+        fixed = _given_angles(args, QUARTET)
+        retarded = _given_angles(args, RETARDED_FLAGS) or args.retarded
         free = tuple(s.strip() for s in args.free.split(",") if s.strip())
-        grid_step = parse_angle(args.grid_step)
+        grid_step = _flag_angle("grid-step", args.grid_step)
         if not (math.isfinite(grid_step) and grid_step > 0):
             raise ConfigError(f"--grid-step must be finite and positive, got {args.grid_step}")
         spec = ObjectiveSpec(

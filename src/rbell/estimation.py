@@ -17,7 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -76,35 +76,14 @@ def map_blocks(
 
 
 # ----------------------------------------------------------------------
-# Trial records and the columnar log
+# The columnar trial log
 # ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TrialRecord:
-    """One experimental run with its light-cone bookkeeping."""
-
-    trial_id: int
-    t1: float
-    t2: float
-    a: SettingLabel
-    b: SettingLabel
-    a_r: SettingLabel
-    b_r: SettingLabel
-    outcome_1: int
-    outcome_2: int
-    lam: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if self.outcome_1 not in (-1, 1) or self.outcome_2 not in (-1, 1):
-            raise ValueError("outcomes must be +1 or -1")
 
 
 class TrialLog:
     """Columnar trial storage: numpy arrays plus a label palette.
 
-    Setting columns hold indices into ``palette``.  Iterating yields
-    :class:`TrialRecord` views; large runs should stick to the arrays.
+    Setting columns hold indices into ``palette``.
     """
 
     def __init__(
@@ -133,12 +112,9 @@ class TrialLog:
         self.outcome_1 = np.asarray(outcome_1, dtype=np.int8)
         self.outcome_2 = np.asarray(outcome_2, dtype=np.int8)
         self.lam = None if lam is None else np.asarray(lam, dtype=np.float64)
-        n = len(self.t1)
-        for arr in (self.t2, self.a, self.b, self.a_r, self.b_r,
-                    self.outcome_1, self.outcome_2):
-            if len(arr) != n:
-                raise ValueError("trial columns must have equal length")
-        if self.lam is not None and len(self.lam) != n:
+        columns = (self.t1, self.t2, self.a, self.b, self.a_r, self.b_r,
+                   self.outcome_1, self.outcome_2, self.lam)
+        if len({len(col) for col in columns if col is not None}) > 1:
             raise ValueError("trial columns must have equal length")
 
     def __len__(self) -> int:
@@ -146,50 +122,6 @@ class TrialLog:
 
     def ids(self) -> tuple[str, ...]:
         return tuple(lbl.id for lbl in self.palette)
-
-    def record(self, i: int) -> TrialRecord:
-        return TrialRecord(
-            trial_id=i,
-            t1=float(self.t1[i]),
-            t2=float(self.t2[i]),
-            a=self.palette[int(self.a[i])],
-            b=self.palette[int(self.b[i])],
-            a_r=self.palette[int(self.a_r[i])],
-            b_r=self.palette[int(self.b_r[i])],
-            outcome_1=int(self.outcome_1[i]),
-            outcome_2=int(self.outcome_2[i]),
-            lam=None if self.lam is None else float(self.lam[i]),
-        )
-
-    def __iter__(self) -> Iterator[TrialRecord]:
-        return (self.record(i) for i in range(len(self)))
-
-    @classmethod
-    def from_records(
-        cls, records: Sequence[TrialRecord], palette: Optional[Sequence[SettingLabel]] = None
-    ) -> "TrialLog":
-        if palette is None:
-            seen: dict[str, SettingLabel] = {}
-            for r in records:
-                for lbl in (r.a, r.b, r.a_r, r.b_r):
-                    seen.setdefault(lbl.id, lbl)
-            palette = tuple(seen.values())
-        index = {lbl.id: i for i, lbl in enumerate(palette)}
-        has_lam = any(r.lam is not None for r in records)
-        return cls(
-            palette=palette,
-            t1=np.array([r.t1 for r in records]),
-            t2=np.array([r.t2 for r in records]),
-            a=np.array([index[r.a.id] for r in records]),
-            b=np.array([index[r.b.id] for r in records]),
-            a_r=np.array([index[r.a_r.id] for r in records]),
-            b_r=np.array([index[r.b_r.id] for r in records]),
-            outcome_1=np.array([r.outcome_1 for r in records]),
-            outcome_2=np.array([r.outcome_2 for r in records]),
-            lam=np.array([math.nan if r.lam is None else r.lam for r in records])
-            if has_lam
-            else None,
-        )
 
 
 TRIAL_HEADER = ["trial_id", "t1", "t2", "a", "b", "a_r", "b_r", "A", "B", "lambda"]
@@ -295,49 +227,28 @@ def read_trial_log(
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TableCell:
-    sum_products: int
-    count: int
-    estimate: float
-    standard_error: float
-    sufficient: bool
+def quadruple_counts(log: TrialLog, weights: Optional[np.ndarray] = None) -> np.ndarray:
+    """Trials per setting quadruple, or the sum of per-trial ``weights``.
+
+    The result is indexed by the palette indices (a, b, a_r, b_r) and
+    has shape (p, p, p, p), p = len(log.palette), so its C order is the
+    order of the flat code below.
+    """
+    p = len(log.palette)
+    code = ((log.a * p + log.b) * p + log.a_r) * p + log.b_r
+    return np.bincount(code, weights=weights, minlength=p**4).reshape((p,) * 4)
 
 
-def _cell_from_counts(sum_products: int, count: int, min_count: int) -> TableCell:
+def _cell_from_counts(sum_products: int, count: int, min_count: int) -> Correlation:
     est = sum_products / count
     se = math.sqrt(max(0.0, 1.0 - est * est) / count)
-    return TableCell(sum_products, count, est, se, count >= min_count)
-
-
-@dataclass
-class CorrelationTable:
-    """Per-quadruple correlation estimates assembled from trials."""
-
-    cells: dict[Quad, TableCell]
-    min_count: int
-    palette: tuple[str, ...] = ()
-
-    def to_correlation_input(self) -> CorrelationInput:
-        return CorrelationInput(
-            {
-                key: Correlation(
-                    c.estimate, c.standard_error, c.count, c.sufficient
-                )
-                for key, c in self.cells.items()
-            },
-            source="monte-carlo",
-        )
-
-    def observed_retarded_pairs(self, x: str, y: str) -> set[tuple[str, str]]:
-        """Retarded pairs with a cell recorded for actual pair (x, y)."""
-        return {(u, v) for (ax, by, u, v) in self.cells if ax == x and by == y}
+    return Correlation(est, se, count, count >= min_count)
 
 
 TABLE_HEADER = ["a", "b", "a_r", "b_r", "E", "SE", "count", "sufficient"]
 
 
-def write_table(table: CorrelationTable, path: Union[str, Path]) -> None:
+def write_table(table: CorrelationInput, path: Union[str, Path]) -> None:
     with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TABLE_HEADER)
@@ -349,10 +260,26 @@ def write_table(table: CorrelationTable, path: Union[str, Path]) -> None:
             )
 
 
-def read_table(path: Union[str, Path], min_count: Optional[int] = None) -> CorrelationTable:
-    """Load a correlation table CSV; ``min_count`` re-flags sufficiency."""
-    cells: dict[Quad, TableCell] = {}
-    ids: dict[str, None] = {}
+def _table_number(name: str, text: str, kind: type = float):
+    """A table field as a finite float, or with ``kind=int`` an int of at least 1."""
+    try:
+        value = kind(text)
+        ok = value >= 1 if kind is int else math.isfinite(value)
+    except ValueError:
+        ok = False
+    if not ok:
+        expected = "a positive integer" if kind is int else "a finite number"
+        raise ValueError(f"{name} must be {expected}, got {text!r}")
+    return value
+
+
+def read_table(path: Union[str, Path], min_count: Optional[int] = None) -> CorrelationInput:
+    """Load a correlation table CSV; ``min_count`` re-flags sufficiency.
+
+    A malformed row raises one ``ValueError`` that names the file and
+    the line.
+    """
+    cells: dict[Quad, Correlation] = {}
     with Path(path).open(newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -361,56 +288,54 @@ def read_table(path: Union[str, Path], min_count: Optional[int] = None) -> Corre
         for row in reader:
             if not row:
                 continue
-            key = (row[0], row[1], row[2], row[3])
-            count = int(row[6])
-            est = float(row[4])
-            sufficient = bool(int(row[7])) if min_count is None else count >= min_count
-            cells[key] = TableCell(
-                sum_products=round(est * count),
-                count=count,
-                estimate=est,
-                standard_error=float(row[5]),
-                sufficient=sufficient,
-            )
-            for i in key:
-                ids.setdefault(i, None)
-    return CorrelationTable(
-        cells=cells,
-        min_count=min_count if min_count is not None else 0,
-        palette=tuple(ids),
+            try:
+                if len(row) != len(TABLE_HEADER):
+                    raise ValueError(f"expected {len(TABLE_HEADER)} fields, got {len(row)}")
+                count = _table_number("count", row[6], int)
+                if row[7] not in ("0", "1"):
+                    raise ValueError(f"sufficient must be 0 or 1, got {row[7]!r}")
+                cells[(row[0], row[1], row[2], row[3])] = Correlation(
+                    _table_number("E", row[4]),
+                    _table_number("SE", row[5]),
+                    count,
+                    row[7] == "1" if min_count is None else count >= min_count,
+                )
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+    return CorrelationInput(cells, source="monte-carlo")
+
+
+def _table(log: TrialLog, cell: Callable[[tuple, int], Correlation]) -> CorrelationInput:
+    """``cell(index, count)`` for each observed quadruple, in code order."""
+    ids = log.ids()
+    counts = quadruple_counts(log)
+    return CorrelationInput(
+        {tuple(ids[i] for i in idx): cell(idx, int(counts[idx]))
+         for idx in zip(*np.nonzero(counts))},
+        source="monte-carlo",
     )
 
 
-def build_table(
-    log: Union[TrialLog, Sequence[TrialRecord]], min_count: int = 100
-) -> CorrelationTable:
-    """Group trials by setting quadruple and estimate each cell.
+def build_table(log: TrialLog, min_count: int = 100) -> CorrelationInput:
+    """Group trials by setting quadruple and estimate each cell's E.
 
     Cells with fewer than ``min_count`` trials are kept but flagged, and
     inequality evaluators will refuse them.
     """
-    if not isinstance(log, TrialLog):
-        if len(log) == 0:
-            return CorrelationTable(cells={}, min_count=min_count)
-        log = TrialLog.from_records(list(log))
-    if len(log) == 0:
-        return CorrelationTable(cells={}, min_count=min_count, palette=log.ids())
-    ids = log.ids()
-    p = len(ids)
-    code = ((log.a * p + log.b) * p + log.a_r) * p + log.b_r
-    prod = (log.outcome_1.astype(np.int64) * log.outcome_2).astype(np.float64)
-    counts = np.bincount(code, minlength=p**4)
-    sums = np.bincount(code, weights=prod, minlength=p**4)
-    cells: dict[Quad, TableCell] = {}
-    for flat in np.flatnonzero(counts):
-        flat = int(flat)
-        br = flat % p
-        ar = (flat // p) % p
-        by = (flat // (p * p)) % p
-        ax = flat // (p * p * p)
-        key = (ids[ax], ids[by], ids[ar], ids[br])
-        cells[key] = _cell_from_counts(int(sums[flat]), int(counts[flat]), min_count)
-    return CorrelationTable(cells=cells, min_count=min_count, palette=ids)
+    sums = quadruple_counts(log, weights=log.outcome_1.astype(np.int64) * log.outcome_2)
+    return _table(log, lambda idx, n: _cell_from_counts(int(sums[idx]), n, min_count))
+
+
+def p12_table(log: TrialLog, min_count: int = 100) -> CorrelationInput:
+    """Both-plus fraction p12 of each setting quadruple, with its binomial
+    standard error; cells are flagged as in :func:`build_table`."""
+    plus = quadruple_counts(log, weights=(log.outcome_1 == 1) & (log.outcome_2 == 1))
+
+    def cell(idx: tuple, n: int) -> Correlation:
+        p12 = int(plus[idx]) / n
+        return Correlation(p12, _binomial_se(p12, n), n, n >= min_count)
+
+    return _table(log, cell)
 
 
 # ----------------------------------------------------------------------
@@ -541,21 +466,6 @@ def exact_values(
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MCEstimate:
-    estimate: float
-    standard_error: float
-    count: int
-
-    def as_correlation(self, min_count: int = 0) -> Correlation:
-        return Correlation(
-            self.estimate,
-            self.standard_error,
-            self.count,
-            self.count >= min_count,
-        )
-
-
 def mc_E(
     model: Model,
     a: float,
@@ -565,7 +475,7 @@ def mc_E(
     n: int,
     seed: int,
     workers: Optional[int] = None,
-) -> MCEstimate:
+) -> Correlation:
     """Monte Carlo correlation estimate from n sampled trials.
 
     Deterministic given (seed, n): trials are drawn in fixed blocks with
@@ -580,10 +490,7 @@ def mc_E(
         # the sum of m products of +-1 outcomes: m less twice the disagreements
         return m - 2 * int(np.count_nonzero(o1 != o2))
 
-    total = sum(map_blocks(n, block, workers))
-    est = total / n
-    se = math.sqrt(max(0.0, 1.0 - est * est) / n)
-    return MCEstimate(est, se, n)
+    return _cell_from_counts(sum(map_blocks(n, block, workers)), n, 0)
 
 
 # ----------------------------------------------------------------------
@@ -621,15 +528,11 @@ def mc_correlations(
     workers: Optional[int] = None,
 ) -> CorrelationInput:
     """Monte Carlo correlations, one independent substream per cell."""
-    cells = {}
-    for k, quad in enumerate(sorted(set(quadruples))):
-        x, y, u, v = quad
-        est = mc_E(
-            model, angles[x], angles[y], angles[u], angles[v], n,
-            seed=seed + k,  # distinct substream family per cell
-            workers=workers,
-        )
-        cells[quad] = est.as_correlation()
+    cells = {
+        # seed + k: a distinct substream family per cell
+        quad: mc_E(model, *(angles[s] for s in quad), n, seed=seed + k, workers=workers)
+        for k, quad in enumerate(sorted(set(quadruples)))
+    }
     return CorrelationInput(cells, source="monte-carlo")
 
 
@@ -673,28 +576,26 @@ def _binomial_se(p: float, n: int) -> float:
     return math.sqrt(max(0.0, p * (1.0 - p)) / n) if n else 0.0
 
 
-def marginal_p1(log: TrialLog, a: str) -> tuple[float, float, int]:
-    """+1 fraction at station 1 over all trials with actual setting ``a``."""
-    ids = log.ids()
-    idx = ids.index(a)
-    mask = log.a == idx
+def _plus_fraction(
+    log: TrialLog, column: np.ndarray, outcome: np.ndarray, label: str, key: Quad
+) -> tuple[float, float, int]:
+    """+1 fraction of ``outcome`` over the trials whose ``column`` holds ``label``."""
+    mask = column == log.ids().index(label)
     n = int(mask.sum())
     if n == 0:
-        raise MissingCellError((a, "*", "*", "*"))
-    p = float((log.outcome_1[mask] == 1).sum()) / n
+        raise MissingCellError(key)
+    p = float((outcome[mask] == 1).sum()) / n
     return p, _binomial_se(p, n), n
+
+
+def marginal_p1(log: TrialLog, a: str) -> tuple[float, float, int]:
+    """+1 fraction at station 1 over all trials with actual setting ``a``."""
+    return _plus_fraction(log, log.a, log.outcome_1, a, (a, "*", "*", "*"))
 
 
 def marginal_p2(log: TrialLog, b: str) -> tuple[float, float, int]:
     """+1 fraction at station 2 over all trials with actual setting ``b``."""
-    ids = log.ids()
-    idx = ids.index(b)
-    mask = log.b == idx
-    n = int(mask.sum())
-    if n == 0:
-        raise MissingCellError(("*", b, "*", "*"))
-    p = float((log.outcome_2[mask] == 1).sum()) / n
-    return p, _binomial_se(p, n), n
+    return _plus_fraction(log, log.b, log.outcome_2, b, ("*", b, "*", "*"))
 
 
 def estimate_ch_probs(

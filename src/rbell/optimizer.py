@@ -78,14 +78,43 @@ class ObjectiveSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "ObjectiveSpec":
-        kwargs = dict(data)
-        if "free" in kwargs:
-            kwargs["free"] = tuple(kwargs["free"])
-        return cls(**kwargs)
+        """A spec from parsed JSON; a malformed one raises a ValueError
+        that names the key."""
+        if not isinstance(data, Mapping):
+            raise ValueError(f"spec must be a JSON object, got {type(data).__name__}")
+        for key, value in data.items():
+            if key not in _SPEC_VALUES:
+                raise ValueError(f"unknown key {key!r}; known keys: {', '.join(_SPEC_VALUES)}")
+            ok, expected = _SPEC_VALUES[key]
+            if not ok(value):
+                raise ValueError(f"{key} must be {expected}, got {value!r}")
+        for key in ("model", "inequality"):
+            if key not in data:
+                raise ValueError(f"missing key {key!r}")
+        return cls(**{**data, "free": tuple(data.get("free", cls.free))})
 
     @classmethod
     def from_json(cls, text: str) -> "ObjectiveSpec":
         return cls.from_dict(json.loads(text))
+
+
+def _angle_map(value) -> bool:
+    return isinstance(value, Mapping) and all(type(v) in (int, float) for v in value.values())
+
+
+#: key -> (test, what the value must be) for each key of a JSON spec.
+_SPEC_VALUES = {
+    "model": (lambda v: isinstance(v, str), "a string"),
+    "inequality": (lambda v: isinstance(v, str), "a string"),
+    "direction": (lambda v: isinstance(v, str), "a string"),
+    "free": (lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
+             "a list of strings"),
+    "fixed": (_angle_map, "an object of numbers"),
+    "retarded": (lambda v: v in ("tied", "free") or _angle_map(v),
+                 "'tied', 'free' or an object of numbers"),
+    "grid_step": (lambda v: type(v) in (int, float), "a number"),
+    "quadrature_nodes": (lambda v: type(v) is int and v >= 1, "a positive integer"),
+}
 
 
 @dataclass(frozen=True)

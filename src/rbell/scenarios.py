@@ -23,14 +23,15 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import CellError, ConfigError, MissingCellError
+from .errors import CellError, ConfigError
 from .estimation import (
-    CorrelationTable,
     TrialLog,
     build_table,
     map_blocks,
     marginal_p1,
     marginal_p2,
+    p12_table,
+    quadruple_counts,
     substream,
     write_table,
     write_trial_log,
@@ -450,7 +451,7 @@ class IndependenceCheck:
 class ScenarioResult:
     config: ScenarioConfig
     log: TrialLog
-    table: CorrelationTable
+    table: CorrelationInput
     reports: list[InequalityReport]
     classification: dict[str, float]
     retarded_weights: dict[tuple[str, str], float]
@@ -582,14 +583,9 @@ def classify_fractions(log: TrialLog) -> dict[str, float]:
 def empirical_weights(log: TrialLog) -> dict[tuple[str, str], float]:
     """Observed frequency of each retarded pair across all trials."""
     ids = log.ids()
-    p = len(ids)
-    code = log.a_r * p + log.b_r
-    counts = np.bincount(code, minlength=p * p)
+    counts = quadruple_counts(log).sum(axis=(0, 1))
     n = len(log)
-    return {
-        (ids[int(flat) // p], ids[int(flat) % p]): int(counts[flat]) / n
-        for flat in np.flatnonzero(counts)
-    }
+    return {(ids[u], ids[v]): int(counts[u, v]) / n for u, v in zip(*np.nonzero(counts))}
 
 
 # B_2k / (2k (2k - 1)) for k = 1..8: the Stirling series of lgamma(s)
@@ -670,10 +666,8 @@ def independence_check(log: TrialLog) -> Optional[IndependenceCheck]:
     expected count by min(0.5, |E - O|).  The critical value is the
     ``math``-only quantile :func:`chi2_upper_quantile` at q = 0.001.
     """
-    ids = log.ids()
-    p = len(ids)
-    code = (log.a * p + log.b) * (p * p) + log.a_r * p + log.b_r
-    table = np.bincount(code, minlength=p**4).reshape(p * p, p * p)
+    p = len(log.palette)
+    table = quadruple_counts(log).reshape(p * p, p * p)
     observed = table[table.sum(axis=1) > 0][:, table.sum(axis=0) > 0].astype(np.float64)
     r, c = observed.shape
     if r < 2 or c < 2:
@@ -695,15 +689,19 @@ def independence_check(log: TrialLog) -> Optional[IndependenceCheck]:
 # ----------------------------------------------------------------------
 
 
+def _observed_retarded_pairs(table: CorrelationInput, x: str, y: str) -> set[tuple[str, str]]:
+    """Retarded pairs with a cell recorded for actual pair (x, y)."""
+    return {(u, v) for (ax, by, u, v) in table.cells if ax == x and by == y}
+
+
 def _evaluate_reports(
     config: ScenarioConfig,
     log: TrialLog,
-    table: CorrelationTable,
+    table: CorrelationInput,
     weights: dict[tuple[str, str], float],
 ) -> tuple[list[InequalityReport], list[dict]]:
     qa, qa2, qb, qb2 = config.quartet
     quartet = dict(zip(QUARTET, config.quartet))
-    corr = table.to_correlation_input()
     reports: list[InequalityReport] = []
     skipped: list[dict] = []
 
@@ -714,10 +712,10 @@ def _evaluate_reports(
             skipped.append({"name": kind, **detail, "reason": str(exc)})
 
     # observed retarded pairs per actual pair of the quartet
-    d_22 = table.observed_retarded_pairs(qa2, qb2)
-    d_21 = table.observed_retarded_pairs(qa2, qb)
-    d_12 = table.observed_retarded_pairs(qa, qb2)
-    d_11 = table.observed_retarded_pairs(qa, qb)
+    d_22 = _observed_retarded_pairs(table, qa2, qb2)
+    d_21 = _observed_retarded_pairs(table, qa2, qb)
+    d_12 = _observed_retarded_pairs(table, qa, qb2)
+    d_11 = _observed_retarded_pairs(table, qa, qb)
 
     # flag -> label id of each complete retarded octuple
     octuples = []
@@ -737,14 +735,14 @@ def _evaluate_reports(
     for ids in octuples:
         try_report(
             "retarded_chsh",
-            lambda ids=ids: INEQUALITIES["retarded_chsh"].evaluate(corr, ids),
+            lambda ids=ids: INEQUALITIES["retarded_chsh"].evaluate(table, ids),
             {k: ids[k] for k in RETARDED_FLAGS},
         )
 
     if (qa, qb) in (d_22 & d_21 & d_12 & d_11):
         try_report(
             "same_retarded_chsh",
-            lambda: INEQUALITIES["same_retarded_chsh"].evaluate(corr, quartet),
+            lambda: INEQUALITIES["same_retarded_chsh"].evaluate(table, quartet),
             {"ar": qa, "br": qb},
         )
     else:
@@ -756,39 +754,17 @@ def _evaluate_reports(
             }
         )
 
-    # probability form over the same octuples; both-plus counts are
-    # grouped in one pass instead of rescanning the log per octuple
+    # probability form over the same octuples, whose cells were all observed
     if octuples:
-        ids = log.ids()
-        p = len(ids)
-        code = ((log.a * p + log.b) * p + log.a_r) * p + log.b_r
-        cell_counts = np.bincount(code, minlength=p**4)
-        plus_mask = (log.outcome_1 == 1) & (log.outcome_2 == 1)
-        plus_counts = np.bincount(code[plus_mask], minlength=p**4)
-        index = {lid: i for i, lid in enumerate(ids)}
-
-        def p12_cell(q: tuple[str, str, str, str]) -> Correlation:
-            flat = ((index[q[0]] * p + index[q[1]]) * p + index[q[2]]) * p + index[q[3]]
-            n = int(cell_counts[flat])
-            if n == 0:
-                raise MissingCellError(q)
-            frac = int(plus_counts[flat]) / n
-            se = math.sqrt(max(0.0, frac * (1.0 - frac)) / n)
-            return Correlation(frac, se, n, n >= config.min_count)
-
-        p1, p1_se, n1 = marginal_p1(log, qa2)
-        p2, p2_se, n2 = marginal_p2(log, qb2)
-        single_1 = Correlation(p1, p1_se, n1)
-        single_2 = Correlation(p2, p2_se, n2)
-
+        p12 = p12_table(log, config.min_count)
+        singles = (Correlation(*marginal_p1(log, qa2)), Correlation(*marginal_p2(log, qb2)))
     ch = INEQUALITIES["retarded_ch"]
     for ids in octuples:
-        def ch_eval(ids=ids):
-            # every cell is counted before any is checked for min_count
-            cells = CorrelationInput({q: p12_cell(q) for q in ch.cells(ids)}, "monte-carlo")
-            return ch.evaluate(cells, ids, (single_1, single_2))
-
-        try_report("retarded_ch", ch_eval, {k: ids[k] for k in RETARDED_FLAGS})
+        try_report(
+            "retarded_ch",
+            lambda ids=ids: ch.evaluate(p12, ids, singles),
+            {k: ids[k] for k in RETARDED_FLAGS},
+        )
 
     both_random = (
         config.station1.kind == "random_switch"
@@ -797,7 +773,7 @@ def _evaluate_reports(
     try_report(
         "averaged_chsh",
         lambda: averaged_chsh(
-            corr, weights, qa, qa2, qb, qb2, weights_independent=both_random
+            table, weights, qa, qa2, qb, qb2, weights_independent=both_random
         ),
         {"weights": "empirical"},
     )

@@ -62,7 +62,10 @@ def parse_angle(text: str) -> float:
         if m.group("mult"):
             value *= float(m.group("mult"))
         if m.group("div"):
-            value /= float(m.group("div"))
+            div = float(m.group("div"))
+            if div == 0.0:
+                raise ValueError(f"cannot parse angle {text!r}: zero divisor")
+            value /= div
         return -value if m.group("sign") == "-" else value
     try:
         return float(text)
@@ -326,6 +329,15 @@ class SettingSchedule:
         return times, idx
 
     @cached_property
+    def _intervention_labels(self) -> np.ndarray:
+        """Label index of each intervention, in decision order.  It lives as
+        long as the schedule, so it takes the smallest unsigned dtype."""
+        iv = self.interventions
+        dtype = np.min_scalar_type(len(self.distinct_labels))
+        labels = np.array([self._label_index[lbl.id] for lbl in iv.labels], dtype=dtype)
+        return labels[iv.label_indices]
+
+    @cached_property
     def _merged(self) -> tuple[np.ndarray, np.ndarray]:
         """Full effective timeline: event times and label-after indices.
 
@@ -337,9 +349,7 @@ class SettingSchedule:
         eff = iv.effect_times
         if len(iv) == 0:
             return bt, bidx
-        ilab = np.array(
-            [self._label_index[lbl.id] for lbl in iv.labels], dtype=np.int64
-        )[iv.label_indices]
+        ilab = self._intervention_labels
         if bt.size == 0:
             order = np.argsort(eff, kind="stable")
             return eff[order], np.concatenate(([0], ilab[order]))
@@ -434,12 +444,9 @@ class SettingSchedule:
         pos[todo] = p
         winner = order[np.maximum(pos - 1, 0)]
         base_time = np.append(-np.inf, bt)[kb]
-        ilab = np.array(
-            [self._label_index[lbl.id] for lbl in iv.labels], dtype=np.int64
-        )[iv.label_indices]
         # tie at the same instant -> intervention overrides the base switch
         use_iv = (pos > 0) & (iv.effect_times[winner] >= base_time)
-        return np.where(use_iv, ilab[winner], base_label)
+        return np.where(use_iv, self._intervention_labels[winner], base_label)
 
 
 # ----------------------------------------------------------------------

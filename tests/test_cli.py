@@ -209,6 +209,43 @@ def test_optimize_cli_spec_file(tmp_path, capsys):
     assert data["value"] == pytest.approx(-2.0, abs=1e-6)
 
 
+SPEC = {"model": "quantum", "inequality": "chsh"}
+
+
+@pytest.mark.parametrize(
+    "text,key",
+    [
+        ("[1]", "must be a JSON object"),
+        (json.dumps({**SPEC, "bogus": 1}), "unknown key 'bogus'"),
+        (json.dumps({"inequality": "chsh"}), "missing key 'model'"),
+        (json.dumps({**SPEC, "model": ["quantum"]}), "model must be a string"),
+        (json.dumps({**SPEC, "inequality": ["chsh"]}), "inequality must be a string"),
+        (json.dumps({**SPEC, "direction": 1}), "direction must be a string"),
+        (json.dumps({**SPEC, "free": "a2"}), "free must be a list of strings"),
+        (json.dumps({**SPEC, "free": ["a", 2]}), "free must be a list of strings"),
+        (json.dumps({**SPEC, "grid_step": "pi/24"}), "grid_step must be a number"),
+        (json.dumps({**SPEC, "grid_step": True}), "grid_step must be a number"),
+        (json.dumps({**SPEC, "fixed": {"a": "pi"}}), "fixed must be an object of numbers"),
+        (json.dumps({**SPEC, "fixed": [0.0]}), "fixed must be an object of numbers"),
+        (json.dumps({**SPEC, "retarded": {"ar": None}}), "retarded must be 'tied', 'free'"),
+        (json.dumps({**SPEC, "quadrature_nodes": 1.5}), "quadrature_nodes must be"),
+        (json.dumps({**SPEC, "grid_step": 0}), "grid_step must be finite and positive"),
+        ('{"model": "quantum",', "Expecting property name"),
+    ],
+    ids=["not-an-object", "unknown-key", "missing-model", "model-list", "inequality-list",
+         "direction-number", "free-string", "free-number", "grid-step-string", "grid-step-bool", "fixed-string",
+         "fixed-list", "retarded-null", "nodes-float", "grid-step-zero", "invalid-json"],
+)
+def test_optimize_cli_malformed_spec_names_file_and_key(tmp_path, capsys, text, key):
+    spec_path = tmp_path / "objective.json"
+    spec_path.write_text(text)
+    code, out, err = run_cli(capsys, ["optimize", "--spec", str(spec_path)])
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith(f"error: {spec_path}: ") and key in err
+
+
 # ----------------------------------------------------------------------
 # run + check round trip
 # ----------------------------------------------------------------------
@@ -338,13 +375,29 @@ OPTIMIZE = ["optimize", "--model", "quantum", "--ineq", "chsh"]
     ] + [
         ("", "", "free variable 'a' is listed more than once",
          lambda config, out: OPTIMIZE + ["--free", "a,a,b"]),
+    ] + [
+        # a pi-form angle with a zero divisor, named by its flag or config key
+        ("", "", "--a: cannot parse angle 'pi/0'",
+         lambda config, out: ["analytic", "hardy", "chsh", "--a=pi/0", "--a2=0",
+                              "--b=0", "--b2=0"]),
+        ("", "", "--b2r: cannot parse angle '3pi/0.0'",
+         lambda config, out: ["analytic", "hardy", "retarded_chsh", *QUARTET_FLAGS,
+                              "--ar=0", "--a2r=0", "--br=0", "--b2r=3pi/0.0"]),
+        ("", "", "--grid-step: cannot parse angle 'pi/0'",
+         lambda config, out: OPTIMIZE + ["--grid-step=pi/0"]),
+        ("", "", "--a2: cannot parse angle '-pi/0'",
+         lambda config, out: OPTIMIZE + ["--free", "a", "--a2=-pi/0"]),
+        ("labels = a=pi/2, a2=0", "labels = a=pi/0, a2=0",
+         "station1.labels must be id=angle entries; cannot parse angle 'pi/0'", RUN),
     ],
     ids=["spacing-inf", "spacing-nan", "start-nan", "start-inf", "delay-inf", "rate-inf",
          "rate-nan", "period-inf", "phase-nan", "separation-inf", "signal_speed-nan",
          "t0-inf", "min_count-negative", "run-seed-flag-negative",
          "analytic-seed-flag-negative", "verify-seed-flag-negative", "run-n-flag-negative",
          "run-min-count-flag-negative", "grid-step-zero", "grid-step-negative",
-         "grid-step-nan", "grid-step-inf", "optimize-free-repeated"],
+         "grid-step-nan", "grid-step-inf", "optimize-free-repeated",
+         "analytic-angle-zero-divisor", "analytic-retarded-zero-divisor",
+         "grid-step-zero-divisor", "optimize-angle-zero-divisor", "labels-zero-divisor"],
 )
 def test_run_rejects_non_finite_and_negative_numbers(tmp_path, capsys, old, new, message, argv):
     assert old in CONFIG_TEXT
@@ -373,9 +426,10 @@ def test_run_rejects_non_finite_and_negative_numbers(tmp_path, capsys, old, new,
         ("t0 = -6.0", "t0 = early", "geometry.t0"),
         ("seed = 42", "seed = -1", "run.seed"),
         ("labels = a=pi/2, a2=0", "labels = a=abc, a2=0", "station1.labels"),
+        ("labels = a=pi/2, a2=0", "labels = a=pi/0, a2=0", "station1.labels"),
     ],
     ids=["delay", "min_count", "seed", "n_trials", "spacing", "rate", "period", "phase", "t0",
-         "seed-negative", "labels-angle"],
+         "seed-negative", "labels-angle", "labels-zero-divisor"],
 )
 def test_run_malformed_number_names_file_and_key(tmp_path, capsys, old, new, key):
     assert old in CONFIG_TEXT

@@ -19,7 +19,6 @@ from rbell.errors import MissingCellError, UnsupportedModelError
 from rbell.estimation import (
     BLOCK_SIZE,
     TrialLog,
-    TrialRecord,
     analytic_correlations,
     build_table,
     estimate_ch_probs,
@@ -210,26 +209,26 @@ def test_substream_independence():
 
 
 def test_build_table_empty_log():
-    table = build_table([])
+    table = build_table(make_log([]))
     assert table.cells == {}
 
 
-def make_records(products, a=LA, b=LB, ar=LA, br=LB):
-    records = []
-    for i, p in enumerate(products):
-        o1 = 1
-        o2 = p
-        records.append(
-            TrialRecord(
-                trial_id=i, t1=0.0, t2=0.0, a=a, b=b, a_r=ar, b_r=br,
-                outcome_1=o1, outcome_2=o2, lam=0.1,
-            )
-        )
-    return records
+def make_log(products, a=0, b=1, ar=0, br=1, lam=0.1):
+    """Trials with outcome_1 = +1 and outcome_2 = product; the setting
+    columns (scalars or per-trial lists) index (LA, LB, LB2)."""
+    n = len(products)
+    return TrialLog(
+        palette=(LA, LB, LB2),
+        t1=np.zeros(n), t2=np.zeros(n),
+        a=np.broadcast_to(a, n), b=np.broadcast_to(b, n),
+        a_r=np.broadcast_to(ar, n), b_r=np.broadcast_to(br, n),
+        outcome_1=np.ones(n), outcome_2=products,
+        lam=None if lam is None else np.full(n, lam),
+    )
 
 
 def test_build_table_small_cell_flagged_insufficient():
-    table = build_table(make_records([1, 1, -1, 1]), min_count=100)
+    table = build_table(make_log([1, 1, -1, 1]), min_count=100)
     cell = table.cells[("a", "b", "a", "b")]
     assert cell.count == 4
     assert cell.estimate == pytest.approx(0.5)
@@ -238,36 +237,16 @@ def test_build_table_small_cell_flagged_insufficient():
 
 
 def test_build_table_two_cells():
-    records = make_records([1, 1]) + make_records([-1], b=LB2, br=LB2)
-    table = build_table(records, min_count=1)
+    log = make_log([1, 1, -1], b=[1, 1, 2], br=[1, 1, 2])
+    table = build_table(log, min_count=1)
     assert len(table.cells) == 2
     assert table.cells[("a", "b", "a", "b")].count == 2
     assert table.cells[("a", "b2", "a", "b2")].count == 1
     assert table.cells[("a", "b2", "a", "b2")].estimate == -1.0
 
 
-def test_build_table_columnar_matches_records():
-    rng = np.random.default_rng(4)
-    records = []
-    labels = [LA, LB, LB2]
-    for i in range(500):
-        a, b = labels[0], labels[rng.integers(1, 3)]
-        records.append(
-            TrialRecord(
-                trial_id=i, t1=float(i), t2=float(i),
-                a=a, b=b, a_r=a, b_r=b,
-                outcome_1=int(rng.choice([-1, 1])),
-                outcome_2=int(rng.choice([-1, 1])),
-            )
-        )
-    log = TrialLog.from_records(records)
-    t1 = build_table(records, min_count=10)
-    t2 = build_table(log, min_count=10)
-    assert t1.cells == t2.cells
-
-
 def test_table_estimate_bounds_and_se():
-    table = build_table(make_records([1] * 150), min_count=100)
+    table = build_table(make_log([1] * 150), min_count=100)
     cell = table.cells[("a", "b", "a", "b")]
     assert cell.estimate == 1.0
     assert cell.standard_error == 0.0
@@ -280,18 +259,13 @@ def test_table_estimate_bounds_and_se():
 
 
 def test_estimate_ch_probs_all_plus():
-    records = [
-        TrialRecord(trial_id=i, t1=0, t2=0, a=LA, b=LB, a_r=LA, b_r=LB,
-                    outcome_1=1, outcome_2=1)
-        for i in range(10)
-    ]
-    log = TrialLog.from_records(records)
+    log = make_log([1] * 10, lam=None)
     est = estimate_ch_probs(log, "a", "b", "a", "b")
     assert est.p12 == 1.0 and est.p1 == 1.0 and est.p2 == 1.0
 
 
 def test_estimate_ch_probs_missing_cell():
-    log = TrialLog.from_records(make_records([1]))
+    log = make_log([1])
     with pytest.raises(MissingCellError):
         estimate_ch_probs(log, "a", "b", "b", "b")
 
@@ -422,14 +396,13 @@ def assert_logs_equal(back, ref):
 
 
 def test_trial_log_roundtrip(tmp_path):
-    records = make_records([1, -1, 1])
-    log = TrialLog.from_records(records)
+    log = make_log([1, -1, 1])
     path = tmp_path / "trials.csv"
     write_trial_log(log, path)
     back = read_trial_log(path, palette={"a": 0.0, "b": 1.0})
     assert len(back) == 3
     assert np.array_equal(back.outcome_2, log.outcome_2)
-    assert back.record(0).a.angle == 0.0
+    assert back.palette[back.a[0]].angle == 0.0
     assert bit_equal(back.t1, log.t1) and bit_equal(back.t2, log.t2)
     assert bit_equal(back.lam, log.lam)
 
@@ -461,7 +434,7 @@ def test_read_trial_log_under_bytes_default_encoding(tmp_path, monkeypatch, with
     def bytes_default(*args, encoding="bytes", **kwargs):
         return loadtxt(*args, encoding=encoding, **kwargs)
 
-    log = TrialLog.from_records(make_records([1, -1, 1]))
+    log = make_log([1, -1, 1])
     if not with_lam:
         log.lam = None
     path = tmp_path / "trials.csv"
@@ -470,7 +443,7 @@ def test_read_trial_log_under_bytes_default_encoding(tmp_path, monkeypatch, with
     monkeypatch.setattr(np, "loadtxt", bytes_default)
     back = read_trial_log(path, palette=angles)
     assert_logs_equal(back, oracle_read_trial_log(path, palette=angles))
-    assert back.ids() == ("a", "b") and back.record(0).b.angle == 1.0
+    assert back.ids() == ("a", "b") and back.palette[back.b[0]].angle == 1.0
 
 
 # ids csv must quote (comma, quote, line breaks), ids with spaces and a
@@ -585,7 +558,7 @@ def test_read_trial_log_bad_header(tmp_path):
 
 def test_read_trial_log_header_only_is_empty(tmp_path):
     path = tmp_path / "trials.csv"
-    write_trial_log(TrialLog.from_records([]), path)
+    write_trial_log(make_log([], lam=None), path)
     assert path.read_bytes() == (",".join(TRIAL_HEADER) + "\r\n").encode()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -595,15 +568,8 @@ def test_read_trial_log_header_only_is_empty(tmp_path):
 
 def test_table_roundtrip_bit_exact(tmp_path):
     rng = np.random.default_rng(7)
-    records = []
-    for i in range(300):
-        records.append(
-            TrialRecord(
-                trial_id=i, t1=0, t2=0, a=LA, b=LB, a_r=LA, b_r=LB,
-                outcome_1=int(rng.choice([-1, 1])), outcome_2=int(rng.choice([-1, 1])),
-            )
-        )
-    table = build_table(records, min_count=100)
+    outcomes = np.array([int(rng.choice([-1, 1])) for _ in range(600)])
+    table = build_table(make_log(outcomes[0::2] * outcomes[1::2]), min_count=100)
     path = tmp_path / "table.csv"
     write_table(table, path)
     back = read_table(path)
@@ -615,11 +581,44 @@ def test_table_roundtrip_bit_exact(tmp_path):
 
 
 def test_read_table_min_count_override(tmp_path):
-    table = build_table(make_records([1, 1, -1, 1]), min_count=1)
+    table = build_table(make_log([1, 1, -1, 1]), min_count=1)
     path = tmp_path / "table.csv"
     write_table(table, path)
     strict = read_table(path, min_count=100)
     assert not strict.cells[("a", "b", "a", "b")].sufficient
+
+
+TABLE_TEXT = "a,b,a_r,b_r,E,SE,count,sufficient\r\na,b,a,b,0.5,0.25,4,0\r\n"
+
+
+@pytest.mark.parametrize(
+    "row,message",
+    [
+        ("a,b,a,b,0.5,0.25,4", "expected 8 fields, got 7"),
+        ("a,b,a,b,0.5,0.25,4,0,9", "expected 8 fields, got 9"),
+        ("a,b,a,b2,0.5,0.25,1.5,0", "count must be a positive integer, got '1.5'"),
+        ("a,b,a,b2,0.5,0.25,0,0", "count must be a positive integer, got '0'"),
+        ("a,b,a,b2,half,0.25,4,0", "E must be a finite number, got 'half'"),
+        ("a,b,a,b2,nan,0.25,4,0", "E must be a finite number, got 'nan'"),
+        ("a,b,a,b2,0.5,,4,0", "SE must be a finite number, got ''"),
+        ("a,b,a,b2,0.5,0.25,4,2", "sufficient must be 0 or 1, got '2'"),
+        ("a,b,a,b2,1.5,0.25,4,1", "outside [-1, 1]"),
+    ],
+    ids=["short-row", "long-row", "non-integer-count", "zero-count", "non-numeric-E",
+         "nan-E", "empty-SE", "sufficient-2", "E-out-of-range"],
+)
+def test_read_table_malformed_row_names_file_and_line(tmp_path, capsys, row, message):
+    path = tmp_path / "table.csv"
+    path.write_text(TABLE_TEXT + row + "\r\n", newline="")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: line 3: ") + ".*" + re.escape(message)):
+        read_table(path)
+    from rbell.cli import main
+
+    assert main(["check", "--table", str(path), "--ineq", "same_retarded_chsh",
+                 "--a=a", "--a2=a", "--b=b", "--b2=b"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith(f"error: {path}: line 3: ")
 
 
 def test_quantum_outcome_frequencies_normalized_per_cell():

@@ -66,9 +66,10 @@ def test_parse_angle(text, expected):
     assert parse_angle(text) == pytest.approx(expected, abs=0.0)
 
 
-def test_parse_angle_rejects_garbage():
+@pytest.mark.parametrize("text", ["two pies", "pi/0", "3pi/0.0", "-pi/0", "2*pi/ 0"])
+def test_parse_angle_rejects_garbage(text):
     with pytest.raises(ValueError):
-        parse_angle("two pies")
+        parse_angle(text)
 
 
 def test_geometry_invariants():
