@@ -34,6 +34,7 @@ from .spacetime import (
     InterventionStream,
     SettingLabel,
     SettingSchedule,
+    SwitchTable,
     classify_trial,
     load_interventions,
     normalize_angle,

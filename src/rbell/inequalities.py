@@ -44,9 +44,10 @@ class Correlation:
     sufficient: bool = True
 
     def __post_init__(self) -> None:
-        if abs(self.estimate) > 1.0 + 1e-12:
+        # written so that a NaN fails too
+        if not abs(self.estimate) <= 1.0 + 1e-12:
             raise ValueError(f"estimate {self.estimate} outside [-1, 1]")
-        if self.standard_error < 0.0:
+        if not self.standard_error >= 0.0:
             raise ValueError("standard_error must be non-negative")
 
 

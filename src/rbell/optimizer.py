@@ -71,6 +71,11 @@ class ObjectiveSpec:
                 raise ValueError("retarded must be 'tied', 'free', or a mapping")
         else:
             object.__setattr__(self, "retarded", dict(self.retarded))
+        for key in ("fixed", "retarded"):
+            angles = getattr(self, key)
+            for name, value in ({} if isinstance(angles, str) else angles).items():
+                if not math.isfinite(value):
+                    raise ValueError(f"{key} angle {name!r} must be finite, got {value!r}")
         if not self.free:
             raise ValueError("at least one free variable is required")
         if not (math.isfinite(self.grid_step) and self.grid_step > 0):

@@ -52,6 +52,7 @@ from .spacetime import (
     InterventionStream,
     SettingLabel,
     SettingSchedule,
+    SwitchTable,
     load_interventions,
     parse_angle,
 )
@@ -345,29 +346,32 @@ def make_schedule(
     """Build the station's schedule over the given time window.
 
     periodic: a deterministic base cycling through the labels, each held
-    for ``period``.  random_switch: a constant base plus interventions at
-    exponentially spaced decision times with uniformly chosen labels and
-    the configured delay.  stream: a constant base plus interventions
-    loaded from file.
+    for ``period``: switch ``k`` falls at ``phase + k * period`` and sets
+    label ``k % m`` of the cycle, for every ``k`` after the one in force
+    at ``start`` whose time is at most ``end``.  The switches are built
+    as one :class:`SwitchTable` of columns.  random_switch: a constant
+    base plus interventions at exponentially spaced decision times with
+    uniformly chosen labels and the configured delay.  stream: a constant
+    base plus interventions loaded from file.
     """
     start, end = window
     palette = station.palette()
     if station.kind == "periodic":
         period = float(station.period)
+        phase = float(station.phase)
         cycle = [palette[lid] for lid in station.cycle]
         m = len(cycle)
-        k0 = math.floor((start - station.phase) / period)
-        initial = cycle[k0 % m]
-        switches = []
-        k = k0 + 1
-        while station.phase + k * period <= end:
-            switches.append((station.phase + k * period, cycle[k % m]))
-            k += 1
+        k0 = math.floor((start - phase) / period)
+        # two spare k past the last in exact arithmetic absorb rounding;
+        # the times are the IEEE values of Python's phase + k * period
+        k = np.arange(k0 + 1, max(k0 + 1, math.floor((end - phase) / period) + 3))
+        times = phase + k.astype(np.float64) * period
+        n = int(np.searchsorted(times, end, side="right"))
         return SettingSchedule(
             station=station.station,
             start=start,
-            initial=initial,
-            switches=tuple(switches),
+            initial=cycle[k0 % m],
+            switches=SwitchTable(times[:n], k[:n] % m, cycle),
         )
 
     base = palette[station.base_label()]

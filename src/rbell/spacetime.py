@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
-from typing import Mapping, Sequence, Union
+from typing import Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -54,7 +54,7 @@ def parse_angle(text: str) -> float:
 
     Accepted forms include ``0.7854``, ``pi``, ``-pi/4``, ``3pi/8`` and
     ``2*pi/3``.  Using pi-forms avoids precision loss for the standard
-    measurement quartets.
+    measurement quartets.  A NaN or infinite angle is rejected.
     """
     m = _ANGLE_RE.match(text)
     if m:
@@ -66,11 +66,15 @@ def parse_angle(text: str) -> float:
             if div == 0.0:
                 raise ValueError(f"cannot parse angle {text!r}: zero divisor")
             value /= div
-        return -value if m.group("sign") == "-" else value
-    try:
-        return float(text)
-    except ValueError:
-        raise ValueError(f"cannot parse angle {text!r}") from None
+        value = -value if m.group("sign") == "-" else value
+    else:
+        try:
+            value = float(text)
+        except ValueError:
+            raise ValueError(f"cannot parse angle {text!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"angle {text!r} is not finite")
+    return value
 
 
 @dataclass(frozen=True)
@@ -251,6 +255,50 @@ class InterventionStream:
         )
 
 
+class SwitchTable:
+    """Columnar store of a schedule's base switches.
+
+    Equivalent to a sequence of ``(time, label)`` pairs, which is what
+    ``len()`` and iteration give, but holds numpy arrays so that a
+    periodic base with hundreds of thousands of switches stays cheap.
+    Switch ``i`` sets ``labels[label_indices[i]]`` at ``times[i]``;
+    ``labels`` may repeat a label.
+    """
+
+    def __init__(
+        self,
+        times: np.ndarray,
+        label_indices: np.ndarray,
+        labels: Sequence[SettingLabel],
+    ):
+        self.times = np.asarray(times, dtype=np.float64)
+        self.label_indices = np.asarray(label_indices, dtype=np.int64)
+        self.labels = tuple(labels)
+        if self.times.ndim != 1 or self.label_indices.shape != self.times.shape:
+            raise ValueError("switch times and label indices must be 1-d of one length")
+        if self.label_indices.size and not (
+            0 <= self.label_indices.min() and self.label_indices.max() < len(self.labels)
+        ):
+            raise ValueError("switch label index out of range")
+
+    def __len__(self) -> int:
+        return int(self.times.size)
+
+    def __iter__(self) -> Iterator[tuple[float, SettingLabel]]:
+        for t, i in zip(self.times.tolist(), self.label_indices.tolist()):
+            yield t, self.labels[i]
+
+    @classmethod
+    def from_pairs(cls, pairs: Sequence[tuple[float, SettingLabel]]) -> "SwitchTable":
+        pairs = tuple(pairs)
+        labels = tuple(lbl for _, lbl in pairs)
+        return cls(
+            times=np.array([t for t, _ in pairs], dtype=np.float64),
+            label_indices=np.arange(len(pairs)),
+            labels=labels,
+        )
+
+
 class EqualityClass(Enum):
     """Per-trial classification of retarded-vs-actual setting equality."""
 
@@ -265,27 +313,29 @@ class SettingSchedule:
     """Effective setting timeline for one station.
 
     ``initial`` holds from ``start``; ``switches`` is the deterministic
-    base (strictly increasing times, each after ``start``); interventions
-    override the base from their effect time until the next base switch
-    or intervention effect.
+    base, a :class:`SwitchTable` with finite, strictly increasing times,
+    each after ``start`` (a sequence of ``(time, label)`` pairs is
+    converted); interventions override the base from their effect time
+    until the next base switch or intervention effect.
     """
 
     station: int
     start: float
     initial: SettingLabel
-    switches: tuple[tuple[float, SettingLabel], ...] = ()
+    switches: SwitchTable = ()  # type: ignore[assignment]
     interventions: InterventionStream = None  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
         if self.station not in (1, 2):
             raise ValueError("station must be 1 or 2")
-        switches = tuple((float(t), lbl) for t, lbl in self.switches)
-        object.__setattr__(self, "switches", switches)
-        prev = self.start
-        for t, _ in switches:
-            if t <= prev:
-                raise ValueError("switch times must be strictly increasing after start")
-            prev = t
+        sw = self.switches
+        if not isinstance(sw, SwitchTable):
+            sw = SwitchTable.from_pairs(sw)
+            object.__setattr__(self, "switches", sw)
+        if not np.all(np.isfinite(sw.times)):
+            raise ValueError("switch times must be finite")
+        if len(sw) and not (sw.times[0] > self.start and np.all(np.diff(sw.times) > 0)):
+            raise ValueError("switch times must be strictly increasing after start")
         iv = self.interventions
         if iv is None:
             iv = InterventionStream.from_interventions(self.station, ())
@@ -304,7 +354,10 @@ class SettingSchedule:
         """All labels this schedule can produce, initial first."""
         labels = [self.initial]
         seen = {self.initial.id}
-        for _, lbl in self.switches:
+        sw = self.switches
+        _, first = np.unique(sw.label_indices, return_index=True)
+        for i in sw.label_indices[np.sort(first)].tolist():
+            lbl = sw.labels[i]
             if lbl.id not in seen:
                 seen.add(lbl.id)
                 labels.append(lbl)
@@ -321,12 +374,11 @@ class SettingSchedule:
     @cached_property
     def _base(self) -> tuple[np.ndarray, np.ndarray]:
         """Base-only event times and the label index after each event."""
-        times = np.array([t for t, _ in self.switches], dtype=np.float64)
-        idx = np.array(
-            [0] + [self._label_index[lbl.id] for _, lbl in self.switches],
-            dtype=np.int64,
-        )
-        return times, idx
+        sw = self.switches
+        # a label no switch sets is not distinct; its entry is never read
+        index = self._label_index
+        lookup = np.array([index.get(lbl.id, -1) for lbl in sw.labels], dtype=np.int64)
+        return sw.times, np.concatenate(([0], lookup[sw.label_indices]))
 
     @cached_property
     def _intervention_labels(self) -> np.ndarray:

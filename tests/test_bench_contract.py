@@ -67,3 +67,18 @@ def test_table_cells_carry_what_the_table_hook_counts():
     log = TrialLog([SettingLabel("a", 0.0)], [0.0], [0.0], [0], [0], [0], [0], [1], [-1])
     cells = list(build_table(log, min_count=1).cells.values())
     assert len(cells) == 1 and cells[0].sufficient is True
+
+
+def test_periodic_schedule_carries_what_the_schedule_hook_counts():
+    from rbell.scenarios import StationConfig, make_schedule
+
+    station = StationConfig(
+        station=1, labels={"a": 0.0, "a2": 1.0}, kind="periodic", period=0.35, cycle=("a", "a2")
+    )
+    schedule = make_schedule(station, window=(0.0, 10.0), seed=0)
+    # switches at k * 0.35 for k = 1..28; 29 * 0.35 is past the window
+    assert len(schedule.switches) == len(list(schedule.switches)) == 28
+    assert schedule.interventions.effect_times.size == 0
+    counts: dict = {}
+    new_tracer().hooks["scenarios.build_schedules"].after({}, (schedule, schedule), counts)
+    assert counts == {"interventions": 0, "switches": 56, "nonmonotone": 0}

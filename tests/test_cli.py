@@ -231,10 +231,16 @@ SPEC = {"model": "quantum", "inequality": "chsh"}
         (json.dumps({**SPEC, "quadrature_nodes": 1.5}), "quadrature_nodes must be"),
         (json.dumps({**SPEC, "grid_step": 0}), "grid_step must be finite and positive"),
         ('{"model": "quantum",', "Expecting property name"),
+        # json reads NaN and Infinity as numbers
+        (json.dumps({**SPEC, "free": ["a2"], "fixed": {"a": math.nan}}),
+         "fixed angle 'a' must be finite"),
+        (json.dumps({**SPEC, "free": ["a2"], "retarded": {"ar": -math.inf}}),
+         "retarded angle 'ar' must be finite"),
     ],
     ids=["not-an-object", "unknown-key", "missing-model", "model-list", "inequality-list",
          "direction-number", "free-string", "free-number", "grid-step-string", "grid-step-bool", "fixed-string",
-         "fixed-list", "retarded-null", "nodes-float", "grid-step-zero", "invalid-json"],
+         "fixed-list", "retarded-null", "nodes-float", "grid-step-zero", "invalid-json",
+         "fixed-nan", "retarded-inf"],
 )
 def test_optimize_cli_malformed_spec_names_file_and_key(tmp_path, capsys, text, key):
     spec_path = tmp_path / "objective.json"
@@ -371,7 +377,12 @@ OPTIMIZE = ["optimize", "--model", "quantum", "--ineq", "chsh"]
         # a grid step that would divide by zero, scan an empty grid or never halve
         ("", "", "--grid-step must be finite and positive",
          lambda config, out, step=step: OPTIMIZE + [f"--grid-step={step}"])
-        for step in ("0", "-0.1", "nan", "inf")
+        for step in ("0", "-0.1")
+    ] + [
+        # a non-finite grid step is rejected where it is parsed, like an angle
+        ("", "", f"--grid-step: angle '{step}' is not finite",
+         lambda config, out, step=step: OPTIMIZE + [f"--grid-step={step}"])
+        for step in ("nan", "inf")
     ] + [
         ("", "", "free variable 'a' is listed more than once",
          lambda config, out: OPTIMIZE + ["--free", "a,a,b"]),
@@ -389,6 +400,20 @@ OPTIMIZE = ["optimize", "--model", "quantum", "--ineq", "chsh"]
          lambda config, out: OPTIMIZE + ["--free", "a", "--a2=-pi/0"]),
         ("labels = a=pi/2, a2=0", "labels = a=pi/0, a2=0",
          "station1.labels must be id=angle entries; cannot parse angle 'pi/0'", RUN),
+    ] + [
+        # a non-finite angle never reaches a verdict or an optimum
+        ("", "", "--a: angle 'nan' is not finite",
+         lambda config, out: ["analytic", "hardy", "chsh", "--a=nan", "--a2=0",
+                              "--b=0", "--b2=0"]),
+        ("", "", "--br: angle '-inf' is not finite",
+         lambda config, out: ["analytic", "hardy", "retarded_chsh", *QUARTET_FLAGS,
+                              "--ar=0", "--a2r=0", "--br=-inf", "--b2r=0"]),
+        ("", "", "--a: angle 'nan' is not finite",
+         lambda config, out: OPTIMIZE + ["--free", "a2", "--a=nan"]),
+        ("", "", "--ar: angle 'inf' is not finite",
+         lambda config, out: OPTIMIZE + ["--free", "a2", "--ar=inf"]),
+        ("labels = a=pi/2, a2=0", "labels = a=nan, a2=0",
+         "station1.labels must be id=angle entries; angle 'nan' is not finite", RUN),
     ],
     ids=["spacing-inf", "spacing-nan", "start-nan", "start-inf", "delay-inf", "rate-inf",
          "rate-nan", "period-inf", "phase-nan", "separation-inf", "signal_speed-nan",
@@ -397,7 +422,9 @@ OPTIMIZE = ["optimize", "--model", "quantum", "--ineq", "chsh"]
          "run-min-count-flag-negative", "grid-step-zero", "grid-step-negative",
          "grid-step-nan", "grid-step-inf", "optimize-free-repeated",
          "analytic-angle-zero-divisor", "analytic-retarded-zero-divisor",
-         "grid-step-zero-divisor", "optimize-angle-zero-divisor", "labels-zero-divisor"],
+         "grid-step-zero-divisor", "optimize-angle-zero-divisor", "labels-zero-divisor",
+         "analytic-angle-nan", "analytic-retarded-inf", "optimize-angle-nan",
+         "optimize-retarded-inf", "labels-angle-nan"],
 )
 def test_run_rejects_non_finite_and_negative_numbers(tmp_path, capsys, old, new, message, argv):
     assert old in CONFIG_TEXT

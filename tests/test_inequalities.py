@@ -432,5 +432,10 @@ def test_correlation_validation():
         Correlation(1.5)
     with pytest.raises(ValueError):
         Correlation(0.0, -0.1)
+    # a NaN would pass both range checks if written as "outside"
+    with pytest.raises(ValueError):
+        Correlation(math.nan)
+    with pytest.raises(ValueError):
+        Correlation(0.0, math.nan)
     with pytest.raises(ValueError):
         CorrelationInput({("a", "b", "a", "b"): Correlation(0.1, 0.2)}, source="analytic")

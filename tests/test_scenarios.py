@@ -88,6 +88,71 @@ def test_periodic_schedule_phase():
     assert sched.value_at(1.25).id == "a2"
 
 
+LABELS_3 = {"a": 0.0, "a2": math.pi / 2, "a3": math.pi / 4}
+
+
+def periodic_oracle(station, window):
+    """The periodic base as a loop over k: the initial label and one
+    ``(time, label)`` pair per switch."""
+    start, end = window
+    palette = station.palette()
+    period = float(station.period)
+    cycle = [palette[lid] for lid in station.cycle]
+    m = len(cycle)
+    k0 = math.floor((start - station.phase) / period)
+    switches = []
+    k = k0 + 1
+    while station.phase + k * period <= end:
+        switches.append((station.phase + k * period, cycle[k % m]))
+        k += 1
+    return cycle[k0 % m], switches
+
+
+def _periodic_case(period, phase, start, end, cycle=("a", "a2")):
+    station = StationConfig(
+        station=1, labels=LABELS_3, kind="periodic", period=period, phase=phase, cycle=cycle
+    )
+    return station, (start, end)
+
+
+@st_.composite
+def periodic_windows(draw):
+    period = draw(st_.sampled_from((0.35, 0.1, 0.25, 1.0, 1 / 3)) | st_.floats(0.05, 3.0))
+    start = draw(st_.floats(-50.0, 50.0))
+    # the phase at, before or after the start; after it makes k0 negative
+    phase = draw(st_.just(start) | st_.floats(-80.0, 80.0))
+    cycle = tuple(draw(st_.lists(st_.sampled_from(tuple(LABELS_3)), min_size=1, max_size=4)))
+    if draw(st_.booleans()):
+        # the window ends exactly on a switch time
+        k0 = math.floor((start - phase) / period)
+        end = phase + draw(st_.integers(k0 + 1, k0 + 60)) * period
+    else:
+        end = start + draw(st_.floats(0.0, 20.0))
+    return _periodic_case(period, phase, start, end, cycle)
+
+
+@settings(max_examples=400, deadline=None)
+@given(periodic_windows())
+@example(_periodic_case(0.35, 0.0, 0.0, 0.0 + 3 * 0.35))
+@example(_periodic_case(0.1, -0.05, 0.0, -0.05 + 7 * 0.1, ("a", "a2", "a3")))
+@example(_periodic_case(0.1, 5.0, 0.0, 2.0))
+@example(_periodic_case(0.35, 12.3, -7.0, 12.3 - 4 * 0.35, ("a3", "a", "a3")))
+@example(_periodic_case(0.5, 2.0, 2.0, 2.0))
+def test_periodic_schedule_matches_loop(case):
+    station, window = case
+    initial, switches = periodic_oracle(station, window)
+    times = np.array([t for t, _ in switches], dtype=np.float64)
+    # where rounding puts the first switch on the start, both must refuse
+    if times.size and not (times[0] > window[0] and np.all(np.diff(times) > 0)):
+        with pytest.raises(ValueError):
+            make_schedule(station, window, seed=0)
+        return
+    sched = make_schedule(station, window, seed=0)
+    assert sched.initial == initial
+    assert sched.switches.times.tobytes() == times.tobytes()
+    assert [lbl for _, lbl in sched.switches] == [lbl for _, lbl in switches]
+
+
 def test_random_switch_requires_positive_rate():
     with pytest.raises(ConfigError):
         StationConfig(station=1, labels=QUARTET_1, kind="random_switch", rate=0.0)

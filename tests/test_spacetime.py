@@ -14,6 +14,7 @@ from rbell.spacetime import (
     InterventionStream,
     SettingLabel,
     SettingSchedule,
+    SwitchTable,
     classify_trial,
     load_interventions,
     normalize_angle,
@@ -66,7 +67,11 @@ def test_parse_angle(text, expected):
     assert parse_angle(text) == pytest.approx(expected, abs=0.0)
 
 
-@pytest.mark.parametrize("text", ["two pies", "pi/0", "3pi/0.0", "-pi/0", "2*pi/ 0"])
+@pytest.mark.parametrize(
+    "text",
+    ["two pies", "pi/0", "3pi/0.0", "-pi/0", "2*pi/ 0", "nan", "-inf", "1e400",
+     pytest.param("9" * 400 + "pi", id="overflowing-pi-multiple")],
+)
 def test_parse_angle_rejects_garbage(text):
     with pytest.raises(ValueError):
         parse_angle(text)
@@ -138,6 +143,17 @@ def test_switch_times_must_increase():
         )
     with pytest.raises(ValueError):
         SettingSchedule(station=1, start=5.0, initial=A, switches=((5.0, A2),))
+
+
+@pytest.mark.parametrize(
+    "switches",
+    [((math.nan, A2), (5.0, A)), ((1.0, A2), (math.nan, A)), ((1.0, A2), (math.inf, A))],
+    ids=["nan-first", "nan-later", "inf"],
+)
+def test_switch_times_must_be_finite(switches):
+    # a NaN compares false both ways, so an order check alone lets it through
+    with pytest.raises(ValueError, match="finite"):
+        SettingSchedule(station=1, start=0.0, initial=A, switches=switches)
 
 
 def test_vectorized_matches_scalar():
@@ -364,6 +380,52 @@ def test_predictive_matches_oracle(case):
         expect = predictive_oracle(sched, float(t), float(c)).id
         assert sched.distinct_labels[int(k)].id == expect
         assert sched.predictive_value_at(float(t), float(c)).id == expect
+
+
+@st_.composite
+def pair_and_column_cases(draw):
+    """Switches as columns over a label tuple that may repeat a label or
+    hold one no switch sets, the same switches as pairs, interventions
+    and lookups."""
+    labels = tuple(draw(st_.lists(st_.sampled_from(PALETTE), min_size=1, max_size=5)))
+    times = sorted(draw(st_.lists(_on_grid(-8, 24), max_size=8, unique=True)))
+    picks = draw(st_.lists(st_.integers(0, len(labels) - 1), min_size=len(times),
+                           max_size=len(times)))
+    ivs, _, trials = draw(predictive_cases())
+    return SwitchTable(times, picks, labels), ivs, trials
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair_and_column_cases())
+def test_schedule_from_columns_matches_schedule_from_pairs(case):
+    table, ivs, trials = case
+    pairs = tuple((t, table.labels[i]) for t, i in zip(table.times, table.label_indices))
+    assert list(table) == list(pairs)
+    interventions = tuple(
+        Intervention(station=1, decision_time=d, delay=x, new_label=lbl) for d, x, lbl in ivs
+    )
+    by_columns, by_pairs = (
+        SettingSchedule(station=1, start=-5.0, initial=A, switches=sw, interventions=interventions)
+        for sw in (table, pairs)
+    )
+    assert isinstance(by_pairs.switches, SwitchTable) and len(by_pairs.switches) == len(table)
+    assert by_columns.distinct_labels == by_pairs.distinct_labels
+    for got, want in zip(by_columns._merged, by_pairs._merged):
+        assert np.array_equal(got, want)
+    cutoffs = np.array([c for c, _ in trials])
+    targets = cutoffs + np.array([gap for _, gap in trials])
+    assert np.array_equal(by_columns.value_index_at(targets), by_pairs.value_index_at(targets))
+    assert np.array_equal(
+        by_columns.predictive_index_at(targets, cutoffs),
+        by_pairs.predictive_index_at(targets, cutoffs),
+    )
+
+
+def test_switch_table_rejects_mismatched_columns():
+    with pytest.raises(ValueError):
+        SwitchTable([1.0, 2.0], [0], (A,))
+    with pytest.raises(ValueError):
+        SwitchTable([1.0], [1], (A,))
 
 
 def test_predictive_scales_with_mixed_delays():
