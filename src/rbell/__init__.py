@@ -74,7 +74,6 @@ from .inequalities import (
 from .estimation import (
     TrialLog,
     build_table,
-    estimate_ch_probs,
     mc_E,
     quadrature_E,
     quadrature_ch_probs,

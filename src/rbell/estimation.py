@@ -10,12 +10,14 @@ the ``RBL_WORKERS`` environment variable (0 or unset means serial).
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
+import json
 import math
 import os
+from collections import defaultdict
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, count, repeat
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
@@ -132,6 +134,36 @@ _TRIAL_DTYPE = np.dtype([
     ("outcome_1", np.int8), ("outcome_2", np.int8), ("lam", np.float64),
 ])
 
+_LABEL_COLUMNS = ("a", "b", "a_r", "b_r")
+
+#: Rows formatted and written per step of the ``trials.csv`` writer; it
+#: bounds the writer's strings to a few MB at any log length.
+CSV_CHUNK = 8192
+
+#: The file in a column directory that binds its columns to the CSV.
+COLUMN_INDEX = "index.json"
+
+
+def columns_dir(path: Union[str, Path]) -> Path:
+    """The column directory written next to a trial-log CSV:
+    ``trials.csv`` -> ``trials.columns``."""
+    return Path(path).with_suffix(".columns")
+
+
+def _sha256(path: Path) -> str:
+    """SHA-256 of a file, read 1 MiB at a time."""
+    digest = hashlib.sha256()
+    with path.open("rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()
+
+
+def _index_digest(index: Mapping) -> str:
+    """SHA-256 of an index's ids, lambda flag and digests, which seals
+    the ids: no file digest covers them."""
+    return hashlib.sha256(json.dumps(index, sort_keys=True).encode()).hexdigest()
+
 
 def _csv_field(text: str) -> str:
     """``text`` as ``csv.writer`` writes it inside a row (QUOTE_MINIMAL)."""
@@ -140,53 +172,138 @@ def _csv_field(text: str) -> str:
     return buf.getvalue()[: -len("," + csv.excel.lineterminator)]
 
 
-def write_trial_log(log: TrialLog, path: Union[str, Path]) -> None:
-    """Persist a trial log as CSV, ``BLOCK_SIZE`` rows at a time.
+def _write_csv(log: TrialLog, path: Path) -> None:
+    """``trials.csv``, ``CSV_CHUNK`` rows at a time.
 
-    The bytes are those of ``csv.writer`` with its defaults: CRLF line
-    ends, label ids quoted only when they hold a comma, quote or line
-    break, floats in shortest round-trip form (``repr``), and a blank
-    lambda column for models without a hidden variable.  Rows are joined
-    by hand, which is faster than ``writer.writerows``; only the ids can
-    need quoting, so each is escaped once through ``csv.writer``.
+    Each column is formatted in one pass into strings that carry their
+    own ``,`` (lambda, the last column, its line end), and a chunk is
+    one join of them row by row.  Label ids (each escaped once through
+    ``csv.writer``) and outcomes are looked up in tables of their
+    strings; t2 reuses t1's strings when the columns are equal bit for
+    bit (``==`` would also take 0.0 for -0.0).
     """
-    ids = np.array([_csv_field(i) for i in log.ids()], dtype=object)
+    eol = csv.excel.lineterminator
+    ids = np.array([_csv_field(i) + "," for i in log.ids()], dtype=object)
+    outcomes = np.array([f"{k}," for k in range(-128, 128)], dtype=object)
+    same_times = log.t1 is log.t2 or np.array_equal(
+        log.t1.view(np.uint64), log.t2.view(np.uint64)
+    )
     n = len(log)
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRIAL_HEADER)
-        eol = writer.dialect.lineterminator
-        for lo in range(0, n, BLOCK_SIZE):
-            hi = min(lo + BLOCK_SIZE, n)
+    with path.open("w", newline="") as fh:
+        csv.writer(fh).writerow(TRIAL_HEADER)
+        for lo in range(0, n, CSV_CHUNK):
+            hi = min(lo + CSV_CHUNK, n)
+            t1 = [f"{x!r}," for x in log.t1[lo:hi].tolist()]
             cols = [
-                map(str, range(lo, hi)),
-                map(repr, log.t1[lo:hi].tolist()),
-                map(repr, log.t2[lo:hi].tolist()),
-                *(ids[col[lo:hi]] for col in (log.a, log.b, log.a_r, log.b_r)),
-                map(str, log.outcome_1[lo:hi].tolist()),
-                map(str, log.outcome_2[lo:hi].tolist()),
-                repeat("", hi - lo) if log.lam is None else map(repr, log.lam[lo:hi].tolist()),
+                [f"{k}," for k in range(lo, hi)],
+                t1,
+                t1 if same_times else [f"{x!r}," for x in log.t2[lo:hi].tolist()],
+                *(ids[getattr(log, c)[lo:hi]].tolist() for c in _LABEL_COLUMNS),
+                *(outcomes[o[lo:hi].astype(np.intp) + 128].tolist()
+                  for o in (log.outcome_1, log.outcome_2)),
+                repeat(eol, hi - lo) if log.lam is None
+                else [f"{x!r}{eol}" for x in log.lam[lo:hi].tolist()],
             ]
-            fh.write(eol.join(map(",".join, zip(*cols))) + eol)
+            fh.write("".join(chain.from_iterable(zip(*cols))))
 
 
-def read_trial_log(
-    path: Union[str, Path],
-    palette: Optional[Mapping[str, float]] = None,
-) -> TrialLog:
-    """Load a trial-log CSV.
+def _first_seen(log: TrialLog) -> list[int]:
+    """Palette indices in the order a CSV reader meets their ids: row by
+    row over a, b, a_r, b_r.  Scans ``CSV_CHUNK`` rows at a time and
+    stops once every label in use is seen."""
+    labels = [getattr(log, c) for c in _LABEL_COLUMNS]
+    in_use = np.count_nonzero(sum(np.bincount(c, minlength=len(log.palette)) for c in labels))
+    order: list[int] = []
+    for lo in range(0, len(log), CSV_CHUNK):
+        cells = np.stack([c[lo:lo + CSV_CHUNK] for c in labels], axis=1).ravel()
+        values, first = np.unique(cells, return_index=True)
+        order += [k for k in values[np.argsort(first)].tolist() if k not in order]
+        if len(order) == in_use:
+            break
+    return order
 
-    The file stores label ids only; pass ``palette`` (id -> angle) to
-    recover angles, otherwise labels get angle 0.  The log's palette
-    lists ids in first-seen order, row by row over a, b, a_r, b_r.  The
-    log has a lambda column when any lambda field is non-empty.  A
-    malformed row raises one ``ValueError`` that names the file.
+
+def _write_columns(log: TrialLog, path: Path) -> None:
+    """The column directory of ``path``: the columns that parsing the CSV
+    gives back, one ``np.save`` file each, and an index binding them to it."""
+    folder = columns_dir(path)
+    folder.mkdir(exist_ok=True)
+    order = _first_seen(log)
+    rank = np.zeros(len(log.palette), dtype=np.int64)
+    rank[order] = np.arange(len(order))
+    has_lam = log.lam is not None and len(log) > 0
+    digests = {"csv": _sha256(path)}
+    for name in _TRIAL_DTYPE.names[: None if has_lam else -1]:
+        col = getattr(log, name)
+        if name in _LABEL_COLUMNS:
+            col = rank[col]
+        elif col.dtype.kind == "f" and np.isnan(col).any():
+            col = np.where(np.isnan(col), np.nan, col)
+        np.save(folder / f"{name}.npy", col)
+        digests[name] = _sha256(folder / f"{name}.npy")
+    if not has_lam:
+        (folder / "lam.npy").unlink(missing_ok=True)
+    index = {"digests": digests, "ids": [log.palette[k].id for k in order], "lambda": has_lam}
+    index["sha256"] = _index_digest(index)
+    (folder / COLUMN_INDEX).write_text(json.dumps(index, indent=2, sort_keys=True))
+
+
+def write_trial_log(log: TrialLog, path: Union[str, Path]) -> None:
+    """Persist a trial log as the CSV ``path`` plus its column directory.
+
+    The CSV's bytes are those of ``csv.writer`` with its defaults: CRLF
+    line ends, label ids quoted only when they hold a comma, quote or
+    line break, floats in shortest round-trip form (``repr``), and a
+    blank lambda column for models without a hidden variable.
+
+    The column directory (:func:`columns_dir`, ``trials.csv`` ->
+    ``trials.columns``) holds what parsing the CSV gives back: one
+    ``np.save`` file per column, label indices in first-seen order,
+    every NaN canonical.  Its ``index.json`` (sorted keys) lists the ids
+    in that order, whether there is a lambda column, the SHA-256 of the
+    CSV and of each column file, and one of these entries themselves, so
+    :func:`read_trial_log` uses the columns only next to the very CSV
+    they were written with.  They take about the CSV's size again on
+    disk (11.6 MB next to 11.5 MB at 2e5 trials).
     """
-    index: dict[str, int] = {}
-    has_lam = False
+    path = Path(path)
+    _write_csv(log, path)
+    _write_columns(log, path)
 
-    def label(field: str) -> int:
-        return index.setdefault(field, len(index))
+
+def _labels(
+    ids: Iterable[str], palette: Optional[Mapping[str, float]]
+) -> tuple[SettingLabel, ...]:
+    return tuple(SettingLabel(i, palette[i] if palette and i in palette else 0.0) for i in ids)
+
+
+def _read_columns(path: Path, palette: Optional[Mapping[str, float]]) -> Optional[TrialLog]:
+    """The log from the column directory of ``path``, or None unless its
+    index is intact and every digest it records matches its file."""
+    folder = columns_dir(path)
+    try:
+        index = json.loads((folder / COLUMN_INDEX).read_text())
+    except (OSError, ValueError):  # missing, or not JSON
+        return None
+    # a sealed index is as write_trial_log wrote it
+    if not isinstance(index, dict) or index.pop("sha256", None) != _index_digest(index):
+        return None
+    names = _TRIAL_DTYPE.names[: None if index["lambda"] else -1]
+    files = {"csv": path, **{name: folder / f"{name}.npy" for name in names}}
+    try:
+        if any(_sha256(file) != index["digests"][key] for key, file in files.items()):
+            return None
+    except OSError:  # a file is missing or unreadable
+        return None
+    cols = {name: np.load(files[name]) for name in names}
+    return TrialLog(palette=_labels(index["ids"], palette), **cols)
+
+
+def _parse_csv(path: Path, palette: Optional[Mapping[str, float]]) -> TrialLog:
+    """The log parsed from the CSV alone, in one ``np.loadtxt`` pass."""
+    index: defaultdict[str, int] = defaultdict(count().__next__)  # first-seen ids
+    label = index.__getitem__
+    has_lam = False
 
     def lam(field: str) -> float:
         nonlocal has_lam
@@ -195,7 +312,7 @@ def read_trial_log(
         has_lam = True
         return float(field)
 
-    with Path(path).open(newline="") as fh:
+    with path.open(newline="") as fh:
         if next(csv.reader([fh.readline()])) != TRIAL_HEADER:
             raise ValueError(f"{path}: expected header {','.join(TRIAL_HEADER)!r}")
         pos = fh.tell()
@@ -210,16 +327,39 @@ def read_trial_log(
                 )
             else:
                 rows = np.empty(0, dtype=_TRIAL_DTYPE)
-            labels = tuple(
-                SettingLabel(i, palette[i] if palette and i in palette else 0.0)
-                for i in index
-            )
+            labels = _labels(index, palette)  # an empty id raises here
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
     cols = {name: np.ascontiguousarray(rows[name]) for name in _TRIAL_DTYPE.names}
     if not has_lam:
         cols["lam"] = None
     return TrialLog(palette=labels, **cols)
+
+
+def read_trial_log(
+    path: Union[str, Path],
+    palette: Optional[Mapping[str, float]] = None,
+) -> TrialLog:
+    """Load a trial log from its CSV ``path``.
+
+    When the column directory next to the CSV has an intact index and the
+    SHA-256 of the CSV and of every column file match it (each digest
+    computed by streaming the file), the columns are loaded from there.
+    Otherwise -- a hand-edited or foreign CSV, a missing, truncated or
+    altered column file, a missing or garbled index -- the CSV is
+    parsed, with the same result for an unaltered log: the same palette
+    and columns equal bit for bit.
+
+    The files store label ids only; pass ``palette`` (id -> angle) to
+    recover angles, otherwise labels get angle 0.  The log's palette
+    lists ids in first-seen order, row by row over a, b, a_r, b_r.  The
+    log has a lambda column when any lambda field is non-empty; a blank
+    field reads as NaN.  A malformed CSV row raises one ``ValueError``
+    that names the file.
+    """
+    path = Path(path)
+    log = _read_columns(path, palette)
+    return log if log is not None else _parse_csv(path, palette)
 
 
 # ----------------------------------------------------------------------
@@ -557,21 +697,6 @@ def analytic_marginals(model: Model, a: float, b: float, nodes: int = 100_000) -
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ChProbEstimate:
-    """Empirical CH probabilities for one cell plus station marginals."""
-
-    p12: float
-    p12_se: float
-    p12_count: int
-    p1: float
-    p1_se: float
-    p1_count: int
-    p2: float
-    p2_se: float
-    p2_count: int
-
-
 def _binomial_se(p: float, n: int) -> float:
     return math.sqrt(max(0.0, p * (1.0 - p)) / n) if n else 0.0
 
@@ -596,33 +721,3 @@ def marginal_p1(log: TrialLog, a: str) -> tuple[float, float, int]:
 def marginal_p2(log: TrialLog, b: str) -> tuple[float, float, int]:
     """+1 fraction at station 2 over all trials with actual setting ``b``."""
     return _plus_fraction(log, log.b, log.outcome_2, b, ("*", b, "*", "*"))
-
-
-def estimate_ch_probs(
-    log: TrialLog, a: str, b: str, a_r: str, b_r: str
-) -> ChProbEstimate:
-    """Empirical (p12, p1, p2) for one quadruple.
-
-    p12 is the both-plus fraction within the cell; the marginals are
-    taken over *all* trials with the given local setting, i.e. they are
-    retarded-independent by construction.
-    """
-    ids = log.ids()
-    key = (a, b, a_r, b_r)
-    try:
-        ia, ib, iar, ibr = (ids.index(s) for s in key)
-    except ValueError:
-        raise MissingCellError(key) from None
-    mask = (log.a == ia) & (log.b == ib) & (log.a_r == iar) & (log.b_r == ibr)
-    n12 = int(mask.sum())
-    if n12 == 0:
-        raise MissingCellError(key)
-    both_plus = int(((log.outcome_1 == 1) & (log.outcome_2 == 1) & mask).sum())
-    p12 = both_plus / n12
-    p1, p1_se, n1 = marginal_p1(log, a)
-    p2, p2_se, n2 = marginal_p2(log, b)
-    return ChProbEstimate(
-        p12=p12, p12_se=_binomial_se(p12, n12), p12_count=n12,
-        p1=p1, p1_se=p1_se, p1_count=n1,
-        p2=p2, p2_se=p2_se, p2_count=n2,
-    )

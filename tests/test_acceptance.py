@@ -393,7 +393,7 @@ def test_criterion_13_bit_reproducibility(tmp_path, capsys, monkeypatch):
     config = tmp_path / "scenario.ini"
     config.write_text(CONFIG_TEXT)
 
-    def run_into(name: str, workers_env) -> tuple[bytes, bytes]:
+    def run_into(name: str, workers_env) -> dict[str, bytes]:
         if workers_env is None:
             monkeypatch.delenv("RBL_WORKERS", raising=False)
         else:
@@ -402,12 +402,15 @@ def test_criterion_13_bit_reproducibility(tmp_path, capsys, monkeypatch):
         code = main(["run", "--config", str(config), "--out", str(out)])
         capsys.readouterr()
         assert code == 0
-        return (
-            (out / "trials.csv").read_bytes(),
-            (out / "correlations.csv").read_bytes(),
-        )
+        # every file the run wrote, the trial log's column files included
+        return {
+            p.relative_to(out).as_posix(): p.read_bytes()
+            for p in sorted(out.rglob("*")) if p.is_file()
+        }
 
     first = run_into("r1", None)
+    assert {"trials.csv", "correlations.csv", "trials.columns/index.json",
+            "trials.columns/a_r.npy"} <= set(first)
     second = run_into("r2", None)
     serial = run_into("r3", 1)
     threaded = run_into("r4", 8)

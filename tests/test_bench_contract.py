@@ -9,6 +9,7 @@ failing any run, so its deletion is caught here.  Nothing under
 
 import importlib
 import inspect
+import os
 import sys
 from pathlib import Path
 
@@ -58,6 +59,22 @@ def test_traced_name_is_a_public_rbell_callable(name):
 def test_hooked_callable_keeps_the_argument_its_hook_binds(name, argument):
     assert name in HOOKS
     assert argument in inspect.signature(resolve(name)).parameters
+
+
+def test_trial_log_hook_counts_the_csv_bytes(tmp_path):
+    # the write also makes a column directory; ``path`` stays the CSV file
+    from rbell.estimation import TrialLog, write_trial_log
+    from rbell.spacetime import SettingLabel
+
+    log = TrialLog([SettingLabel("a", 0.0)], [0.0], [0.5], [0], [0], [0], [0], [1], [-1])
+    path = tmp_path / "trials.csv"
+    write_trial_log(log, path)
+    csv_bytes = b"trial_id,t1,t2,a,b,a_r,b_r,A,B,lambda\r\n0,0.0,0.5,a,a,a,a,1,-1,\r\n"
+    assert path.is_file() and os.path.getsize(path) == len(csv_bytes)
+    assert path.read_bytes() == csv_bytes
+    counts: dict = {}
+    new_tracer().hooks["estimation.write_trial_log"].after({"path": path}, None, counts)
+    assert counts == {"bytes": len(csv_bytes)}
 
 
 def test_table_cells_carry_what_the_table_hook_counts():

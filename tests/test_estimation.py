@@ -2,9 +2,10 @@ import csv
 import math
 import os
 import re
+import shutil
 import tempfile
 import warnings
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from unittest import mock
 
@@ -21,9 +22,12 @@ from rbell.estimation import (
     TrialLog,
     analytic_correlations,
     build_table,
-    estimate_ch_probs,
+    columns_dir,
     exact_values,
+    marginal_p1,
+    marginal_p2,
     mc_E,
+    p12_table,
     quadrature_ch_probs,
     quadrature_E,
     read_table,
@@ -258,6 +262,51 @@ def test_table_estimate_bounds_and_se():
 # ----------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class ChProbEstimate:
+    """Empirical CH probabilities for one cell plus station marginals."""
+
+    p12: float
+    p12_se: float
+    p12_count: int
+    p1: float
+    p1_se: float
+    p1_count: int
+    p2: float
+    p2_se: float
+    p2_count: int
+
+
+def estimate_ch_probs(log, a, b, a_r, b_r):
+    """Empirical (p12, p1, p2) for one quadruple, one full mask scan per
+    cell and per marginal: the oracle of ``p12_table`` and
+    ``marginal_p1``/``marginal_p2``.
+
+    p12 is the both-plus fraction within the cell; the marginals are
+    taken over *all* trials with the given local setting, i.e. they are
+    retarded-independent by construction.
+    """
+    ids = log.ids()
+    key = (a, b, a_r, b_r)
+    if not set(key) <= set(ids):
+        raise MissingCellError(key)
+    ia, ib, iar, ibr = (ids.index(s) for s in key)
+
+    def plus_fraction(mask, plus):
+        n = int(mask.sum())
+        if n == 0:
+            raise MissingCellError(key)
+        p = int((plus & mask).sum()) / n
+        return p, math.sqrt(max(0.0, p * (1.0 - p)) / n), n
+
+    cell = (log.a == ia) & (log.b == ib) & (log.a_r == iar) & (log.b_r == ibr)
+    return ChProbEstimate(
+        *plus_fraction(cell, (log.outcome_1 == 1) & (log.outcome_2 == 1)),
+        *plus_fraction(log.a == ia, log.outcome_1 == 1),
+        *plus_fraction(log.b == ib, log.outcome_2 == 1),
+    )
+
+
 def test_estimate_ch_probs_all_plus():
     log = make_log([1] * 10, lam=None)
     est = estimate_ch_probs(log, "a", "b", "a", "b")
@@ -456,12 +505,12 @@ LOG_FLOATS = st_.one_of(
 
 
 @st_.composite
-def trial_logs(draw):
+def trial_logs(draw, outcome=st_.integers(-128, 127)):
     ids = draw(st_.lists(st_.sampled_from(LOG_IDS), min_size=1, max_size=5, unique=True))
     n = draw(st_.one_of(st_.just(0), st_.just(1), st_.integers(2, 40)))
     labels = st_.lists(st_.integers(0, len(ids) - 1), min_size=n, max_size=n)
     times = st_.lists(LOG_FLOATS, min_size=n, max_size=n)
-    outcomes = st_.lists(st_.integers(-128, 127), min_size=n, max_size=n)
+    outcomes = st_.lists(outcome, min_size=n, max_size=n)
     lam = draw(st_.one_of(
         st_.none(),
         times,
@@ -477,18 +526,30 @@ def trial_logs(draw):
     )
 
 
+def spy_csv_parse():
+    """``estimation._parse_csv``, still parsing, with a record of its calls."""
+    return mock.patch.object(estimation, "_parse_csv", wraps=estimation._parse_csv)
+
+
 @settings(max_examples=300, deadline=None)
-@given(log=trial_logs(), block=st_.integers(1, 8))
-def test_trial_log_matches_row_by_row_oracle(log, block):
+@given(log=trial_logs(), chunk=st_.integers(1, 8))
+def test_trial_log_matches_row_by_row_oracle(log, chunk):
     angles = {lbl.id: lbl.angle for lbl in log.palette}
     with tempfile.TemporaryDirectory() as tmp:
         path, ref = Path(tmp) / "trials.csv", Path(tmp) / "oracle.csv"
-        with mock.patch.object(estimation, "BLOCK_SIZE", block):
+        with mock.patch.object(estimation, "CSV_CHUNK", chunk):
             write_trial_log(log, path)
         oracle_write_trial_log(log, ref)
         assert path.read_bytes() == ref.read_bytes()
-        back = read_trial_log(path, palette=angles)
-        assert_logs_equal(back, oracle_read_trial_log(ref, palette=angles))
+        oracle = oracle_read_trial_log(ref, palette=angles)
+        with spy_csv_parse() as parse:
+            back = read_trial_log(path, palette=angles)
+        assert not parse.called  # read from the column files
+        assert_logs_equal(back, oracle)
+        shutil.rmtree(columns_dir(path))
+        with spy_csv_parse() as parse:
+            assert_logs_equal(read_trial_log(path, palette=angles), oracle)
+        assert parse.called
     # the round trip keeps every column; ids come back in first-seen order
     ids, back_ids = np.array(log.ids()), np.array(back.ids())
     for col in ("a", "b", "a_r", "b_r"):
@@ -502,6 +563,101 @@ def test_trial_log_matches_row_by_row_oracle(log, block):
         assert back.lam is None
     else:
         assert bit_equal(back.lam, log.lam)
+
+
+GARBLED_INDEXES = ("", "{", "[]", "{}", "null", '"index"', '{"sha256": []}')
+
+
+def alter(path, data, kind):
+    """Apply one alteration ``kind`` to a written trial log at ``path``."""
+    folder = columns_dir(path)
+    if kind == "csv-byte":
+        raw = bytearray(path.read_bytes())
+        at = data.draw(st_.integers(0, len(raw) - 1))
+        raw[at] = data.draw(st_.sampled_from(b"09,-.\r\n\"e").filter(lambda c: c != raw[at]))
+        path.write_bytes(bytes(raw))
+    elif kind == "index-missing":
+        (folder / "index.json").unlink()
+    elif kind == "index-garbled":
+        text = (folder / "index.json").read_text()
+        garbled = data.draw(st_.one_of(
+            st_.sampled_from(GARBLED_INDEXES),
+            st_.integers(0, len(text) - 1).map(lambda k: text[:k]),
+            # one character of the sealed entries, the ids among them
+            st_.integers(0, len(text) - 1).filter(lambda k: text[k].isalnum()).map(
+                lambda k: text[:k] + ("0" if text[k] != "0" else "1") + text[k + 1:]),
+        ))
+        (folder / "index.json").write_text(garbled)
+    else:
+        column = data.draw(st_.sampled_from(sorted(folder.glob("*.npy"))))
+        raw = bytearray(column.read_bytes())
+        if kind == "column-missing":
+            column.unlink()
+        elif kind == "column-truncated":
+            column.write_bytes(raw[: data.draw(st_.integers(0, len(raw) - 1))])
+        else:  # column-bit-flip
+            bit = data.draw(st_.integers(0, 8 * len(raw) - 1))
+            raw[bit // 8] ^= 1 << (bit % 8)
+            column.write_bytes(bytes(raw))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    log=trial_logs(),
+    kind=st_.sampled_from(["csv-byte", "index-missing", "index-garbled", "column-missing",
+                           "column-truncated", "column-bit-flip"]),
+    data=st_.data(),
+)
+def test_altered_trial_log_falls_back_to_the_csv(log, kind, data):
+    # whatever is altered, the read is the CSV's: its log, or its error
+    angles = {lbl.id: lbl.angle for lbl in log.palette}
+    with tempfile.TemporaryDirectory() as tmp:
+        path, alone = Path(tmp) / "trials.csv", Path(tmp) / "alone" / "trials.csv"
+        write_trial_log(log, path)
+        alter(path, data, kind)
+        alone.parent.mkdir()
+        shutil.copyfile(path, alone)
+        try:
+            expected = read_trial_log(alone, palette=angles)
+        except ValueError:
+            expected = None
+        with spy_csv_parse() as parse:
+            if expected is None:
+                with pytest.raises(ValueError, match=re.escape(str(path))):
+                    read_trial_log(path, palette=angles)
+            else:
+                assert_logs_equal(read_trial_log(path, palette=angles), expected)
+        assert parse.called
+
+
+def test_lambda_blank_in_some_rows_reads_nan(tmp_path):
+    path = tmp_path / "trials.csv"
+    rows = ["0,0.0,0.0,a,b,a,b,1,-1,0.5", "1,1.0,1.0,a,b,a,b,1,1,", "2,2.0,2.0,a,b,a,b,-1,1,nan"]
+    path.write_text("\r\n".join([",".join(TRIAL_HEADER), *rows, ""]), newline="")
+    back = read_trial_log(path)
+    assert bit_equal(back.lam, np.array([0.5, math.nan, math.nan]))
+    assert_logs_equal(back, oracle_read_trial_log(path))
+
+
+@settings(max_examples=200, deadline=None)
+@given(log=trial_logs(outcome=st_.sampled_from([-1, 1])), min_count=st_.integers(1, 4))
+def test_p12_table_and_marginals_match_mask_scan_oracle(log, min_count):
+    ids = log.ids()
+    table = p12_table(log, min_count)
+    assert set(table.cells) == {
+        tuple(ids[k] for k in q) for q in zip(log.a, log.b, log.a_r, log.b_r)
+    }
+    for key, cell in table.cells.items():
+        est = estimate_ch_probs(log, *key)
+        assert (cell.estimate, cell.standard_error, cell.count) == (
+            est.p12, est.p12_se, est.p12_count)
+        assert cell.sufficient == (est.p12_count >= min_count)
+        assert marginal_p1(log, key[0]) == (est.p1, est.p1_se, est.p1_count)
+        assert marginal_p2(log, key[1]) == (est.p2, est.p2_se, est.p2_count)
+    for column, marginal in ((log.a, marginal_p1), (log.b, marginal_p2)):
+        for unused in sorted(set(range(len(ids))) - set(column.tolist())):
+            with pytest.raises(MissingCellError):
+                marginal(log, ids[unused])
 
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"

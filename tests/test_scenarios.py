@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st_
 
 from rbell.errors import ConfigError
-from rbell.estimation import TrialLog, read_trial_log
+from rbell.estimation import TrialLog, columns_dir, read_trial_log
 from rbell.models import (
     _FACTORIES,
     HiddenSpace,
@@ -252,8 +252,9 @@ def test_quantum_scenario_lambda_free_and_violations():
 
 
 def test_scenario_ch_reports_match_public_estimator():
-    from rbell.estimation import estimate_ch_probs, marginal_p1, marginal_p2
+    from rbell.estimation import marginal_p1, marginal_p2
     from rbell.inequalities import Correlation, chsh_quadruples, retarded_ch
+    from test_estimation import estimate_ch_probs  # the mask-scan oracle
 
     config = base_config(
         geometry=Geometry(separation=4.0, signal_speed=1.0, t1=0, t2=0, t0=-6.0),
@@ -364,6 +365,14 @@ def _noisy_hardy():
     )
 
 
+#: SHA-256 of ``trials.columns/index.json`` for the runs pinned below.
+COLUMN_INDEX_SHA = {
+    "hardy-singlet": "794a30bb7cfbb5a3b1e9d71528341b0d038b20605ff9a00d7120b5be1d7f591d",
+    "hardy-noisy": "1322cd8222a38d1fabc07c000fe55b30a56d41dfe432f95d6d18ed74173868cc",
+    "quantum-singlet": "f57673a8521428b34e7c1903856adcd4bc90543acbeb1de9c7085a7720512003",
+}
+
+
 @pytest.mark.parametrize(
     "model,trials_sha,table_sha,reports_sha",
     [
@@ -395,6 +404,15 @@ def test_artifacts_match_pinned_digests(tmp_path, model, trials_sha, table_sha, 
     assert hashlib.sha256(paths["trials"].read_bytes()).hexdigest() == trials_sha
     assert hashlib.sha256(paths["correlations"].read_bytes()).hexdigest() == table_sha
     assert hashlib.sha256(paths["reports"].read_bytes()).hexdigest() == reports_sha
+    # the pinned index records the digest of every column file, and of the CSV
+    folder = columns_dir(paths["trials"])
+    index = (folder / "index.json").read_bytes()
+    assert hashlib.sha256(index).hexdigest() == COLUMN_INDEX_SHA[model]
+    digests = json.loads(index)["digests"]
+    assert digests.pop("csv") == trials_sha
+    assert {p.name for p in folder.iterdir()} == {f"{k}.npy" for k in digests} | {"index.json"}
+    for name, sha in digests.items():
+        assert hashlib.sha256((folder / f"{name}.npy").read_bytes()).hexdigest() == sha
 
 
 def test_different_seeds_differ():
