@@ -52,10 +52,8 @@ from .models import (
     hardy_closed_form_E,
     hardy_outcome_A,
     hardy_outcome_B,
-    hardy_thetas,
     quantum_E,
     quantum_joint_probs,
-    quantum_sample_pair,
     register_model,
 )
 from .inequalities import (

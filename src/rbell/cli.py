@@ -33,6 +33,7 @@ from .estimation import (
     analytic_correlations,
     analytic_marginals,
     mc_correlations,
+    quadrature_E,
     read_table,
     resolve_workers,
 )
@@ -291,14 +292,9 @@ def _verify_checks(rng: np.random.Generator) -> list[tuple[str, bool, str]]:
     # midpoint error bound for a two-jump +-1 integrand at 2^20 nodes
     checks.append(("hardy-zero-marginals", worst <= 5e-6, f"worst {worst:.2e}"))
 
-    from .estimation import quadrature_E
-
-    worst = 0.0
-    for _ in range(100):
-        a, b, ar, br = rng.uniform(0, math.tau, 4)
-        q = quadrature_E(hardy, a, b, ar, br, nodes=100_000)
-        c = float(hardy_closed_form_E(a, b, ar, br))
-        worst = max(worst, abs(q - c))
+    a, b, ar, br = rng.uniform(0, math.tau, (100, 4)).T
+    q = quadrature_E(hardy, a, b, ar, br, nodes=100_000)
+    worst = float(np.max(np.abs(q - hardy_closed_form_E(a, b, ar, br))))
     checks.append(("quadrature-matches-closed-form", worst <= 1e-4, f"worst {worst:.2e}"))
 
     grid = np.linspace(0, math.tau, 64, endpoint=False)
@@ -443,6 +439,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
         if args.command == "run" and args.n is not None and args.n < 1:
             raise ConfigError(f"--n must be at least 1, got {args.n}")
+        if args.command == "analytic" and args.n < 0:
+            raise ConfigError(f"--n must be non-negative, got {args.n}")
         if getattr(args, "min_count", None) is not None and args.min_count < 0:
             raise ConfigError(f"--min-count must be non-negative, got {args.min_count}")
         return args.func(args)

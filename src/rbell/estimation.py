@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import MissingCellError, UnsupportedModelError
 from .inequalities import Correlation, CorrelationInput, Quad
-from .models import Model, StochasticLHV, sample_outcomes
+from .models import ArrayLike, Model, StochasticLHV, sample_outcomes
 from .spacetime import SettingLabel
 
 BLOCK_SIZE = 1 << 16
@@ -490,82 +490,114 @@ def _require_local(model: Model, op: str) -> None:
         )
 
 
-def _station_probs(
-    model: Model, a: float, b: float, a_r: float, b_r: float, nodes: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """Both stations' +1 probabilities on the midpoint lambda grid, the
-    density there and the node width.
+#: The fewest lambda nodes that quadrature accepts.
+MIN_QUADRATURE_NODES = 1_000
 
-    Deterministic models are lifted via p = (1 + outcome)/2.
+
+def _lambda_average(
+    model: Model, points: Sequence[ArrayLike], nodes: int, ch: bool
+) -> tuple[ArrayLike, ...]:
+    """Midpoint-rule lambda-averages of :func:`_integrands` at each point
+    of the settings ``points``: (E,), or (p12, p1, p2) with ``ch``.
+
+    The grid and the density are built once per call; ``points`` are
+    scalars or arrays that broadcast together, and scalar settings give
+    floats.  Each average is the float64 sum of integrand times density
+    over the grid, times the node width.
     """
     _require_local(model, "quadrature")
-    if nodes < 1_000:
-        raise ValueError("nodes must be at least 1000")
-    if not isinstance(model, StochasticLHV):
-        model = StochasticLHV.from_deterministic(model)
+    if nodes < MIN_QUADRATURE_NODES:
+        raise ValueError(f"nodes must be at least {MIN_QUADRATURE_NODES}")
     lo, hi = model.hidden.lower, model.hidden.upper
     h = (hi - lo) / nodes
     lam = lo + (np.arange(nodes) + 0.5) * h
-    p1v = np.asarray(model.p1(a, b_r, lam), dtype=np.float64)
-    p2v = np.asarray(model.p2(b, a_r, lam), dtype=np.float64)
-    return p1v, p2v, model.hidden.density(lam), h
+    rho = model.hidden.density(lam)
+    settings = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in points))
+    shape = settings[0].shape
+    out = np.empty((3 if ch else 1,) + shape)
+    for idx in np.ndindex(shape):
+        values = _integrands(model, ch, *(float(x[idx]) for x in settings), lam)
+        out[(slice(None),) + idx] = [np.sum(f * rho) * h for f in values]
+    return tuple(float(v) for v in out) if shape == () else tuple(out)
+
+
+def _integrands(
+    model: Model, ch: bool, a: float, b: float, a_r: float, b_r: float, lam: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """The outcome product on the grid, or with ``ch`` the both-plus,
+    station-1 plus and station-2 plus integrands.
+
+    A stochastic model gives them from its float64 +1 probabilities.  A
+    deterministic model gives them from its int8 signs, which meet
+    float64 only in the weighted sum: every value equals that of the
+    lift p = (1 + outcome)/2 of :meth:`StochasticLHV.from_deterministic`
+    bit for bit.
+    """
+    if isinstance(model, StochasticLHV):
+        p1v = np.asarray(model.p1(a, b_r, lam), dtype=np.float64)
+        p2v = np.asarray(model.p2(b, a_r, lam), dtype=np.float64)
+        return (p1v * p2v, p1v, p2v) if ch else ((2.0 * p1v - 1.0) * (2.0 * p2v - 1.0),)
+    o1, o2 = model.outcome_A(a, b_r, lam), model.outcome_B(b, a_r, lam)
+    if not ch:
+        return (o1 * o2,)
+    plus_1, plus_2 = o1 > 0, o2 > 0
+    return plus_1 & plus_2, plus_1, plus_2
 
 
 def quadrature_E(
     model: Model,
-    a: float,
-    b: float,
-    a_r: float,
-    b_r: float,
+    a: ArrayLike,
+    b: ArrayLike,
+    a_r: ArrayLike,
+    b_r: ArrayLike,
     nodes: int = 100_000,
-) -> float:
+) -> ArrayLike:
     """Midpoint-rule lambda-average of the outcome product.
 
-    The integrands here are piecewise constant with a handful of jumps,
-    so the midpoint error is at most (jumps) * (range/nodes) * max|f*rho|.
+    Settings broadcast together; scalar settings give a float, and the
+    lambda grid is built once per call.  A deterministic model's
+    integrand is the product of its int8 outcome signs.  The integrands
+    here are piecewise constant with a handful of jumps, so the midpoint
+    error is at most (jumps) * (range/nodes) * max|f*rho|.
     """
-    p1v, p2v, rho, h = _station_probs(model, a, b, a_r, b_r, nodes)
-    return float(np.sum((2.0 * p1v - 1.0) * (2.0 * p2v - 1.0) * rho) * h)
+    return _lambda_average(model, (a, b, a_r, b_r), nodes, ch=False)[0]
 
 
 def quadrature_ch_probs(
     model: Model,
-    a: float,
-    b: float,
-    a_r: float,
-    b_r: float,
+    a: ArrayLike,
+    b: ArrayLike,
+    a_r: ArrayLike,
+    b_r: ArrayLike,
     nodes: int = 100_000,
-) -> tuple[float, float, float]:
-    """(p12, p1, p2) by lambda-quadrature.
+) -> tuple[ArrayLike, ArrayLike, ArrayLike]:
+    """(p12, p1, p2) by lambda-quadrature, settings as in :func:`quadrature_E`.
 
-    The marginals are averaged over lambda only (retarded-independent,
-    the default reading).
+    A deterministic model's integrands are its +1 indicators.  The
+    marginals are averaged over lambda only (retarded-independent, the
+    default reading).
     """
-    p1v, p2v, rho, h = _station_probs(model, a, b, a_r, b_r, nodes)
-    p12 = float(np.sum(p1v * p2v * rho) * h)
-    p1 = float(np.sum(p1v * rho) * h)
-    p2 = float(np.sum(p2v * rho) * h)
-    return p12, p1, p2
+    return _lambda_average(model, (a, b, a_r, b_r), nodes, ch=True)
 
 
 #: Exact model quantities at settings (a, b, a_r, b_r): the closed-form
 #: attributes each needs, its values from them, and its values by
-#: lambda-quadrature at one point.
+#: lambda-quadrature.
 _EXACT = {
     "E": (
         ("closed_form_E",),
         lambda m, a, b, a_r, b_r: (m.closed_form_E(a, b, a_r, b_r),),
-        lambda m, *point: (quadrature_E(m, *point),),
+        lambda m, *points: (quadrature_E(m, *points),),
     ),
     "p12": (
         ("closed_form_p12",),
         lambda m, a, b, a_r, b_r: (m.closed_form_p12(a, b, a_r, b_r),),
-        lambda m, *point: quadrature_ch_probs(m, *point)[:1],
+        lambda m, *points: quadrature_ch_probs(m, *points)[:1],
     ),
     "marginals": (
         ("closed_form_p1", "closed_form_p2"),
         lambda m, a, b, a_r, b_r: (m.closed_form_p1(a, b_r), m.closed_form_p2(b, a_r)),
-        lambda m, *point: quadrature_ch_probs(m, *point)[1:],
+        lambda m, *points: quadrature_ch_probs(m, *points)[1:],
     ),
 }
 
@@ -580,7 +612,7 @@ def exact_values(
     evaluator takes settings (a, b, a_r, b_r), scalars or arrays that
     broadcast together.  It uses the model's closed forms when it has
     them all (a constant closed form may return a scalar); otherwise it
-    runs lambda-quadrature point by point, which raises
+    runs lambda-quadrature over all the points in one call, which raises
     UnsupportedModelError here for a model without a hidden variable.
     """
     attrs, closed, quadrature = _EXACT[quantity]
@@ -591,13 +623,7 @@ def exact_values(
     _require_local(model, "quadrature")
 
     def by_quadrature(a, b, a_r, b_r):
-        points = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (a, b, a_r, b_r)))
-        out = np.empty((len(attrs),) + points[0].shape)
-        for idx in np.ndindex(points[0].shape):
-            out[(slice(None),) + idx] = quadrature(
-                model, *(float(x[idx]) for x in points), nodes
-            )
-        return tuple(out)
+        return tuple(np.asarray(v) for v in quadrature(model, a, b, a_r, b_r, nodes))
     return by_quadrature
 
 
@@ -705,7 +731,9 @@ def _plus_fraction(
     log: TrialLog, column: np.ndarray, outcome: np.ndarray, label: str, key: Quad
 ) -> tuple[float, float, int]:
     """+1 fraction of ``outcome`` over the trials whose ``column`` holds ``label``."""
-    mask = column == log.ids().index(label)
+    ids = log.ids()
+    # palette indices are non-negative, so an unknown label matches no trial
+    mask = column == (ids.index(label) if label in ids else -1)
     n = int(mask.sum())
     if n == 0:
         raise MissingCellError(key)

@@ -123,29 +123,37 @@ def _theta_right(b: ArrayLike, a_r: ArrayLike) -> ArrayLike:
     return (np.pi / 4.0) * (1.0 + np.cos(np.asarray(a_r) - np.asarray(b)))
 
 
-def hardy_thetas(
-    a: ArrayLike, b: ArrayLike, a_r: ArrayLike, b_r: ArrayLike
-) -> tuple[ArrayLike, ArrayLike]:
-    """Half-circle offsets used by the two outcome functions.
-
-    The left offset depends on (a, b_r), the right one on (b, a_r).
-    Values are returned un-normalized; their difference always lies in
-    [0, pi], which is what the closed-form correlation relies on.
-    """
-    return _theta_left(a, b_r), _theta_right(b, a_r)
-
-
 def _signs(plus: np.ndarray) -> np.ndarray:
     """int8 +1 where ``plus`` holds and -1 elsewhere, without an int64 copy."""
     return plus.view(np.int8) * 2 - 1
 
 
+#: The least float U with U - 2*pi >= pi; the kernel's band test needs it.
+_THREE_PI = 3.0 * math.pi
+
+
 def _half_circle_sign(theta: ArrayLike, lam: ArrayLike) -> np.ndarray:
-    """+1 iff lam lies in [theta, theta + pi) modulo 2*pi."""
-    # numpy's float remainder by a positive divisor is fmod plus the
-    # divisor on a negative result; written out in place, it gives the
-    # same bits as (lam - theta) % TAU at a fraction of the cost
+    """+1 iff lam lies in [theta, theta + pi) modulo 2*pi.
+
+    Bit-equal to ``(lam - theta) % TAU < pi`` for every float input.
+    numpy's float remainder by a positive divisor is fmod plus the
+    divisor on a negative result.  On the band -2*pi < d < 4*pi,
+    d = lam - theta, fmod is exact: the identity below 2*pi, and
+    d - 2*pi (Sterbenz) from there.  So the remainder is below pi
+    exactly when d < -pi (d + 2*pi rounds below pi), 0 <= d < pi, or
+    2*pi <= d < 3*pi (3*pi is a float, the least U with U - 2*pi >= pi).
+    That is an odd count of the edges -pi, 0, pi, 2*pi, 3*pi above d,
+    which one min/max admits and five comparisons decide.  The built-in
+    model never leaves the band: lam is in [0, 2*pi) and theta in
+    [-pi/2, pi/2].  Any other d (out of band, inf, nan, not float64)
+    takes fmod.
+    """
     d = np.asarray(np.subtract(lam, theta))
+    if d.dtype == np.float64 and d.size and -TAU < d.min() and d.max() < 2.0 * TAU:
+        plus = d < _THREE_PI
+        for edge in (TAU, np.pi, 0.0, -np.pi):
+            plus ^= d < edge
+        return _signs(plus)
     np.fmod(d, TAU, out=d)
     np.add(d, TAU, out=d, where=d < 0)
     return _signs(d < np.pi)
@@ -164,7 +172,8 @@ def hardy_closed_form_E(
 ) -> ArrayLike:
     """Correlation of the half-circle model: -(cos(a - b_r) + cos(a_r - b))/2.
 
-    Equal to 1 - 2|theta_right - theta_left|/pi for the offsets above.
+    Equal to 1 - 2|theta_right - theta_left|/pi for the offsets of
+    ``_theta_left`` and ``_theta_right``, whose difference lies in [0, pi].
     Reduces to -cos(a - b) when the retarded settings equal the actual
     ones.
     """
@@ -220,14 +229,6 @@ def quantum_joint_probs(a: float, b: float) -> tuple[float, float, float, float]
     same = (1.0 - c) / 4.0
     diff = (1.0 + c) / 4.0
     return (same, diff, diff, same)
-
-
-def quantum_sample_pair(
-    a: float, b: float, rng: np.random.Generator
-) -> tuple[int, int]:
-    """Draw one (+-1, +-1) outcome pair from the singlet distribution."""
-    outcome_1, outcome_2 = quantum_sample_pairs(a, b, rng, 1)
-    return int(outcome_1[0]), int(outcome_2[0])
 
 
 def quantum_sample_pairs(

@@ -229,6 +229,8 @@ SPEC = {"model": "quantum", "inequality": "chsh"}
         (json.dumps({**SPEC, "fixed": [0.0]}), "fixed must be an object of numbers"),
         (json.dumps({**SPEC, "retarded": {"ar": None}}), "retarded must be 'tied', 'free'"),
         (json.dumps({**SPEC, "quadrature_nodes": 1.5}), "quadrature_nodes must be"),
+        (json.dumps({**SPEC, "quadrature_nodes": 10}),
+         "quadrature_nodes must be at least 1000, got 10"),
         (json.dumps({**SPEC, "grid_step": 0}), "grid_step must be finite and positive"),
         ('{"model": "quantum",', "Expecting property name"),
         # json reads NaN and Infinity as numbers
@@ -239,7 +241,7 @@ SPEC = {"model": "quantum", "inequality": "chsh"}
     ],
     ids=["not-an-object", "unknown-key", "missing-model", "model-list", "inequality-list",
          "direction-number", "free-string", "free-number", "grid-step-string", "grid-step-bool", "fixed-string",
-         "fixed-list", "retarded-null", "nodes-float", "grid-step-zero", "invalid-json",
+         "fixed-list", "retarded-null", "nodes-float", "nodes-too-few", "grid-step-zero", "invalid-json",
          "fixed-nan", "retarded-inf"],
 )
 def test_optimize_cli_malformed_spec_names_file_and_key(tmp_path, capsys, text, key):
@@ -373,6 +375,13 @@ OPTIMIZE = ["optimize", "--model", "quantum", "--ineq", "chsh"]
          lambda config, out: RUN(config, out) + ["--n", "-1"]),
         ("", "", "--min-count must be non-negative",
          lambda config, out: RUN(config, out) + ["--min-count", "-5"]),
+        # a negative Monte Carlo size, named whether or not the row runs Monte Carlo
+        ("", "", "--n must be non-negative, got -5",
+         lambda config, out: ["analytic", "hardy", "retarded_chsh", *QUARTET_FLAGS,
+                              "--n", "-5"]),
+        ("", "", "--n must be non-negative, got -5",
+         lambda config, out: ["analytic", "quantum", "retarded_ch", *QUARTET_FLAGS,
+                              "--n", "-5"]),
     ] + [
         # a grid step that would divide by zero, scan an empty grid or never halve
         ("", "", "--grid-step must be finite and positive",
@@ -419,7 +428,8 @@ OPTIMIZE = ["optimize", "--model", "quantum", "--ineq", "chsh"]
          "rate-nan", "period-inf", "phase-nan", "separation-inf", "signal_speed-nan",
          "t0-inf", "min_count-negative", "run-seed-flag-negative",
          "analytic-seed-flag-negative", "verify-seed-flag-negative", "run-n-flag-negative",
-         "run-min-count-flag-negative", "grid-step-zero", "grid-step-negative",
+         "run-min-count-flag-negative", "analytic-n-flag-negative",
+         "analytic-ch-n-flag-negative", "grid-step-zero", "grid-step-negative",
          "grid-step-nan", "grid-step-inf", "optimize-free-repeated",
          "analytic-angle-zero-divisor", "analytic-retarded-zero-divisor",
          "grid-step-zero-divisor", "optimize-angle-zero-divisor", "labels-zero-divisor",

@@ -116,6 +116,64 @@ def test_quadrature_ch_probs_consistency():
         assert p12 == pytest.approx((1.0 + e) / 4.0, abs=1e-4)
 
 
+def station_probs(model, a, b, a_r, b_r, nodes):
+    """Both stations' +1 probabilities on the midpoint lambda grid, the
+    density there and the node width, one point at a time, with a
+    deterministic model lifted via p = (1 + outcome)/2: the oracle of
+    the quadrature integrands."""
+    if not isinstance(model, StochasticLHV):
+        model = StochasticLHV.from_deterministic(model)
+    lo, hi = model.hidden.lower, model.hidden.upper
+    h = (hi - lo) / nodes
+    lam = lo + (np.arange(nodes) + 0.5) * h
+    p1v = np.asarray(model.p1(a, b_r, lam), dtype=np.float64)
+    p2v = np.asarray(model.p2(b, a_r, lam), dtype=np.float64)
+    return p1v, p2v, model.hidden.density(lam), h
+
+
+def lifted_quadrature(model, a, b, a_r, b_r, nodes):
+    """(E, p12, p1, p2) at one point from the lifted float probabilities."""
+    p1v, p2v, rho, h = station_probs(model, a, b, a_r, b_r, nodes)
+    return (
+        float(np.sum((2.0 * p1v - 1.0) * (2.0 * p2v - 1.0) * rho) * h),
+        float(np.sum(p1v * p2v * rho) * h),
+        float(np.sum(p1v * rho) * h),
+        float(np.sum(p2v * rho) * h),
+    )
+
+
+QUADRATURE_MODELS = {"hardy": HARDY, "hardy-lifted": StochasticLHV.from_deterministic(HARDY)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st_.sampled_from(sorted(QUADRATURE_MODELS)),
+    point=st_.lists(st_.floats(-10.0, 10.0), min_size=4, max_size=4),
+    shape=st_.sampled_from([(), (3,), (2, 1)]),
+    nodes=st_.sampled_from([1_000, 4_099, 20_000]),
+)
+def test_quadrature_matches_lifted_float_oracle(name, point, shape, nodes):
+    model = QUADRATURE_MODELS[name]
+    # scalar settings, or arrays of that shape around the drawn point
+    steps = np.arange(math.prod(shape), dtype=float).reshape(shape)
+    settings_ = [x + 0.37 * k * steps if shape else x for k, x in enumerate(point)]
+    e = quadrature_E(model, *settings_, nodes=nodes)
+    p12, p1, p2 = quadrature_ch_probs(model, *settings_, nodes=nodes)
+    points = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in settings_))
+    for got in (e, p12, p1, p2):
+        assert type(got) is float if shape == () else got.shape == shape
+    for idx in np.ndindex(shape):
+        want = lifted_quadrature(model, *(float(x[idx]) for x in points), nodes)
+        got = tuple(float(np.asarray(v)[idx]) for v in (e, p12, p1, p2))
+        assert [x.hex() for x in got] == [x.hex() for x in want]
+
+
+def test_quadrature_of_no_points_is_empty():
+    e = quadrature_E(HARDY, np.zeros(0), 0.0, 0.0, 0.0)
+    probs = quadrature_ch_probs(HARDY, np.zeros((2, 0)), 0.0, 0.0, 0.0)
+    assert e.shape == (0,) and [p.shape for p in probs] == [(2, 0)] * 3
+
+
 def test_quadrature_stochastic_lift_matches_deterministic():
     lifted = StochasticLHV.from_deterministic(hardy_singlet())
     rng = np.random.default_rng(2)
@@ -658,6 +716,15 @@ def test_p12_table_and_marginals_match_mask_scan_oracle(log, min_count):
         for unused in sorted(set(range(len(ids))) - set(column.tolist())):
             with pytest.raises(MissingCellError):
                 marginal(log, ids[unused])
+
+
+def test_marginals_of_an_unknown_label_are_missing_cells():
+    log = make_log([1, -1])
+    assert "zz" not in log.ids()
+    with pytest.raises(MissingCellError, match="zz"):
+        marginal_p1(log, "zz")
+    with pytest.raises(MissingCellError, match="zz"):
+        marginal_p2(log, "zz")
 
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"

@@ -13,17 +13,16 @@ from rbell.models import (
     HiddenSpace,
     QuantumSinglet,
     StochasticLHV,
+    _THREE_PI,
     _half_circle_sign,
     get_model,
     hardy_closed_form_E,
     hardy_outcome_A,
     hardy_outcome_B,
     hardy_singlet,
-    hardy_thetas,
     model_names,
     quantum_E,
     quantum_joint_probs,
-    quantum_sample_pair,
     quantum_sample_pairs,
     sample_outcomes,
 )
@@ -50,6 +49,20 @@ def test_uniform_circle_sampler_in_range():
 # ----------------------------------------------------------------------
 # half-circle offsets
 # ----------------------------------------------------------------------
+
+
+def hardy_thetas(a: float, b: float, a_r: float, b_r: float) -> tuple[float, float]:
+    """Half-circle offsets of the two outcome functions at one point.
+
+    The left offset depends on (a, b_r), the right one on (b, a_r).
+    Values are un-normalized; their difference always lies in [0, pi],
+    which is what the closed-form correlation relies on.  The oracle of
+    the offsets that hardy_outcome_A and hardy_outcome_B compute per
+    trial.
+    """
+    left = -(np.pi / 4.0) * (1.0 + np.cos(a - b_r))
+    right = (np.pi / 4.0) * (1.0 + np.cos(a_r - b))
+    return float(left), float(right)
 
 
 def test_theta_left_at_equal_angles():
@@ -96,11 +109,21 @@ def _half_circle_sign_by_remainder(theta, lam):
     return np.where((np.asarray(lam) - theta) % TAU < np.pi, 1, -1).astype(np.int8)
 
 
-# lam - theta at the period, the half period and zero, one ulp either
-# side of each, at large magnitudes, infinite and nan
+def test_three_pi_is_least_float_a_period_past_the_half_circle():
+    # the kernel's band test: (d - 2pi) % 2pi < pi exactly when d < 3pi on [2pi, 4pi)
+    below = np.nextafter(_THREE_PI, -math.inf)
+    assert _THREE_PI == 3 * math.pi
+    assert _THREE_PI - TAU >= math.pi
+    assert below - TAU < math.pi
+    assert (below - TAU) % TAU < math.pi <= (_THREE_PI - TAU) % TAU
+
+
+# lam - theta at the period, the half period and zero, at -pi and 3pi
+# (the kernel's band edges), one ulp either side of each, at large
+# magnitudes, infinite and nan
 _EDGES = [
     x
-    for v in (-TAU, -0.0, 0.0, math.pi, TAU, 2 * TAU)
+    for v in (-TAU, -math.pi, -0.0, 0.0, math.pi, TAU, _THREE_PI, 2 * TAU)
     for x in (np.nextafter(v, -math.inf), v, np.nextafter(v, math.inf))
 ] + [1e300, -1e300, 2.0**53 + 1.0, -(2.0**60), math.inf, -math.inf, math.nan]
 _differences = st_.one_of(st_.sampled_from(_EDGES), st_.floats(allow_nan=True))
@@ -129,6 +152,22 @@ def test_half_circle_sign_matches_remainder_form(data):
             assert got.dtype == want.dtype == np.int8
             assert np.shape(got) == np.shape(want)
             assert np.array_equal(got, want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st_.data())
+def test_outcomes_match_per_trial_offsets(data):
+    # per-trial setting arrays against the scalar offsets of each trial
+    n = data.draw(st_.integers(1, 8), label="n")
+    a, b, ar, br = (np.array(data.draw(st_.lists(angles, min_size=n, max_size=n)))
+                    for _ in range(4))
+    lam = np.array(data.draw(st_.lists(st_.floats(0.0, math.tau, exclude_max=True),
+                                       min_size=n, max_size=n), label="lam"))
+    thetas = [hardy_thetas(*point) for point in zip(a, b, ar, br)]
+    left = [_half_circle_sign_by_remainder(tl, x) for (tl, _), x in zip(thetas, lam)]
+    right = [_half_circle_sign_by_remainder(tr, x) for (_, tr), x in zip(thetas, lam)]
+    np.testing.assert_array_equal(hardy_outcome_A(a, br, lam), left)
+    np.testing.assert_array_equal(hardy_outcome_B(b, ar, lam), right)
 
 
 def test_plus_set_measure_is_half_circle():
@@ -275,12 +314,34 @@ def test_quantum_joint_probs_consistent(a, b):
     assert e == pytest.approx(float(quantum_E(a, b)), abs=1e-12)
 
 
+def quantum_sample_pair(a: float, b: float, rng: np.random.Generator) -> tuple[int, int]:
+    """One (+-1, +-1) outcome pair from the singlet distribution, from one
+    uniform: the oracle of quantum_sample_pairs, one pair at a time."""
+    c = float(np.cos(a - b))
+    p_same, p_diff = (1.0 - c) / 4.0, (1.0 + c) / 4.0
+    u = rng.random()
+    # outcome order: (+,+), (+,-), (-,+), (-,-)
+    k = (u >= p_same) + (u >= p_same + p_diff) + (u >= p_same + 2.0 * p_diff)
+    return (1 if k <= 1 else -1), (1 if k in (0, 2) else -1)
+
+
 def test_quantum_sampling_anticorrelated_at_equal_angles():
     rng = np.random.default_rng(7)
     o1, o2 = quantum_sample_pairs(0.8, 0.8, rng, 5000)
     assert np.all(o1 == -o2)
     pair = quantum_sample_pair(0.8, 0.8, rng)
     assert pair[0] == -pair[1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=angles, b=angles, seed=st_.integers(0, 2**32 - 1), n=st_.integers(1, 50))
+def test_quantum_sample_pairs_match_one_pair_at_a_time(a, b, seed, n):
+    o1, o2 = quantum_sample_pairs(a, b, np.random.default_rng(seed), n)
+    rng = np.random.default_rng(seed)
+    pairs = [quantum_sample_pair(a, b, rng) for _ in range(n)]
+    assert o1.dtype == o2.dtype == np.int8
+    np.testing.assert_array_equal(o1, [p[0] for p in pairs])
+    np.testing.assert_array_equal(o2, [p[1] for p in pairs])
 
 
 def test_quantum_sampling_matches_expectation():

@@ -192,6 +192,9 @@ def test_objective_spec_validation_and_json():
             ObjectiveSpec(model="quantum", inequality="chsh", grid_step=step)
     with pytest.raises(ValueError, match="grid_step"):
         ObjectiveSpec.from_json('{"model": "quantum", "inequality": "chsh", "grid_step": 0}')
+    # quadrature refuses fewer nodes, and a spec says so before any search
+    with pytest.raises(ValueError, match="quadrature_nodes must be at least 1000, got 999"):
+        ObjectiveSpec(model="quantum", inequality="chsh", quadrature_nodes=999)
     spec = ObjectiveSpec.from_json(json.dumps({
         "model": "hardy",
         "inequality": "same_retarded_chsh",
