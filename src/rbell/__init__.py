@@ -2,8 +2,8 @@
 
 Subpackages by responsibility:
 
-- :mod:`rbell.spacetime`: geometry, setting schedules, interventions,
-  simple and predictive retarded settings, trial classification.
+- :mod:`rbell.spacetime`: geometry, setting schedules, intervention
+  streams, simple and predictive retarded settings.
 - :mod:`rbell.models`: local hidden-variable models (including the
   half-circle singlet model) and the quantum singlet reference.
 - :mod:`rbell.inequalities`: four-correlation and probability-form
@@ -30,18 +30,13 @@ from .errors import (
 from .spacetime import (
     EqualityClass,
     Geometry,
-    Intervention,
     InterventionStream,
     SettingLabel,
     SettingSchedule,
     SwitchTable,
-    classify_trial,
     load_interventions,
     normalize_angle,
     parse_angle,
-    predictive_retarded,
-    simple_retarded,
-    value_at,
 )
 from .models import (
     DeterministicLHV,

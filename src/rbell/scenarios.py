@@ -398,22 +398,16 @@ def make_schedule(
             delays=float(intervention_delay),
             label_indices=picks,
             labels=labels,
-            source_tags="random-switch",
         )
         return SettingSchedule(
             station=station.station, start=start, initial=base, interventions=stream
         )
 
-    interventions = load_interventions(
-        station.stream_path, palette, station=station.station
-    )
     return SettingSchedule(
         station=station.station,
         start=start,
         initial=base,
-        interventions=InterventionStream.from_interventions(
-            station.station, interventions
-        ),
+        interventions=load_interventions(station.stream_path, palette, station.station),
     )
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence, Union
+from typing import Iterator, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -132,42 +132,26 @@ class Geometry:
         return self.separation / self.signal_speed
 
 
-@dataclass(frozen=True)
-class Intervention:
-    """An externally sourced setting change.
-
-    The decision happens at ``decision_time``; the schedule actually
-    changes at ``effect_time = decision_time + delay``.  The delay is
-    the control knob that separates the two retarded-setting notions.
-    """
-
-    station: int
-    decision_time: float
-    delay: float
-    new_label: SettingLabel
-    source_tag: str = ""
-
-    def __post_init__(self) -> None:
-        if self.station not in (1, 2):
-            raise ValueError("station must be 1 or 2")
-        if not math.isfinite(self.decision_time):
-            raise ValueError("decision time must be finite")
-        if not math.isfinite(self.delay):
-            raise ValueError("delay must be finite")
-        if self.delay < 0:
-            raise ValueError("delay must be non-negative")
-
-    @property
-    def effect_time(self) -> float:
-        return self.decision_time + self.delay
+def _timing_fault(decision_time: float, delay: float) -> Optional[str]:
+    """What is wrong with one intervention's timing, or None if nothing is."""
+    if not math.isfinite(decision_time):
+        return "decision time must be finite"
+    if not math.isfinite(delay):
+        return "delay must be finite"
+    if delay < 0:
+        return "delay must be non-negative"
+    return None
 
 
 class InterventionStream:
-    """Columnar store of interventions for one station.
+    """Columnar store of one station's externally sourced setting changes.
 
-    Equivalent to a list of :class:`Intervention` but holds numpy arrays
-    so that schedules with millions of interventions stay cheap.  Rows
-    are kept sorted by decision time.
+    Row ``i`` is decided at ``decision_times[i]`` and changes the
+    schedule to ``labels[label_indices[i]]`` at ``effect_times[i]``, its
+    decision time plus its delay.  The delay is the control knob that
+    separates the two retarded-setting notions; ``delays`` is one value
+    for every row or one per row.  Rows are kept sorted by decision time,
+    and rows with equal decision times keep their given order.
     """
 
     def __init__(
@@ -177,82 +161,36 @@ class InterventionStream:
         delays: Union[float, np.ndarray],
         label_indices: np.ndarray,
         labels: Sequence[SettingLabel],
-        source_tags: Union[str, Sequence[str]] = "",
     ):
         self.station = int(station)
         decision_times = np.asarray(decision_times, dtype=np.float64)
+        delays = np.asarray(delays, dtype=np.float64)
+        label_indices = np.asarray(label_indices, dtype=np.int64)
+        self.labels = tuple(labels)
+        if not (
+            decision_times.ndim == 1
+            and label_indices.shape == decision_times.shape
+            and delays.shape in ((), decision_times.shape)
+        ):
+            raise ValueError(
+                "decision times, delays and label indices must be 1-d of one length"
+            )
+        if label_indices.size and not (
+            0 <= label_indices.min() and label_indices.max() < len(self.labels)
+        ):
+            raise ValueError("intervention label index out of range")
+        valid = np.isfinite(decision_times) & (delays >= 0) & (delays < np.inf)
+        if not valid.all():
+            i = int(np.argmin(valid))
+            delay = delays[i] if delays.ndim else delays
+            raise ValueError(_timing_fault(decision_times[i], delay))
         order = np.argsort(decision_times, kind="stable")
         self.decision_times = decision_times[order]
-        if np.ndim(delays) == 0:
-            self.delays: Union[float, np.ndarray] = float(delays)
-        else:
-            self.delays = np.asarray(delays, dtype=np.float64)[order]
-        if not np.all(np.isfinite(self.decision_times)):
-            raise ValueError("decision time must be finite")
-        if not np.all(np.isfinite(self.delays)):
-            raise ValueError("delay must be finite")
-        if np.any(np.less(self.delays, 0)):
-            raise ValueError("delay must be non-negative")
-        self.effect_times = self.decision_times + self.delays
-        self.label_indices = np.asarray(label_indices, dtype=np.int64)[order]
-        self.labels = tuple(labels)
-        if isinstance(source_tags, str):
-            self.source_tags: Union[str, tuple[str, ...]] = source_tags
-        else:
-            self.source_tags = tuple(np.asarray(source_tags, dtype=object)[order])
-        self.effects_monotone = bool(
-            self.effect_times.size == 0 or np.all(np.diff(self.effect_times) >= 0)
-        )
+        self.effect_times = self.decision_times + (delays[order] if delays.ndim else delays)
+        self.label_indices = label_indices[order]
 
     def __len__(self) -> int:
         return int(self.decision_times.size)
-
-    def delay_at(self, i: int) -> float:
-        if np.ndim(self.delays) == 0:
-            return float(self.delays)
-        return float(self.delays[i])
-
-    def tag_at(self, i: int) -> str:
-        if isinstance(self.source_tags, str):
-            return self.source_tags
-        return self.source_tags[i]
-
-    def to_interventions(self) -> tuple[Intervention, ...]:
-        return tuple(
-            Intervention(
-                station=self.station,
-                decision_time=float(self.decision_times[i]),
-                delay=self.delay_at(i),
-                new_label=self.labels[int(self.label_indices[i])],
-                source_tag=self.tag_at(i),
-            )
-            for i in range(len(self))
-        )
-
-    @classmethod
-    def from_interventions(
-        cls, station: int, interventions: Sequence[Intervention]
-    ) -> "InterventionStream":
-        labels: list[SettingLabel] = []
-        index_of: dict[str, int] = {}
-        idxs = []
-        for iv in interventions:
-            if iv.station != station:
-                raise ValueError(
-                    f"intervention for station {iv.station} attached to station {station}"
-                )
-            if iv.new_label.id not in index_of:
-                index_of[iv.new_label.id] = len(labels)
-                labels.append(iv.new_label)
-            idxs.append(index_of[iv.new_label.id])
-        return cls(
-            station=station,
-            decision_times=np.array([iv.decision_time for iv in interventions]),
-            delays=np.array([iv.delay for iv in interventions]),
-            label_indices=np.array(idxs, dtype=np.int64),
-            labels=labels,
-            source_tags=[iv.source_tag for iv in interventions],
-        )
 
 
 class SwitchTable:
@@ -315,8 +253,9 @@ class SettingSchedule:
     ``initial`` holds from ``start``; ``switches`` is the deterministic
     base, a :class:`SwitchTable` with finite, strictly increasing times,
     each after ``start`` (a sequence of ``(time, label)`` pairs is
-    converted); interventions override the base from their effect time
-    until the next base switch or intervention effect.
+    converted); ``interventions``, an :class:`InterventionStream` of the
+    same station or None for none, override the base from their effect
+    time until the next base switch or intervention effect.
     """
 
     station: int
@@ -338,12 +277,12 @@ class SettingSchedule:
             raise ValueError("switch times must be strictly increasing after start")
         iv = self.interventions
         if iv is None:
-            iv = InterventionStream.from_interventions(self.station, ())
+            iv = InterventionStream(self.station, (), 0.0, (), ())
+            object.__setattr__(self, "interventions", iv)
         elif not isinstance(iv, InterventionStream):
-            iv = InterventionStream.from_interventions(self.station, tuple(iv))
+            raise TypeError("interventions must be an InterventionStream or None")
         elif iv.station != self.station:
             raise ValueError("intervention stream station does not match schedule")
-        object.__setattr__(self, "interventions", iv)
 
     # ------------------------------------------------------------------
     # Compiled representations (built once, reused by vector lookups)
@@ -502,73 +441,34 @@ class SettingSchedule:
 
 
 # ----------------------------------------------------------------------
-# Operations
-# ----------------------------------------------------------------------
-
-
-def value_at(schedule: SettingSchedule, t: float) -> SettingLabel:
-    """Label of the effective timeline at ``t``."""
-    return schedule.value_at(t)
-
-
-def simple_retarded(
-    schedule: SettingSchedule, t_meas: float, geometry: Geometry
-) -> SettingLabel:
-    """Far-station setting one light-crossing time before ``t_meas``."""
-    return schedule.value_at(t_meas - geometry.retardation)
-
-
-def predictive_retarded(
-    schedule: SettingSchedule,
-    t_target: float,
-    t_observer_meas: float,
-    geometry: Geometry,
-) -> SettingLabel:
-    """Far-station setting predicted for ``t_target`` from the observer's past cone.
-
-    Only interventions decided no later than ``t_observer_meas - L/c``
-    can have reached the observer, so later ones are discarded before
-    the timeline is extrapolated to ``t_target``.
-    """
-    cutoff = t_observer_meas - geometry.retardation
-    return schedule.predictive_value_at(t_target, cutoff)
-
-
-def classify_trial(
-    a: SettingLabel, a_r: SettingLabel, b: SettingLabel, b_r: SettingLabel
-) -> EqualityClass:
-    """Compare each station's actual setting with its retarded value (by id)."""
-    eq1 = a.id == a_r.id
-    eq2 = b.id == b_r.id
-    if eq1 and eq2:
-        return EqualityClass.BOTH_EQUAL
-    if eq1:
-        return EqualityClass.ONLY_1_EQUAL
-    if eq2:
-        return EqualityClass.ONLY_2_EQUAL
-    return EqualityClass.NEITHER_EQUAL
-
-
-# ----------------------------------------------------------------------
-# Intervention stream files
+# Stream files
 # ----------------------------------------------------------------------
 
 _STREAM_HEADER = ["station", "decision_time", "delay", "label", "source_tag"]
 
 
 def load_interventions(
-    path: Union[str, Path],
-    palette: Mapping[str, SettingLabel],
-    station: int | None = None,
-) -> tuple[Intervention, ...]:
-    """Read interventions from a CSV file.
+    path: Union[str, Path], palette: Mapping[str, SettingLabel], station: int
+) -> InterventionStream:
+    """Read one station's interventions from a CSV file in one pass.
 
     Expected header: ``station,decision_time,delay,label,source_tag``.
-    Labels must resolve in ``palette``.  If ``station`` is given, rows
-    for other stations are skipped.
+    Every row is checked for its column count, station, and decision
+    time and delay; only the rows of ``station`` are kept, and only
+    their labels are looked up, in ``palette``.  The source tag is read
+    and ignored.  A fault is one :class:`StreamFormatError` naming the
+    file and line.
     """
     path = Path(path)
-    out: list[Intervention] = []
+    decisions: list[float] = []
+    delays: list[float] = []
+    picks: list[int] = []
+    labels: list[SettingLabel] = []
+    index_of: dict[str, int] = {}
+
+    def fault(lineno: int, message: object) -> StreamFormatError:
+        return StreamFormatError(f"{path}:{lineno}: {message}")
+
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -577,36 +477,35 @@ def load_interventions(
                 f"{path}: expected header {','.join(_STREAM_HEADER)!r}"
             )
         for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
+            # a blank row has the wrong column count or no station, so it
+            # is looked for only then
             if len(row) != 5:
-                raise StreamFormatError(f"{path}:{lineno}: expected 5 columns")
+                if not "".join(row).strip():
+                    continue
+                raise fault(lineno, "expected 5 columns")
             try:
                 st = int(row[0])
                 decision = float(row[1])
                 delay = float(row[2])
             except ValueError as exc:
-                raise StreamFormatError(f"{path}:{lineno}: {exc}") from None
+                if not "".join(row).strip():
+                    continue
+                raise fault(lineno, exc) from None
             if st not in (1, 2):
-                raise StreamFormatError(f"{path}:{lineno}: station must be 1 or 2")
-            # the palette is this station's, so filter before the lookup
-            if station is not None and st != station:
-                continue
-            label_id = row[3].strip()
-            if label_id not in palette:
-                raise StreamFormatError(
-                    f"{path}:{lineno}: unknown label {label_id!r}"
-                )
-            try:
-                out.append(
-                    Intervention(
-                        station=st,
-                        decision_time=decision,
-                        delay=delay,
-                        new_label=palette[label_id],
-                        source_tag=row[4].strip(),
-                    )
-                )
-            except ValueError as exc:
-                raise StreamFormatError(f"{path}:{lineno}: {exc}") from None
-    return tuple(out)
+                raise fault(lineno, "station must be 1 or 2")
+            if st == station:
+                label_id = row[3].strip()
+                k = index_of.get(label_id)
+                if k is None:
+                    if label_id not in palette:
+                        raise fault(lineno, f"unknown label {label_id!r}")
+                    k = index_of[label_id] = len(labels)
+                    labels.append(palette[label_id])
+            problem = _timing_fault(decision, delay)
+            if problem:
+                raise fault(lineno, problem)
+            if st == station:
+                decisions.append(decision)
+                delays.append(delay)
+                picks.append(k)
+    return InterventionStream(station, decisions, delays, picks, labels)

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import itertools
 import json
 import math
@@ -5,6 +7,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st_
 
 from rbell.cli import main
 
@@ -517,6 +521,45 @@ def test_run_shared_stream_file(tmp_path, capsys, extra_row, code):
         assert "must be finite" in err
     else:
         assert json.loads(out)["trials"] == 200
+
+
+STREAM_ROWS = ("1,3.0,0.0,a2,human", "2,4.0,1.5,b2,human", "1,9.0,0.5,a,human",
+               "2,12.0,0.0,b,human")
+
+
+@st_.composite
+def fuzzed_stream_files(draw):
+    """A valid two-station stream file with one field of one row replaced,
+    or one row given 4 or 6 fields; also the line number of that row."""
+    rows = [row.split(",") for row in STREAM_ROWS]
+    k = draw(st_.integers(0, len(rows) - 1))
+    if draw(st_.booleans()):
+        value = draw(st_.sampled_from(["", "nan", "-1", "1e400", "abc", "9" * 400, "zz"]))
+        rows[k][draw(st_.integers(0, 4))] = value
+    else:
+        rows[k] = rows[k][:4] if draw(st_.booleans()) else rows[k] + ["extra"]
+    text = "station,decision_time,delay,label,source_tag\n"
+    return text + "".join(",".join(row) + "\n" for row in rows), k + 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(fuzzed_stream_files())
+def test_run_fuzzed_stream_file_finishes_or_names_the_line(tmp_path_factory, case):
+    text, lineno = case
+    tmp = tmp_path_factory.mktemp("fuzz")
+    (tmp / "stream.csv").write_text(text)
+    config = tmp / "scenario.ini"
+    config.write_text(STREAM_CONFIG_TEXT)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["run", "--config", str(config), "--out", str(tmp / "o")])
+    out, err = out.getvalue(), err.getvalue()
+    assert "Traceback" not in err
+    if code == 1:
+        assert out == "" and err.count("\n") == 1
+        assert f"stream.csv:{lineno}:" in err
+    else:
+        assert code in (0, 2, 3) and json.loads(out)["trials"] == 200
 
 
 def _sixteen_cell_table(path):

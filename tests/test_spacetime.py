@@ -1,5 +1,8 @@
+import csv
 import math
 import time
+from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,21 +10,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st_
 
 from rbell.errors import StreamFormatError, UndefinedTimeError
+from rbell.estimation import TrialLog
+from rbell.scenarios import classify_fractions
 from rbell.spacetime import (
     EqualityClass,
     Geometry,
-    Intervention,
     InterventionStream,
     SettingLabel,
     SettingSchedule,
     SwitchTable,
-    classify_trial,
     load_interventions,
     normalize_angle,
     parse_angle,
-    predictive_retarded,
-    simple_retarded,
-    value_at,
 )
 
 A = SettingLabel("a", 0.0)
@@ -32,6 +32,120 @@ B2 = SettingLabel("b2", math.pi / 4)
 
 def geom(L=2.0, c=1.0, t1=6.0, t2=6.0, t0=0.0):
     return Geometry(separation=L, signal_speed=c, t1=t1, t2=t2, t0=t0)
+
+
+# ----------------------------------------------------------------------
+# Scalar oracles: one intervention per object, one trial per call
+# ----------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Intervention:
+    """One externally sourced setting change, decided at ``decision_time``
+    and in force from ``decision_time + delay``."""
+
+    station: int
+    decision_time: float
+    delay: float
+    new_label: SettingLabel
+    source_tag: str = ""
+
+    def __post_init__(self) -> None:
+        if self.station not in (1, 2):
+            raise ValueError("station must be 1 or 2")
+        if not math.isfinite(self.decision_time):
+            raise ValueError("decision time must be finite")
+        if not math.isfinite(self.delay):
+            raise ValueError("delay must be finite")
+        if self.delay < 0:
+            raise ValueError("delay must be non-negative")
+
+
+def from_interventions(station, interventions):
+    """A stream of row objects, with labels in order of first use."""
+    labels, index_of, idxs = [], {}, []
+    for iv in interventions:
+        assert iv.station == station
+        if iv.new_label.id not in index_of:
+            index_of[iv.new_label.id] = len(labels)
+            labels.append(iv.new_label)
+        idxs.append(index_of[iv.new_label.id])
+    return InterventionStream(
+        station,
+        np.array([iv.decision_time for iv in interventions], dtype=np.float64),
+        np.array([iv.delay for iv in interventions], dtype=np.float64),
+        np.array(idxs, dtype=np.int64),
+        labels,
+    )
+
+
+def stream1(*interventions):
+    return from_interventions(1, interventions)
+
+
+def load_rows(path, palette, station):
+    """Row-by-row stream-file reader: one :class:`Intervention` per row of
+    ``station``, made into a stream.  Rows of the other station get every
+    check but the label lookup."""
+    header_names = ["station", "decision_time", "delay", "label", "source_tag"]
+    path = Path(path)
+    out = []
+    with path.open(newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or [h.strip() for h in header] != header_names:
+            raise StreamFormatError(f"{path}: expected header {','.join(header_names)!r}")
+        for lineno, row in enumerate(reader, start=2):
+            if not row or all(not c.strip() for c in row):
+                continue
+            if len(row) != 5:
+                raise StreamFormatError(f"{path}:{lineno}: expected 5 columns")
+            try:
+                st = int(row[0])
+                decision = float(row[1])
+                delay = float(row[2])
+            except ValueError as exc:
+                raise StreamFormatError(f"{path}:{lineno}: {exc}") from None
+            if st not in (1, 2):
+                raise StreamFormatError(f"{path}:{lineno}: station must be 1 or 2")
+            label = None
+            if st == station:
+                label_id = row[3].strip()
+                if label_id not in palette:
+                    raise StreamFormatError(f"{path}:{lineno}: unknown label {label_id!r}")
+                label = palette[label_id]
+            try:
+                iv = Intervention(st, decision, delay, label, row[4].strip())
+            except ValueError as exc:
+                raise StreamFormatError(f"{path}:{lineno}: {exc}") from None
+            if st == station:
+                out.append(iv)
+    return from_interventions(station, out)
+
+
+def simple_retarded(schedule, t_meas, geometry):
+    """Far-station setting one light-crossing time before ``t_meas``."""
+    return schedule.value_at(t_meas - geometry.retardation)
+
+
+def predictive_retarded(schedule, t_target, t_observer_meas, geometry):
+    """Far-station setting predicted for ``t_target`` from the observer's
+    past cone: interventions decided after ``t_observer_meas - L/c`` are
+    dropped."""
+    return schedule.predictive_value_at(t_target, t_observer_meas - geometry.retardation)
+
+
+def classify_trial(a, a_r, b, b_r):
+    """Compare each station's actual setting with its retarded value (by id)."""
+    eq1 = a.id == a_r.id
+    eq2 = b.id == b_r.id
+    if eq1 and eq2:
+        return EqualityClass.BOTH_EQUAL
+    if eq1:
+        return EqualityClass.ONLY_1_EQUAL
+    if eq2:
+        return EqualityClass.ONLY_2_EQUAL
+    return EqualityClass.NEITHER_EQUAL
 
 
 # ----------------------------------------------------------------------
@@ -106,7 +220,7 @@ def test_value_at_right_continuous_at_switch():
 
 def test_value_at_intervention_effect_time():
     iv = Intervention(station=1, decision_time=4.0, delay=1.0, new_label=A2)
-    sched = SettingSchedule(station=1, start=0.0, initial=A, interventions=(iv,))
+    sched = SettingSchedule(station=1, start=0.0, initial=A, interventions=stream1(iv))
     assert sched.value_at(4.5).id == "a"
     assert sched.value_at(5.0).id == "a2"
 
@@ -122,7 +236,7 @@ def test_value_at_before_start_raises():
 def test_base_switch_overrides_earlier_intervention():
     iv = Intervention(station=1, decision_time=2.0, delay=0.0, new_label=A2)
     sched = SettingSchedule(
-        station=1, start=0.0, initial=A, switches=((3.0, A),), interventions=(iv,)
+        station=1, start=0.0, initial=A, switches=((3.0, A),), interventions=stream1(iv)
     )
     assert sched.value_at(2.5).id == "a2"
     assert sched.value_at(3.0).id == "a"
@@ -131,7 +245,7 @@ def test_base_switch_overrides_earlier_intervention():
 def test_tie_intervention_wins_over_base_switch():
     iv = Intervention(station=1, decision_time=3.0, delay=0.0, new_label=B2)
     sched = SettingSchedule(
-        station=1, start=0.0, initial=A, switches=((3.0, A2),), interventions=(iv,)
+        station=1, start=0.0, initial=A, switches=((3.0, A2),), interventions=stream1(iv)
     )
     assert sched.value_at(3.0).id == "b2"
 
@@ -163,7 +277,9 @@ def test_vectorized_matches_scalar():
         Intervention(station=1, decision_time=float(d), delay=float(rng.uniform(0, 1)), new_label=B2)
         for d in np.sort(rng.uniform(1, 9, 5))
     )
-    sched = SettingSchedule(station=1, start=0.0, initial=A, switches=switches, interventions=ivs)
+    sched = SettingSchedule(
+        station=1, start=0.0, initial=A, switches=switches, interventions=stream1(*ivs)
+    )
     ts = rng.uniform(0, 10, 200)
     idx = sched.value_index_at(ts)
     for t, k in zip(ts, idx):
@@ -224,7 +340,7 @@ def test_predictive_equals_value_at_without_interventions():
 
 def test_predictive_drops_late_intervention():
     iv = Intervention(station=1, decision_time=5.5, delay=0.0, new_label=A2)
-    sched = SettingSchedule(station=1, start=0.0, initial=A, interventions=(iv,))
+    sched = SettingSchedule(station=1, start=0.0, initial=A, interventions=stream1(iv))
     g = geom()
     # cutoff = 6 - 2 = 4 < 5.5, so the intervention is invisible
     assert predictive_retarded(sched, 6.0, 6.0, g).id == "a"
@@ -242,7 +358,7 @@ def test_predictive_coincides_with_simple_for_delay_zero():
         )
         for i, d in enumerate(np.sort(rng.uniform(-8, 10, 12)))
     )
-    sched = SettingSchedule(station=1, start=-10.0, initial=A, interventions=ivs)
+    sched = SettingSchedule(station=1, start=-10.0, initial=A, interventions=stream1(*ivs))
     g = geom()
     for t in rng.uniform(0, 10, 100):
         t = float(t)
@@ -261,7 +377,7 @@ def test_delay_control_restores_actual():
         )
         for i, d in enumerate(np.sort(rng.uniform(-8, 10, 12)))
     )
-    sched = SettingSchedule(station=1, start=-10.0, initial=A, interventions=ivs)
+    sched = SettingSchedule(station=1, start=-10.0, initial=A, interventions=stream1(*ivs))
     g = geom()
     for t in rng.uniform(0, 10, 100):
         t = float(t)
@@ -313,9 +429,9 @@ def test_predictive_vector_matches_scalar_with_mixed_delays():
     )
     switches = ((1.0, A2), (6.0, A))
     sched = SettingSchedule(
-        station=1, start=-10.0, initial=A, switches=switches, interventions=ivs
+        station=1, start=-10.0, initial=A, switches=switches, interventions=stream1(*ivs)
     )
-    assert not sched.interventions.effects_monotone
+    assert np.any(np.diff(sched.interventions.effect_times) < 0)
     ts = rng.uniform(0, 10, 80)
     out = sched.predictive_index_at(ts, ts - 2.0)
     for t, k in zip(ts, out):
@@ -368,9 +484,8 @@ def test_predictive_matches_oracle(case):
         start=-5.0,
         initial=A,
         switches=switches,
-        interventions=tuple(
-            Intervention(station=1, decision_time=d, delay=x, new_label=lbl)
-            for d, x, lbl in ivs
+        interventions=stream1(
+            *(Intervention(station=1, decision_time=d, delay=x, new_label=lbl) for d, x, lbl in ivs)
         ),
     )
     cutoffs = np.array([c for c, _ in trials])
@@ -401,8 +516,8 @@ def test_schedule_from_columns_matches_schedule_from_pairs(case):
     table, ivs, trials = case
     pairs = tuple((t, table.labels[i]) for t, i in zip(table.times, table.label_indices))
     assert list(table) == list(pairs)
-    interventions = tuple(
-        Intervention(station=1, decision_time=d, delay=x, new_label=lbl) for d, x, lbl in ivs
+    interventions = stream1(
+        *(Intervention(station=1, decision_time=d, delay=x, new_label=lbl) for d, x, lbl in ivs)
     )
     by_columns, by_pairs = (
         SettingSchedule(station=1, start=-5.0, initial=A, switches=sw, interventions=interventions)
@@ -438,7 +553,7 @@ def test_predictive_scales_with_mixed_delays():
         label_indices=rng.integers(0, 2, n),
         labels=(A2, B2),
     )
-    assert not stream.effects_monotone
+    assert np.any(np.diff(stream.effect_times) < 0)
     sched = SettingSchedule(station=1, start=-1.0, initial=A, interventions=stream)
     ts = np.arange(n, dtype=np.float64)
     t0 = time.perf_counter()
@@ -469,71 +584,61 @@ def test_classify_trial(quad, expected):
     assert classify_trial(a, a_r, b, b_r) is expected
 
 
-# ----------------------------------------------------------------------
-# intervention stream files
-# ----------------------------------------------------------------------
+@settings(max_examples=100, deadline=None)
+@given(st_.lists(st_.tuples(*[st_.integers(0, 3)] * 4), min_size=1, max_size=30))
+def test_classify_fractions_matches_classify_trial(rows):
+    a, b, a_r, b_r = (np.array(col) for col in zip(*rows))
+    n = len(rows)
+    log = TrialLog(PALETTE, np.zeros(n), np.zeros(n), a, b, a_r, b_r, np.ones(n), np.ones(n))
+    counts = dict.fromkeys((c.value for c in EqualityClass), 0)
+    for i, k, j, m in rows:
+        counts[classify_trial(PALETTE[i], PALETTE[j], PALETTE[k], PALETTE[m]).value] += 1
+    assert classify_fractions(log) == {key: c / n for key, c in counts.items()}
 
 
-def test_load_interventions_roundtrip(tmp_path):
-    path = tmp_path / "stream.csv"
-    path.write_text(
-        "station,decision_time,delay,label,source_tag\n"
-        "1,3.0,0.0,a2,button\n"
-        "2,4.0,0.5,b2,button\n"
+@settings(max_examples=200, deadline=None)
+@given(predictive_cases(), st_.sampled_from([0.5, 2.0]))
+def test_retarded_lookups_match_scalar_oracles(case, tau):
+    # the run's vector lookups: simple at t - L/c, predictive with the
+    # other station's cutoff
+    ivs, switches, trials = case
+    sched = SettingSchedule(
+        station=1,
+        start=-8.0,
+        initial=A,
+        switches=switches,
+        interventions=stream1(
+            *(Intervention(station=1, decision_time=d, delay=x, new_label=lbl) for d, x, lbl in ivs)
+        ),
     )
-    palette = {"a2": A2, "b2": B2}
-    ivs = load_interventions(path, palette)
-    assert len(ivs) == 2
-    assert ivs[0].station == 1 and ivs[0].new_label.id == "a2"
-    assert ivs[1].effect_time == pytest.approx(4.5)
-    only1 = load_interventions(path, palette, station=1)
-    assert len(only1) == 1
+    g = Geometry(separation=tau, signal_speed=1.0, t1=0.0, t2=0.0, t0=-10.0)
+    t1 = np.array([max(c, -2.0) for c, _ in trials])
+    t2 = t1 - np.array([gap for _, gap in trials]) / 4
+    simple = sched.value_index_at(t1 - tau)
+    predictive = sched.predictive_index_at(t1, t2 - tau)
+    for i in range(t1.size):
+        assert sched.distinct_labels[simple[i]] is simple_retarded(sched, t1[i], g)
+        want = predictive_retarded(sched, t1[i], t2[i], g)
+        assert sched.distinct_labels[predictive[i]] is want
 
 
-def test_load_interventions_shared_file(tmp_path):
-    path = tmp_path / "stream.csv"
-    text = (
-        "station,decision_time,delay,label,source_tag\n"
-        "1,3.0,0.0,a2,button\n"
-        "2,4.0,0.5,b2,button\n"
-        "1,5.0,1.0,a,button\n"
+# ----------------------------------------------------------------------
+# intervention streams
+# ----------------------------------------------------------------------
+
+
+def test_intervention_stream_from_objects_matches():
+    ivs = (
+        Intervention(station=1, decision_time=5.0, delay=1.0, new_label=A2, source_tag="x"),
+        Intervention(station=1, decision_time=2.0, delay=0.0, new_label=B2, source_tag="y"),
+        Intervention(station=1, decision_time=5.0, delay=0.5, new_label=B2),
     )
-    path.write_text(text)
-    one = load_interventions(path, {"a": A, "a2": A2}, station=1)
-    two = load_interventions(path, {"b": B, "b2": B2}, station=2)
-    assert [iv.new_label.id for iv in one] == ["a2", "a"]
-    assert [iv.new_label.id for iv in two] == ["b2"]
-    # rows of the other station are still parsed
-    for bad in ("2,oops,0.0,b2,button", "3,1.0,0.0,a,button"):
-        path.write_text(text + bad + "\n")
-        with pytest.raises(StreamFormatError, match=r"stream\.csv:5:"):
-            load_interventions(path, {"a": A, "a2": A2}, station=1)
-
-
-def test_load_interventions_header_required(tmp_path):
-    path = tmp_path / "stream.csv"
-    path.write_text("1,3.0,0.0,a2,button\n")
-    with pytest.raises(StreamFormatError):
-        load_interventions(path, {"a2": A2})
-
-
-@pytest.mark.parametrize(
-    "row",
-    [
-        "1,oops,0.0,a2,button",
-        "1,3.0,-1.0,a2,button",
-        "1,3.0,0.0,nope,button",
-        "1,3.0,0.0,a2",
-        "1,nan,0.0,a2,button",
-        "1,3.0,inf,a2,button",
-        "1,3.0,nan,a2,button",
-    ],
-)
-def test_load_interventions_malformed_rows(tmp_path, row):
-    path = tmp_path / "stream.csv"
-    path.write_text("station,decision_time,delay,label,source_tag\n" + row + "\n")
-    with pytest.raises(StreamFormatError, match=r"stream\.csv:2:"):
-        load_interventions(path, {"a2": A2})
+    stream = from_interventions(1, ivs)
+    assert stream.labels == (A2, B2)
+    # sorted by decision time; equal decision times keep their order
+    assert stream.decision_times.tolist() == [2.0, 5.0, 5.0]
+    assert stream.effect_times.tolist() == [2.0, 6.0, 5.5]
+    assert stream.label_indices.tolist() == [1, 0, 1]
 
 
 @pytest.mark.parametrize(
@@ -554,16 +659,159 @@ def test_intervention_rejects_bad_timing(decision, delay, message):
             InterventionStream(1, np.array([0.0, decision]), delays, np.array([0, 0]), (A2,))
 
 
-def test_intervention_stream_from_objects_matches():
-    ivs = (
-        Intervention(station=1, decision_time=5.0, delay=1.0, new_label=A2, source_tag="x"),
-        Intervention(station=1, decision_time=2.0, delay=0.0, new_label=B2, source_tag="y"),
-    )
-    stream = InterventionStream.from_interventions(1, ivs)
-    assert stream.effects_monotone  # sorted by decision, uniform-ish delays
-    back = stream.to_interventions()
-    assert [iv.decision_time for iv in back] == [2.0, 5.0]
-    assert back[1].source_tag == "x"
+@pytest.mark.parametrize(
+    "decisions,delays,picks,message",
+    [
+        ([1.0], 0.0, [-1], "out of range"),
+        ([1.0], 0.0, [1], "out of range"),
+        ([1.0, 2.0], [0.0, 0.5, 1.0], [0, 0], "one length"),
+        ([1.0, 2.0], [0.0], [0, 0], "one length"),
+        ([1.0, 2.0], 0.0, [0], "one length"),
+        ([[1.0, 2.0]], 0.0, [[0, 0]], "one length"),
+        (1.0, 0.0, 0, "one length"),
+    ],
+    ids=["negative-index", "index-past-labels", "long-delays", "short-delays",
+         "short-indices", "two-d", "scalar-times"],
+)
+def test_intervention_stream_rejects_malformed_columns(decisions, delays, picks, message):
+    with pytest.raises(ValueError, match=message):
+        InterventionStream(1, decisions, delays, picks, (A2,))
+
+
+def test_schedule_interventions_must_be_a_stream():
+    iv = Intervention(station=1, decision_time=1.0, delay=0.0, new_label=A2)
+    with pytest.raises(TypeError, match="InterventionStream or None"):
+        SettingSchedule(station=1, start=0.0, initial=A, interventions=(iv,))
+    with pytest.raises(ValueError, match="station"):
+        SettingSchedule(station=2, start=0.0, initial=A, interventions=stream1(iv))
+    assert len(SettingSchedule(station=2, start=0.0, initial=A).interventions) == 0
+
+
+# ----------------------------------------------------------------------
+# intervention stream files
+# ----------------------------------------------------------------------
+
+HEADER = "station,decision_time,delay,label,source_tag\n"
+
+
+def stream_rows(stream):
+    return [
+        (t, e, stream.labels[k].id)
+        for t, e, k in zip(stream.decision_times, stream.effect_times, stream.label_indices)
+    ]
+
+
+def test_load_interventions_roundtrip(tmp_path):
+    path = tmp_path / "stream.csv"
+    path.write_text(HEADER + "1,3.0,0.0,a2,button\n2,4.0,0.5,b2,button\n")
+    palette = {"a2": A2, "b2": B2}
+    one = load_interventions(path, palette, 1)
+    two = load_interventions(path, palette, 2)
+    assert (one.station, two.station) == (1, 2)
+    assert stream_rows(one) == [(3.0, 3.0, "a2")]
+    assert stream_rows(two) == [(4.0, 4.5, "b2")]
+
+
+def test_load_interventions_shared_file(tmp_path):
+    path = tmp_path / "stream.csv"
+    text = HEADER + "1,3.0,0.0,a2,button\n2,4.0,0.5,b2,button\n1,5.0,1.0,a,button\n"
+    path.write_text(text)
+    one = load_interventions(path, {"a": A, "a2": A2}, 1)
+    two = load_interventions(path, {"b": B, "b2": B2}, 2)
+    assert [lbl for _, _, lbl in stream_rows(one)] == ["a2", "a"]
+    assert [lbl for _, _, lbl in stream_rows(two)] == ["b2"]
+    # rows of the other station are still parsed and checked, all but
+    # their label
+    for bad in ("2,oops,0.0,b2,button", "3,1.0,0.0,a,button", "2,nan,-5,zz,x"):
+        path.write_text(text + bad + "\n")
+        with pytest.raises(StreamFormatError, match=r"stream\.csv:5:"):
+            load_interventions(path, {"a": A, "a2": A2}, 1)
+    path.write_text(text + "2,1.0,0.0,zz,x\n")
+    assert stream_rows(load_interventions(path, {"a": A, "a2": A2}, 1)) == stream_rows(one)
+
+
+def test_load_interventions_header_required(tmp_path):
+    path = tmp_path / "stream.csv"
+    path.write_text("1,3.0,0.0,a2,button\n")
+    with pytest.raises(StreamFormatError):
+        load_interventions(path, {"a2": A2}, 1)
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        "1,oops,0.0,a2,button",
+        "1,3.0,-1.0,a2,button",
+        "1,3.0,0.0,nope,button",
+        "1,3.0,0.0,a2",
+        "1,nan,0.0,a2,button",
+        "1,3.0,inf,a2,button",
+        "1,3.0,nan,a2,button",
+    ],
+)
+def test_load_interventions_malformed_rows(tmp_path, row):
+    path = tmp_path / "stream.csv"
+    path.write_text(HEADER + row + "\n")
+    with pytest.raises(StreamFormatError, match=r"stream\.csv:2:"):
+        load_interventions(path, {"a2": A2}, 1)
+
+
+PALETTES = {1: {"a": A, "a2": A2}, 2: {"b": B, "b2": B2}}
+#: One field's replacement in a bad row, or a row of the wrong length.
+BAD_FIELDS = ["", " ", "nan", "-1", "1e400", "abc", "9" * 400, "zz", "3", "-inf", "a", "b2"]
+
+
+@st_.composite
+def stream_files(draw):
+    """A stream file of both stations on grid times (so equal decision and
+    effect times occur), with blank lines and at most one bad row."""
+    lines = []
+    for _ in range(draw(st_.integers(0, 14))):
+        kind = draw(st_.integers(0, 9))
+        if kind == 0:
+            lines.append(draw(st_.sampled_from(["", " ", " , , , , ", ",,,,"])))
+            continue
+        station = draw(st_.sampled_from([1, 2]))
+        decision = draw(_on_grid(-6, 6))
+        delay = draw(_on_grid(0, 3))
+        label = draw(st_.sampled_from(sorted(PALETTES[station])))
+        lines.append(f"{station},{decision!r},{delay!r},{label},tag")
+    if draw(st_.booleans()):
+        fields = [draw(st_.sampled_from(["1", "2"])), "1.0", "0.5", "a", "tag"]
+        if draw(st_.booleans()):
+            fields[draw(st_.integers(0, 4))] = draw(st_.sampled_from(BAD_FIELDS))
+        else:
+            fields = fields[:4] if draw(st_.booleans()) else fields + ["x"]
+        lines.insert(draw(st_.integers(0, len(lines))), ",".join(fields))
+    return HEADER + "".join(line + "\n" for line in lines)
+
+
+def _outcome(load, path, station):
+    try:
+        return load(path, PALETTES[station], station)
+    except StreamFormatError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(stream_files())
+# equal decision times keep file order
+@example(HEADER + "1,1.0,1.0,a2,x\n1,1.0,0.0,a,x\n1,0.5,0.5,a2,x\n")
+# a bad row of the other station after a blank line
+@example(HEADER + "1,1.0,1.0,a2,x\n\n2,nan,-5,zz,x\n")
+def test_load_interventions_matches_row_loader(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("stream") / "stream.csv"
+    path.write_text(text)
+    for station in (1, 2):
+        got = _outcome(load_interventions, path, station)
+        want = _outcome(load_rows, path, station)
+        if isinstance(want, str):
+            assert got == want
+            continue
+        assert got.station == station and got.labels == want.labels
+        for name in ("decision_times", "effect_times", "label_indices"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
 @settings(max_examples=30, deadline=None)
