@@ -27,14 +27,9 @@ class MissingCellError(CellError):
 class InsufficientCellError(CellError):
     """A required cell exists but has too few trials to be trusted."""
 
-    def __init__(self, key, count: int, min_count: int | None = None):
-        detail = f" (minimum {min_count})" if min_count is not None else ""
-        super().__init__(
-            key,
-            f"cell {tuple(key)!r} has only {count} trials{detail}",
-        )
+    def __init__(self, key, count: int):
+        super().__init__(key, f"cell {tuple(key)!r} has only {count} trials")
         self.count = count
-        self.min_count = min_count
 
 
 class UnknownModelError(RbellError):

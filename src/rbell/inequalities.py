@@ -392,17 +392,10 @@ def averaged_chsh(
             var += (w * cell.standard_error) ** 2
         return Correlation(est, math.sqrt(var))
 
-    terms = [
-        (1.0, averaged(a2, b2)),
-        (1.0, averaged(a2, b)),
-        (1.0, averaged(a, b2)),
-        (-1.0, averaged(a, b)),
-    ]
+    ids = {"a": a, "a2": a2, "b": b, "b2": b2}
+    terms = [(sign, averaged(ids[x], ids[y])) for sign, (x, y, _, _) in CHSH_TERMS]
     value, se = _combine(terms)
-    inputs = {
-        "a": a, "a2": a2, "b": b, "b2": b2,
-        "weights_independent": str(weights_independent),
-    }
+    inputs = {**ids, "weights_independent": str(weights_independent)}
     return _report("averaged_chsh", value, -2.0, 2.0, se, inputs)
 
 

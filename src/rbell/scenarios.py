@@ -190,21 +190,21 @@ _RUN_KEYS = {
 }
 
 
-def _parse_labels(path: Path, key: str, text: str) -> dict[str, float]:
+def _parse_labels(key: str, text: str) -> dict[str, float]:
     out: dict[str, float] = {}
     for item in text.split(","):
         item = item.strip()
         if not item:
             continue
         if "=" not in item:
-            raise ConfigError(f"{path}: {key} entry {item!r} must look like id=angle")
+            raise ConfigError(f"{key} entry {item!r} must look like id=angle")
         lid, ang = item.split("=", 1)
         try:
             out[lid.strip()] = parse_angle(ang.strip())
         except ValueError as exc:
-            raise ConfigError(f"{path}: {key} must be id=angle entries; {exc}") from None
+            raise ConfigError(f"{key} must be id=angle entries; {exc}") from None
     if not out:
-        raise ConfigError(f"{path}: {key} is an empty label list")
+        raise ConfigError(f"{key} is an empty label list")
     return out
 
 
@@ -212,18 +212,18 @@ def _parse_id_list(text: str) -> tuple[str, ...]:
     return tuple(s.strip() for s in text.split(",") if s.strip())
 
 
-def _parse_number(path: Path, key: str, text: str, kind: type = float):
+def _parse_number(key: str, text: str, kind: type = float):
     """``text`` as ``kind`` (float or int); a malformed value raises a
-    ``ConfigError`` naming the file and the ``section.key``."""
+    ``ConfigError`` naming the ``section.key``."""
     try:
         return kind(text)
     except ValueError:
         expected = "an integer" if kind is int else "a number"
-        raise ConfigError(f"{path}: {key} must be {expected}, got {text!r}") from None
+        raise ConfigError(f"{key} must be {expected}, got {text!r}") from None
 
 
 def _station_from_section(
-    station: int, sec: configparser.SectionProxy, path: Path
+    station: int, sec: configparser.SectionProxy, config_dir: Path
 ) -> StationConfig:
     unknown = set(sec) - _STATION_KEYS
     if unknown:
@@ -234,14 +234,14 @@ def _station_from_section(
     stream_path = None
     if "file" in sec:
         p = Path(sec["file"].strip())
-        stream_path = str(p if p.is_absolute() else path.parent / p)
+        stream_path = str(p if p.is_absolute() else config_dir / p)
 
     def number(key: str, default: Optional[float]) -> Optional[float]:
-        return _parse_number(path, f"station{station}.{key}", sec[key]) if key in sec else default
+        return _parse_number(f"station{station}.{key}", sec[key]) if key in sec else default
 
     return StationConfig(
         station=station,
-        labels=_parse_labels(path, f"station{station}.labels", sec["labels"]),
+        labels=_parse_labels(f"station{station}.labels", sec["labels"]),
         kind=kind,
         period=number("period", None),
         phase=number("phase", 0.0),
@@ -254,7 +254,10 @@ def _station_from_section(
 
 
 def load_config(path: Union[str, Path]) -> ScenarioConfig:
-    """Parse a scenario config file (ini-style sections, strict keys)."""
+    """Parse a scenario config file (ini-style sections, strict keys).
+
+    Every fault is one :class:`ConfigError` naming the file.
+    """
     path = Path(path)
     parser = configparser.ConfigParser(interpolation=None)
     try:
@@ -262,7 +265,15 @@ def load_config(path: Union[str, Path]) -> ScenarioConfig:
             parser.read_file(fh)
     except (OSError, configparser.Error) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    try:
+        return _config_from_parser(parser, path.parent)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
+
+def _config_from_parser(
+    parser: configparser.ConfigParser, config_dir: Path
+) -> ScenarioConfig:
     required = {"geometry", "model", "station1", "station2", "run"}
     present = set(parser.sections())
     if present != required:
@@ -273,7 +284,7 @@ def load_config(path: Union[str, Path]) -> ScenarioConfig:
             parts.append(f"missing sections {sorted(missing)}")
         if extra:
             parts.append(f"unknown sections {sorted(extra)}")
-        raise ConfigError(f"{path}: " + "; ".join(parts))
+        raise ConfigError("; ".join(parts))
 
     geo = parser["geometry"]
     unknown = set(geo) - _GEOMETRY_KEYS
@@ -289,15 +300,15 @@ def load_config(path: Union[str, Path]) -> ScenarioConfig:
         raise ConfigError(f"unknown keys in [run]: {sorted(unknown)}")
 
     try:
-        separation = _parse_number(path, "geometry.separation", geo["separation"])
-        signal_speed = _parse_number(path, "geometry.signal_speed", geo["signal_speed"])
-        t0 = _parse_number(path, "geometry.t0", geo["t0"])
-        n_trials = _parse_number(path, "run.n_trials", run["n_trials"], int)
-        spacing = _parse_number(path, "run.spacing", run["spacing"])
-        start = _parse_number(path, "run.start", run.get("start", "0.0"))
-        seed = _parse_number(path, "run.seed", run.get("seed", "0"), int)
+        separation = _parse_number("geometry.separation", geo["separation"])
+        signal_speed = _parse_number("geometry.signal_speed", geo["signal_speed"])
+        t0 = _parse_number("geometry.t0", geo["t0"])
+        n_trials = _parse_number("run.n_trials", run["n_trials"], int)
+        spacing = _parse_number("run.spacing", run["spacing"])
+        start = _parse_number("run.start", run.get("start", "0.0"))
+        seed = _parse_number("run.seed", run.get("seed", "0"), int)
         if seed < 0:
-            raise ConfigError(f"{path}: run.seed must be non-negative, got {seed}")
+            raise ConfigError(f"run.seed must be non-negative, got {seed}")
         geometry = Geometry(
             separation=separation,
             signal_speed=signal_speed,
@@ -306,9 +317,9 @@ def load_config(path: Union[str, Path]) -> ScenarioConfig:
             t0=t0,
         )
     except KeyError as exc:
-        raise ConfigError(f"{path}: missing required key {exc}") from None
+        raise ConfigError(f"missing required key {exc}") from None
     except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+        raise ConfigError(str(exc)) from None
 
     quartet = _parse_id_list(run.get("quartet", ""))
     if len(quartet) != 4:
@@ -317,8 +328,8 @@ def load_config(path: Union[str, Path]) -> ScenarioConfig:
     return ScenarioConfig(
         geometry=geometry,
         model=model_sec.get("name", "").strip() or "hardy-singlet",
-        station1=_station_from_section(1, parser["station1"], path),
-        station2=_station_from_section(2, parser["station2"], path),
+        station1=_station_from_section(1, parser["station1"], config_dir),
+        station2=_station_from_section(2, parser["station2"], config_dir),
         quartet=(quartet[0], quartet[1], quartet[2], quartet[3]),
         n_trials=n_trials,
         spacing=spacing,
@@ -326,9 +337,9 @@ def load_config(path: Union[str, Path]) -> ScenarioConfig:
         seed=seed,
         retarded_definition=run.get("retarded_definition", "simple").strip(),
         intervention_delay=_parse_number(
-            path, "run.intervention_delay", run.get("intervention_delay", "0")
+            "run.intervention_delay", run.get("intervention_delay", "0")
         ),
-        min_count=_parse_number(path, "run.min_count", run.get("min_count", "100"), int),
+        min_count=_parse_number("run.min_count", run.get("min_count", "100"), int),
     )
 
 

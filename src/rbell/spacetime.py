@@ -307,49 +307,33 @@ class SettingSchedule:
         return tuple(labels)
 
     @cached_property
-    def _label_index(self) -> dict[str, int]:
-        return {lbl.id: i for i, lbl in enumerate(self.distinct_labels)}
+    def _timeline(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every event in rank order: its time, its decision index and the
+        label index it sets.
 
-    @cached_property
-    def _base(self) -> tuple[np.ndarray, np.ndarray]:
-        """Base-only event times and the label index after each event."""
-        sw = self.switches
-        # a label no switch sets is not distinct; its entry is never read
-        index = self._label_index
-        lookup = np.array([index.get(lbl.id, -1) for lbl in sw.labels], dtype=np.int64)
-        return sw.times, np.concatenate(([0], lookup[sw.label_indices]))
-
-    @cached_property
-    def _intervention_labels(self) -> np.ndarray:
-        """Label index of each intervention, in decision order.  It lives as
-        long as the schedule, so it takes the smallest unsigned dtype."""
-        iv = self.interventions
-        dtype = np.min_scalar_type(len(self.distinct_labels))
-        labels = np.array([self._label_index[lbl.id] for lbl in iv.labels], dtype=dtype)
-        return labels[iv.label_indices]
-
-    @cached_property
-    def _merged(self) -> tuple[np.ndarray, np.ndarray]:
-        """Full effective timeline: event times and label-after indices.
-
-        Ties sort base events before intervention effects so that a
-        right-closed lookup lets the intervention win.
+        Event 0 is the initial label at -inf; the base switches and then the
+        intervention effects follow.  Base events have decision index -1.
+        One stable sort ranks them, and it is the whole tie policy: at
+        equal times base switches rank before interventions and
+        interventions keep decision order, so the later-ranked event is in
+        force.  The arrays live as long as the schedule, so labels take the
+        smallest unsigned dtype and decision indices int32.
         """
-        bt, bidx = self._base
-        iv = self.interventions
-        eff = iv.effect_times
-        if len(iv) == 0:
-            return bt, bidx
-        ilab = self._intervention_labels
-        if bt.size == 0:
-            order = np.argsort(eff, kind="stable")
-            return eff[order], np.concatenate(([0], ilab[order]))
-        times = np.concatenate([bt, eff])
-        labels = np.concatenate([bidx[1:], ilab])
-        prio = np.concatenate([np.zeros(bt.size), np.ones(eff.size)])
-        seq = np.arange(times.size)
-        order = np.lexsort((seq, prio, times))
-        return times[order], np.concatenate(([0], labels[order]))
+        sw, iv = self.switches, self.interventions
+        dtype = np.min_scalar_type(len(self.distinct_labels))
+        index = {lbl.id: i for i, lbl in enumerate(self.distinct_labels)}
+        # a label no switch sets is not distinct; its entry is never read
+        sw_labels = np.array([index.get(lbl.id, 0) for lbl in sw.labels], dtype=dtype)
+        iv_labels = np.array([index[lbl.id] for lbl in iv.labels], dtype=dtype)
+        times = np.concatenate(([-np.inf], sw.times, iv.effect_times))
+        decisions = np.concatenate(
+            (np.full(1 + len(sw), -1, np.int32), np.arange(len(iv), dtype=np.int32))
+        )
+        labels = np.concatenate(
+            (np.zeros(1, dtype), sw_labels[sw.label_indices], iv_labels[iv.label_indices])
+        )
+        order = np.argsort(times, kind="stable")
+        return times[order], decisions[order], labels[order]
 
     # ------------------------------------------------------------------
     # Evaluation
@@ -362,18 +346,8 @@ class SettingSchedule:
             raise UndefinedTimeError(
                 f"time {times.min()} precedes the timeline start {self.start}"
             )
-        ts, labels = self._merged
-        return labels[np.searchsorted(ts, times, side="right")]
-
-    def value_at(self, t: float) -> SettingLabel:
-        """Effective label at time ``t`` (right-continuous)."""
-        if t < self.start:
-            raise UndefinedTimeError(
-                f"time {t} precedes the timeline start {self.start} (station {self.station})"
-            )
-        ts, labels = self._merged
-        k = int(np.searchsorted(ts, t, side="right"))
-        return self.distinct_labels[int(labels[k])]
+        ts, _, labels = self._timeline
+        return labels[np.searchsorted(ts, times, side="right") - 1]
 
     def predictive_value_at(self, t_target: float, cutoff: float) -> SettingLabel:
         """Label at ``t_target`` of the timeline with late interventions dropped.
@@ -390,13 +364,14 @@ class SettingSchedule:
     ) -> np.ndarray:
         """Vectorized :meth:`predictive_value_at`; returns label indices.
 
-        Interventions are ranked by (effect time, decision order).  For a
-        trial, the first ``pos`` ranks have taken effect by the target and
-        the first ``jd`` decisions were made by the cutoff; the winner is
-        the largest rank below ``pos`` whose decision index is below
-        ``jd``, unless a later base switch is in force.  Binary lifting
-        over a sparse table of range minima of the decision index finds
-        it in O(log M) steps per trial, O((N + M) log M) in all.
+        For a trial, the first ``pos`` ranks of the timeline have taken
+        effect by the target and the first ``jd`` decisions were made by
+        the cutoff; the winner is the largest rank below ``pos`` whose
+        decision index is below ``jd``.  Base events (index -1) always
+        qualify, so the initial label at rank 0 ends every search.  Binary
+        lifting over a sparse table of range minima of the decision index
+        finds the winner in O(log E) steps per trial for E base switches
+        and interventions, O((N + E) log E) in all.
         """
         t_targets = np.asarray(t_targets, dtype=np.float64)
         cutoffs = np.asarray(cutoffs, dtype=np.float64)
@@ -406,38 +381,28 @@ class SettingSchedule:
             )
         if np.any(t_targets < cutoffs):
             raise ValueError("prediction target must not precede the cutoff")
-        bt, bidx = self._base
-        kb = np.searchsorted(bt, t_targets, side="right")
-        base_label = bidx[kb]
-        iv = self.interventions
-        if len(iv) == 0:
-            return base_label
-        # stable sort: equal effect times keep decision order, so the
-        # later decision ranks higher
-        order = np.argsort(iv.effect_times, kind="stable").astype(np.int32)
-        pos = np.searchsorted(iv.effect_times[order], t_targets, side="right")
-        jd = np.searchsorted(iv.decision_times, cutoffs, side="right")
-        # only trials whose latest effect was decided after the cutoff
+        ts, decisions, labels = self._timeline
+        pos = np.searchsorted(ts, t_targets, side="right")
+        jd = np.searchsorted(self.interventions.decision_times, cutoffs, side="right")
+        # only trials whose latest event was decided after the cutoff
         # search further back
-        todo = np.flatnonzero((pos > 0) & (order[np.maximum(pos - 1, 0)] >= jd))
+        todo = np.flatnonzero(decisions[pos - 1] >= jd)
         p, j = pos[todo], jd[todo]
-        # levels[k][r] = min(order[r : r + 2**k]); a jump never exceeds p,
-        # so no longer level is needed.  Jump back over blocks decided
-        # after the cutoff, longest first.
-        levels = [order]
+        # levels[k][r] = min(decisions[r : r + 2**k]); a jump never
+        # exceeds p, so no longer level is needed.  Jump back over blocks
+        # decided after the cutoff, longest first.
+        levels = [decisions]
         while (1 << len(levels)) <= p.max(initial=0):
             prev, half = levels[-1], 1 << (len(levels) - 1)
             levels.append(np.minimum(prev[:-half], prev[half:]))
         for k in range(len(levels) - 1, -1, -1):
             start = p - (1 << k)
-            jump = (start >= 0) & (levels[k][np.maximum(start, 0)] >= j)
+            # a block clipped to rank 0 holds the initial label's -1 and
+            # never jumps
+            jump = levels[k][np.maximum(start, 0)] >= j
             p = np.where(jump, start, p)
         pos[todo] = p
-        winner = order[np.maximum(pos - 1, 0)]
-        base_time = np.append(-np.inf, bt)[kb]
-        # tie at the same instant -> intervention overrides the base switch
-        use_iv = (pos > 0) & (iv.effect_times[winner] >= base_time)
-        return np.where(use_iv, self._intervention_labels[winner], base_label)
+        return labels[pos - 1]
 
 
 # ----------------------------------------------------------------------

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+from rbell.errors import UndefinedTimeError
 
 
 def piecewise_constant_mean(f, lo: float, hi: float, coarse: int = 4096) -> float:
@@ -43,3 +47,40 @@ def grid_min(fn, axes: dict[str, np.ndarray]) -> tuple[float, dict[str, float]]:
     values = np.asarray(fn(**flat), dtype=float)
     k = int(np.argmin(values))
     return float(values[k]), {n: float(flat[n][k]) for n in names}
+
+
+def predictive_oracle(sched, t_target: float, cutoff: float):
+    """Brute-force predictive lookup: one pass over every event.
+
+    The last base switch at or before the target is the starting
+    winner; then every intervention decided by the cutoff, in decision
+    order, takes over if it is in force and takes effect no earlier.
+    """
+    best_time, best = -math.inf, sched.initial
+    for t, lbl in sched.switches:
+        if t <= t_target:
+            best_time, best = t, lbl
+    iv = sched.interventions
+    for i in range(len(iv)):
+        if iv.decision_times[i] > cutoff:
+            continue
+        eff = iv.effect_times[i]
+        if eff <= t_target and eff >= best_time:
+            best_time, best = eff, iv.labels[int(iv.label_indices[i])]
+    return best
+
+
+def value_at(sched, t: float):
+    """Actual label at ``t``: the predictive oracle with no intervention
+    dropped."""
+    if t < sched.start:
+        raise UndefinedTimeError(f"time {t} precedes the timeline start {sched.start}")
+    return predictive_oracle(sched, t, math.inf)
+
+
+def actual_ids(sched, *times):
+    """Label ids at ``times`` from the vector lookup, which must agree
+    with the oracle."""
+    got = [sched.distinct_labels[k].id for k in sched.value_index_at(np.array(times))]
+    assert got == [value_at(sched, t).id for t in times]
+    return got

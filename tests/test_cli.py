@@ -452,27 +452,43 @@ def test_run_rejects_non_finite_and_negative_numbers(tmp_path, capsys, old, new,
 
 
 @pytest.mark.parametrize(
-    "old,new,key",
+    "old,new,message",
     [
-        ("seed = 42", "seed = 42\nintervention_delay = abc", "run.intervention_delay"),
-        ("min_count = 100", "min_count = 1.5", "run.min_count"),
-        ("seed = 42", "seed = 4x2", "run.seed"),
-        ("n_trials = 20000", "n_trials = many", "run.n_trials"),
-        ("spacing = 1.0", "spacing = wide", "run.spacing"),
-        ("rate = 2.0", "rate = fast", "station1.rate"),
+        ("seed = 42", "seed = 42\nintervention_delay = abc", "run.intervention_delay must be"),
+        ("min_count = 100", "min_count = 1.5", "run.min_count must be"),
+        ("seed = 42", "seed = 4x2", "run.seed must be"),
+        ("n_trials = 20000", "n_trials = many", "run.n_trials must be"),
+        ("spacing = 1.0", "spacing = wide", "run.spacing must be"),
+        ("rate = 2.0", "rate = fast", "station1.rate must be"),
         ("schedule = random_switch\nrate = 2.0\n",
-         PERIODIC_STATION1.replace("period = 1.0", "period = 1s"), "station1.period"),
+         PERIODIC_STATION1.replace("period = 1.0", "period = 1s"), "station1.period must be"),
         ("schedule = random_switch\nrate = 2.0\n",
-         PERIODIC_STATION1.replace("phase = 0.0", "phase = late"), "station1.phase"),
-        ("t0 = -6.0", "t0 = early", "geometry.t0"),
-        ("seed = 42", "seed = -1", "run.seed"),
-        ("labels = a=pi/2, a2=0", "labels = a=abc, a2=0", "station1.labels"),
-        ("labels = a=pi/2, a2=0", "labels = a=pi/0, a2=0", "station1.labels"),
+         PERIODIC_STATION1.replace("phase = 0.0", "phase = late"), "station1.phase must be"),
+        ("t0 = -6.0", "t0 = early", "geometry.t0 must be"),
+        ("seed = 42", "seed = -1", "run.seed must be"),
+        ("labels = a=pi/2, a2=0", "labels = a=abc, a2=0", "station1.labels must be"),
+        ("labels = a=pi/2, a2=0", "labels = a=pi/0, a2=0", "station1.labels must be"),
+        ("schedule = random_switch\nrate = 2.0\n",
+         PERIODIC_STATION1.replace("period = 1.0", "period = -1"),
+         "periodic schedule needs period > 0"),
+        ("quartet = a, a2, b, b2", "quartet = a, a2, b, zz",
+         "quartet label 'zz' not on station 2"),
+        ("schedule = random_switch", "schedule = bogus", "unknown schedule kind 'bogus'"),
+        ("rate = 2.0", "rate = 2.0\nturbo = yes", "unknown keys in [station1]: ['turbo']"),
+        ("seed = 42", "seed = 42\nturbo = yes", "unknown keys in [run]: ['turbo']"),
+        ("labels = a=pi/2, a2=0\n", "", "[station1] needs 'labels' and 'schedule'"),
+        ("quartet = a, a2, b, b2", "quartet = a, a2", "run.quartet must list four labels"),
+        ("spacing = 1.0\n", "", "missing required key 'spacing'"),
+        ("[model]\nname = hardy-singlet\n", "", "missing sections ['model']"),
+        ("separation = 4.0", "separation = -4.0", "separation must be positive"),
     ],
     ids=["delay", "min_count", "seed", "n_trials", "spacing", "rate", "period", "phase", "t0",
-         "seed-negative", "labels-angle", "labels-zero-divisor"],
+         "seed-negative", "labels-angle", "labels-zero-divisor", "period-negative",
+         "quartet-unknown-label", "schedule-kind", "station-unknown-key", "run-unknown-key",
+         "labels-missing", "quartet-two-labels", "spacing-missing", "section-missing",
+         "separation-negative"],
 )
-def test_run_malformed_number_names_file_and_key(tmp_path, capsys, old, new, key):
+def test_run_malformed_number_names_file_and_key(tmp_path, capsys, old, new, message):
     assert old in CONFIG_TEXT
     config = tmp_path / "scenario.ini"
     config.write_text(CONFIG_TEXT.replace(old, new, 1))
@@ -482,7 +498,7 @@ def test_run_malformed_number_names_file_and_key(tmp_path, capsys, old, new, key
     assert code == 1
     assert out == ""
     assert err.count("\n") == 1
-    assert f"{config}: {key} must be" in err
+    assert f"{config}: {message}" in err and err.count(str(config)) == 1
     assert not (tmp_path / "o").exists()
 
 
