@@ -462,25 +462,22 @@ def ch_expression(
 def ch_identity_check(samples: int, seed: int = 0) -> IdentityCheckResult:
     """Check the probability-form combination stays in [-1, 0].
 
-    Draws ``samples`` uniform points from the unit 4-cube; the
+    Draws ``samples`` uniform points from the unit 4-cube, ``BLOCK_SIZE``
+    at a time, and stops at the first point out of bounds; the
     expression is multilinear, so vertices are the extreme cases and
     random sampling is a smoke test on top of them.
     """
+    from .estimation import BLOCK_SIZE  # estimation imports this module
+
     rng = np.random.default_rng(seed)
-    checked = 0
-    remaining = int(samples)
-    while remaining > 0:
-        n = min(remaining, 1_000_000)
-        pts = rng.random((4, n))
-        values = ch_expression(pts[0], pts[1], pts[2], pts[3])
+    samples = int(samples)
+    for start in range(0, samples, BLOCK_SIZE):
+        x, y, x2, y2 = rng.random((4, min(BLOCK_SIZE, samples - start)))
+        values = ch_expression(x, y, x2, y2)
         bad = np.flatnonzero((values < -1.0) | (values > 0.0))
         if bad.size:
             i = int(bad[0])
             return IdentityCheckResult(
-                False,
-                checked + i + 1,
-                (pts[0][i], pts[1][i], pts[2][i], pts[3][i], float(values[i])),
+                False, start + i + 1, (x[i], y[i], x2[i], y2[i], float(values[i]))
             )
-        checked += n
-        remaining -= n
-    return IdentityCheckResult(True, checked)
+    return IdentityCheckResult(True, max(samples, 0))

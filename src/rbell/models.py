@@ -287,10 +287,6 @@ class QuantumSinglet:
         return 0.5
 
     @staticmethod
-    def joint_probs(a: float, b: float) -> tuple[float, float, float, float]:
-        return quantum_joint_probs(a, b)
-
-    @staticmethod
     def sample_pairs(
         a: ArrayLike, b: ArrayLike, rng: np.random.Generator, n: int
     ) -> tuple[np.ndarray, np.ndarray]:

@@ -19,7 +19,7 @@ from typing import Callable, Mapping, Union
 import numpy as np
 
 from .errors import UnsupportedModelError, UnsupportedObjectiveError
-from .estimation import MIN_QUADRATURE_NODES, exact_values
+from .estimation import BLOCK_SIZE, MIN_QUADRATURE_NODES, exact_values
 from .inequalities import ANGLE_FLAGS, INEQUALITIES
 from .models import Model, get_model
 
@@ -28,8 +28,9 @@ TAU = math.tau
 #: Default coarse-grid resolution.
 GRID_STEP = math.pi / 24
 
-#: Grid scans larger than this are coarsened (doubling the step) to stay
-#: tractable; refinement still runs at full precision.
+#: Grid scans larger than this are coarsened (doubling the step) to bound
+#: their time (the scan's memory is bounded by BLOCK_SIZE whatever the
+#: grid); refinement still runs at full precision.
 MAX_GRID_POINTS = 20_000_000
 MAX_GRID_POINTS_QUADRATURE = 50_000
 
@@ -211,7 +212,8 @@ def _grid_axes(spec: ObjectiveSpec, model_is_quadrature: bool) -> tuple[float, n
     step = spec.grid_step
     limit = MAX_GRID_POINTS_QUADRATURE if model_is_quadrature else MAX_GRID_POINTS
     k = len(spec.free)
-    while (math.ceil(TAU / step)) ** k > limit:
+    # the first test also coarsens a step so fine that TAU / step is inf
+    while TAU / step > limit or math.ceil(TAU / step) ** k > limit:
         step *= 2.0
     return step, np.arange(0.0, TAU, step)
 
@@ -225,19 +227,38 @@ def _grid_scan(
     """Scan every point of the grid ``axis`` x ... x ``axis``, one axis per
     free variable, for the least ``sign * objective``.
 
-    Each free variable gets ``axis`` along a dimension of its own, so the
-    objective broadcasts: a cell costs k**(its angles), not k**len(free).
-    Returns the C-order flat index of the first least point, its signed
-    value and the number of points evaluated (one for an objective that
-    no free variable reaches).
+    The trailing free axes (all but the first at most) whose points fit
+    in ``BLOCK_SIZE`` get ``axis`` along a dimension of their own, so the
+    objective broadcasts over them.  The leading ones are enumerated in
+    C order, as many rows as fit in ``BLOCK_SIZE`` points (at least one)
+    at a time, so memory does not grow with the grid.  Returns the
+    C-order flat index of the first least point (the first least of the
+    blocks' first least points), its signed value and the number of
+    points evaluated (one for an objective that no free variable
+    reaches).
     """
-    n = len(free)
-    axes = {name: axis.reshape((-1,) + (1,) * (n - 1 - i)) for i, name in enumerate(free)}
-    values = sign * np.asarray(objective(axes), dtype=float)
-    size = axis.size**n if values.ndim else 1
-    values = np.broadcast_to(values, (axis.size,) * n).ravel()
-    best_flat = int(np.argmin(values))
-    return best_flat, float(values[best_flat]), size
+    n, k = len(free), axis.size
+    trailing = 0
+    while trailing < n - 1 and k ** (trailing + 1) <= BLOCK_SIZE:
+        trailing += 1
+    lead, row = n - trailing, k**trailing
+    assign = {name: axis.reshape((-1,) + (1,) * (n - 1 - i))
+              for i, name in enumerate(free) if i >= lead}
+    rows_per_block = max(1, BLOCK_SIZE // row)
+    firsts, minima = [], []
+    for start in range(0, k**lead, rows_per_block):
+        rows = np.arange(start, min(start + rows_per_block, k**lead))
+        for name, index in zip(free, np.unravel_index(rows, (k,) * lead)):
+            assign[name] = axis[index].reshape((-1,) + (1,) * trailing)
+        values = sign * np.asarray(objective(assign), dtype=float)
+        if not values.ndim:
+            return 0, float(values), 1
+        values = np.broadcast_to(values, (rows.size,) + (k,) * trailing).ravel()
+        best = int(np.argmin(values))
+        firsts.append(start * row + best)
+        minima.append(values[best])
+    block = int(np.argmin(minima))
+    return firsts[block], float(minima[block]), k**n
 
 
 def optimize(spec: ObjectiveSpec) -> Optimum:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 
@@ -37,6 +38,22 @@ def piecewise_constant_mean(f, lo: float, hi: float, coarse: int = 4096) -> floa
         mid = 0.5 * (x0 + x1)
         total += float(f(np.asarray([mid]))[0]) * (x1 - x0)
     return total / (hi - lo)
+
+
+def traced_peak_mib(fn) -> float:
+    """Peak traced memory, in MiB, while ``fn()`` runs; tracemalloc sees
+    numpy's buffers."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    base = tracemalloc.get_traced_memory()[0]
+    try:
+        fn()
+        return (tracemalloc.get_traced_memory()[1] - base) / 2**20
+    finally:
+        if not tracing:
+            tracemalloc.stop()
 
 
 def grid_min(fn, axes: dict[str, np.ndarray]) -> tuple[float, dict[str, float]]:

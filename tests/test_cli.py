@@ -6,11 +6,13 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st_
 
-from rbell.cli import main
+from conftest import traced_peak_mib
+from rbell.cli import _verify_checks, main
 
 QUARTET_FLAGS = ["--a", "pi/2", "--a2", "0", "--b=-pi/4", "--b2", "pi/4"]
 
@@ -214,6 +216,17 @@ def test_optimize_cli_spec_file(tmp_path, capsys):
 
 
 SPEC = {"model": "quantum", "inequality": "chsh"}
+
+
+@pytest.mark.parametrize("step", ["1e-308", "5e-324"])
+def test_optimize_cli_spec_with_a_step_too_fine_to_count(tmp_path, capsys, step):
+    # TAU / step overflows to inf; the grid is coarsened, not a traceback
+    spec_path = tmp_path / "objective.json"
+    spec_path.write_text('{"model": "quantum", "inequality": "chsh", "grid_step": %s}' % step)
+    code, out, err = run_cli(capsys, ["optimize", "--spec", str(spec_path)])
+    assert code == 0
+    assert err.startswith("optimize quantum chsh minimize: ") and err.count("\n") == 1
+    assert json.loads(out)["value"] == pytest.approx(-2 * math.sqrt(2), abs=1e-9)
 
 
 @pytest.mark.parametrize(
@@ -654,6 +667,14 @@ def test_verify_command(capsys):
     code, out, _ = run_cli(capsys, ["verify"])
     assert code == 0
     assert "11/11 checks passed" in out
+
+
+def test_verify_checks_run_in_bounded_memory():
+    # the 10**6-point identity check and the 2**20-node marginal run in
+    # blocks: one float64 array of either alone is 8 MiB or more
+    checks = []
+    assert traced_peak_mib(lambda: checks.extend(_verify_checks(np.random.default_rng(3)))) < 16
+    assert len(checks) == 11 and all(ok for _, ok, _ in checks)
 
 
 # ----------------------------------------------------------------------

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st_
 
 from rbell.errors import InsufficientCellError, MissingCellError
-from rbell.estimation import analytic_correlations
+from rbell import inequalities
+from rbell.estimation import BLOCK_SIZE, analytic_correlations
 from rbell.inequalities import (
     Correlation,
     CorrelationInput,
@@ -66,6 +67,35 @@ def test_ch_identity_on_vertices():
 def test_ch_identity_random_sample():
     result = ch_identity_check(100_000, seed=3)
     assert result.passed
+
+
+def test_ch_identity_counts_a_short_last_block():
+    # 100 001 points end in a block of fewer than BLOCK_SIZE
+    assert 100_001 % BLOCK_SIZE
+    assert ch_identity_check(100_001, seed=3) == inequalities.IdentityCheckResult(True, 100_001)
+
+
+def test_ch_identity_stops_at_the_first_failure_in_a_later_block(monkeypatch):
+    # a point out of bounds in the second block: the count and the point
+    # are global, not block-relative
+    index = BLOCK_SIZE + 123
+    seen, failed = [0], {}
+
+    def failing(x, y, x2, y2):
+        values = ch_expression(x, y, x2, y2)
+        i = index - seen[0]
+        if 0 <= i < values.size:
+            values[i] = 0.5
+            failed["point"] = (x[i], y[i], x2[i], y2[i], 0.5)
+        seen[0] += values.size
+        return values
+
+    monkeypatch.setattr(inequalities, "ch_expression", failing)
+    result = ch_identity_check(3 * BLOCK_SIZE, seed=3)
+    assert not result.passed
+    assert result.checked == index + 1
+    assert result.counterexample == failed["point"]
+    assert seen[0] == 2 * BLOCK_SIZE
 
 
 def test_chsh_identity_spot_values():

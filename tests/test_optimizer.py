@@ -1,12 +1,14 @@
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st_
 
-from conftest import grid_min
+from conftest import grid_min, traced_peak_mib
+from rbell import optimizer
 from rbell.errors import UnsupportedObjectiveError
 from rbell.estimation import analytic_ch_probs, analytic_correlations, analytic_marginals
 from rbell.inequalities import ANGLE_FLAGS, INEQUALITIES, QUARTET, CorrelationInput
@@ -259,13 +261,18 @@ def _meshgrid_scan(objective, free, axis, sign):
     return best_flat, float(values[best_flat]), values.size
 
 
-def _assert_scans_agree(spec, quadrature_backed=False):
+def _assert_scans_agree(spec, quadrature_backed=False, objective=None):
     step, axis = _grid_axes(spec, quadrature_backed)
-    objective = build_objective(spec)
+    objective = objective or build_objective(spec)
     sign = 1.0 if spec.direction == "minimize" else -1.0
-    assert _grid_scan(objective, spec.free, axis, sign) == _meshgrid_scan(
-        objective, spec.free, axis, sign
-    )
+    expect = _meshgrid_scan(objective, spec.free, axis, sign)
+    assert _grid_scan(objective, spec.free, axis, sign) == expect
+    # a prime block size divides no grid here: the scan takes many blocks,
+    # often with a short last one; 997 keeps 6**8 points to ~2000 blocks
+    odd_block = 7 if axis.size ** len(spec.free) <= 4**6 else 997
+    with mock.patch.object(optimizer, "BLOCK_SIZE", odd_block):
+        assert _grid_scan(objective, spec.free, axis, sign) == expect
+    return expect
 
 
 @pytest.mark.parametrize("retarded", ["tied", "free"])
@@ -320,3 +327,28 @@ def test_grid_scan_matches_meshgrid_scan_by_quadrature(ineq):
         _assert_scans_agree(spec, quadrature_backed=True)
     finally:
         _FACTORIES.pop("hardy-no-closed-form", None)
+
+
+@pytest.mark.parametrize("free", [("a",), ("a", "b"), ("a", "a2", "b"), QUARTET])
+def test_grid_scan_tie_across_blocks_resolves_to_first_point(free):
+    # a constant objective ties every block: the first block wins, at flat 0
+    spec = ObjectiveSpec(model="quantum", inequality="chsh", free=free,
+                         grid_step=2 * math.pi / 5)
+    expect = _assert_scans_agree(spec, objective=lambda assign: 0.0 * sum(assign.values()))
+    assert expect == (0, 0.0, 5 ** len(free))
+
+
+@pytest.mark.parametrize("step", [1e-308, 5e-324])
+def test_grid_axes_coarsen_a_step_too_fine_to_count(step):
+    # TAU / step is inf here; the step doubles like any over-fine step
+    spec = ObjectiveSpec(model="quantum", inequality="chsh", grid_step=step)
+    coarse, axis = _grid_axes(spec, False)
+    assert math.isfinite(math.tau / coarse)
+    # the finest grid within the limit: half the step would exceed it
+    assert axis.size**4 <= optimizer.MAX_GRID_POINTS < math.ceil(math.tau / (coarse / 2)) ** 4
+
+
+def test_grid_scan_memory_does_not_grow_with_the_grid():
+    # 64**4 = 16.8 M points: one float64 array of them alone is 128 MiB
+    spec = ObjectiveSpec("quantum", "chsh", grid_step=math.pi / 32)
+    assert traced_peak_mib(lambda: optimize(spec)) < 16

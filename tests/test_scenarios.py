@@ -9,11 +9,12 @@ from hypothesis import strategies as st_
 
 from conftest import actual_ids
 from rbell.errors import ConfigError
-from rbell.estimation import TrialLog, columns_dir, read_trial_log
+from rbell.estimation import BLOCK_SIZE, TrialLog, columns_dir, read_trial_log
 from rbell.models import (
     _FACTORIES,
     HiddenSpace,
     StochasticLHV,
+    get_model,
     hardy_outcome_A,
     hardy_outcome_B,
     register_model,
@@ -350,6 +351,24 @@ def test_run_worker_invariance(monkeypatch):
     assert np.array_equal(serial.log.outcome_1, threaded.log.outcome_1)
     assert np.array_equal(serial.log.outcome_2, threaded.log.outcome_2)
     assert np.array_equal(serial.log.lam, threaded.log.lam)
+
+
+@pytest.mark.parametrize("model", ["quantum-singlet", "hardy-lifted"])
+def test_run_worker_count_identity_per_model(monkeypatch, model):
+    # the nonlocal sampler and the stochastic lift of hardy give the same
+    # log for 1 and 2 workers, and with RBL_WORKERS unset
+    register_model("hardy-lifted", lambda: StochasticLHV.from_deterministic(get_model("hardy")))
+    monkeypatch.delenv("RBL_WORKERS", raising=False)
+    try:
+        config = base_config(model=model, n_trials=int(2.5 * BLOCK_SIZE), spacing=0.05)
+        logs = [run_scenario(config, workers=w).log for w in (1, 2, None)]
+    finally:
+        _FACTORIES.pop("hardy-lifted", None)
+    assert logs[0].lam is None if model == "quantum-singlet" else logs[0].lam is not None
+    for log in logs[1:]:
+        assert log.palette == logs[0].palette
+        for name in ("t1", "t2", "a", "b", "a_r", "b_r", "outcome_1", "outcome_2", "lam"):
+            assert np.array_equal(getattr(log, name), getattr(logs[0], name)), name
 
 
 def _noisy_hardy():
