@@ -9,7 +9,7 @@ Subpackages by responsibility:
 - :mod:`rbell.inequalities`: four-correlation and probability-form
   inequality evaluation with verdicts and statistical margins.
 - :mod:`rbell.estimation`: closed-form / quadrature / Monte Carlo
-  correlation estimates, trial logs and correlation tables.
+  correlation estimates, trial logs, their counts and correlation tables.
 - :mod:`rbell.scenarios`: end-to-end reproducible experiment runs.
 - :mod:`rbell.optimizer`: derivative-free search over setting angles.
 - :mod:`rbell.cli`: the ``rbell`` command.
@@ -65,6 +65,7 @@ from .inequalities import (
     same_retarded_chsh,
 )
 from .estimation import (
+    TrialCounts,
     TrialLog,
     build_table,
     mc_E,

@@ -244,8 +244,9 @@ def _optimize(args) -> int:
         retarded = _given_angles(args, RETARDED_FLAGS) or args.retarded
         free = tuple(s.strip() for s in args.free.split(",") if s.strip())
         grid_step = _flag_angle("grid-step", args.grid_step)
-        if not (math.isfinite(grid_step) and grid_step > 0):
-            raise ConfigError(f"--grid-step must be finite and positive, got {args.grid_step}")
+        if not 0 < grid_step < math.tau:
+            raise ConfigError(f"--grid-step must be finite and positive and less than 2*pi, "
+                              f"got {args.grid_step}")
         spec = ObjectiveSpec(
             model=args.model,
             inequality=args.ineq,

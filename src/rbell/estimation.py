@@ -367,16 +367,25 @@ def read_trial_log(
 # ----------------------------------------------------------------------
 
 
-def quadruple_counts(log: TrialLog, weights: Optional[np.ndarray] = None) -> np.ndarray:
-    """Trials per setting quadruple, or the sum of per-trial ``weights``.
-
-    The result is indexed by the palette indices (a, b, a_r, b_r) and
-    has shape (p, p, p, p), p = len(log.palette), so its C order is the
-    order of the flat code below.
+class TrialCounts:
+    """A trial log grouped once: ``n[a, b, a_r, b_r, A > 0, B > 0]`` counts
+    trials by palette indices and outcome bits (shape (p, p, p, p, 2, 2),
+    p = len(ids), one ``np.bincount`` over the C-order code of that
+    shape), and ``cells`` sums out the outcomes.  An outcome other than
+    +1 or -1 raises ``ValueError``: one bit cannot hold it.
     """
-    p = len(log.palette)
-    code = ((log.a * p + log.b) * p + log.a_r) * p + log.b_r
-    return np.bincount(code, weights=weights, minlength=p**4).reshape((p,) * 4)
+
+    def __init__(self, log: TrialLog):
+        o1, o2 = log.outcome_1, log.outcome_2
+        bad = np.flatnonzero((np.abs(o1) != 1) | (np.abs(o2) != 1))
+        if bad.size:
+            raise ValueError(f"{bad.size} trial(s) with an outcome other than +1 or -1, "
+                             f"the first at trial index {bad[0]}")
+        self.ids = log.ids()
+        p = len(self.ids)
+        code = ((((log.a * p + log.b) * p + log.a_r) * p + log.b_r) * 2 + (o1 > 0)) * 2 + (o2 > 0)
+        self.n = np.bincount(code, minlength=4 * p**4).reshape((p,) * 4 + (2, 2))
+        self.cells = self.n.sum((4, 5))
 
 
 def _cell_from_counts(sum_products: int, count: int, min_count: int) -> Correlation:
@@ -445,37 +454,37 @@ def read_table(path: Union[str, Path], min_count: Optional[int] = None) -> Corre
     return CorrelationInput(cells, source="monte-carlo")
 
 
-def _table(log: TrialLog, cell: Callable[[tuple, int], Correlation]) -> CorrelationInput:
+def _table(counts: TrialCounts, cell: Callable[[tuple, int], Correlation]) -> CorrelationInput:
     """``cell(index, count)`` for each observed quadruple, in code order."""
-    ids = log.ids()
-    counts = quadruple_counts(log)
+    ids = counts.ids
     return CorrelationInput(
-        {tuple(ids[i] for i in idx): cell(idx, int(counts[idx]))
-         for idx in zip(*np.nonzero(counts))},
+        {tuple(ids[i] for i in idx): cell(idx, int(counts.cells[idx]))
+         for idx in zip(*np.nonzero(counts.cells))},
         source="monte-carlo",
     )
 
 
-def build_table(log: TrialLog, min_count: int = 100) -> CorrelationInput:
-    """Group trials by setting quadruple and estimate each cell's E.
+def build_table(counts: TrialCounts, min_count: int = 100) -> CorrelationInput:
+    """Estimate each observed setting quadruple's E from its counts.
 
     Cells with fewer than ``min_count`` trials are kept but flagged, and
     inequality evaluators will refuse them.
     """
-    sums = quadruple_counts(log, weights=log.outcome_1.astype(np.int64) * log.outcome_2)
-    return _table(log, lambda idx, n: _cell_from_counts(int(sums[idx]), n, min_count))
+    n = counts.n
+    sums = n[..., 0, 0] + n[..., 1, 1] - n[..., 0, 1] - n[..., 1, 0]
+    return _table(counts, lambda idx, k: _cell_from_counts(int(sums[idx]), k, min_count))
 
 
-def p12_table(log: TrialLog, min_count: int = 100) -> CorrelationInput:
+def p12_table(counts: TrialCounts, min_count: int = 100) -> CorrelationInput:
     """Both-plus fraction p12 of each setting quadruple, with its binomial
     standard error; cells are flagged as in :func:`build_table`."""
-    plus = quadruple_counts(log, weights=(log.outcome_1 == 1) & (log.outcome_2 == 1))
+    plus = counts.n[..., 1, 1]
 
     def cell(idx: tuple, n: int) -> Correlation:
         p12 = int(plus[idx]) / n
         return Correlation(p12, _binomial_se(p12, n), n, n >= min_count)
 
-    return _table(log, cell)
+    return _table(counts, cell)
 
 
 # ----------------------------------------------------------------------
@@ -727,25 +736,23 @@ def _binomial_se(p: float, n: int) -> float:
     return math.sqrt(max(0.0, p * (1.0 - p)) / n) if n else 0.0
 
 
-def _plus_fraction(
-    log: TrialLog, column: np.ndarray, outcome: np.ndarray, label: str, key: Quad
-) -> tuple[float, float, int]:
-    """+1 fraction of ``outcome`` over the trials whose ``column`` holds ``label``."""
-    ids = log.ids()
-    # palette indices are non-negative, so an unknown label matches no trial
-    mask = column == (ids.index(label) if label in ids else -1)
-    n = int(mask.sum())
+def _plus_fraction(counts: TrialCounts, axis: int, label: str, key: Quad) -> tuple[float, float, int]:
+    """+1 fraction at station ``axis + 1`` over its trials with actual setting ``label``."""
+    # trials by (actual setting, outcome bit) there: axes ``axis`` and ``4 + axis``
+    by_outcome = counts.n.sum(tuple(ax for ax in range(6) if ax % 4 != axis))
+    minus, plus = by_outcome[counts.ids.index(label)].tolist() if label in counts.ids else (0, 0)
+    n = minus + plus
     if n == 0:
         raise MissingCellError(key)
-    p = float((outcome[mask] == 1).sum()) / n
+    p = plus / n
     return p, _binomial_se(p, n), n
 
 
-def marginal_p1(log: TrialLog, a: str) -> tuple[float, float, int]:
+def marginal_p1(counts: TrialCounts, a: str) -> tuple[float, float, int]:
     """+1 fraction at station 1 over all trials with actual setting ``a``."""
-    return _plus_fraction(log, log.a, log.outcome_1, a, (a, "*", "*", "*"))
+    return _plus_fraction(counts, 0, a, (a, "*", "*", "*"))
 
 
-def marginal_p2(log: TrialLog, b: str) -> tuple[float, float, int]:
+def marginal_p2(counts: TrialCounts, b: str) -> tuple[float, float, int]:
     """+1 fraction at station 2 over all trials with actual setting ``b``."""
-    return _plus_fraction(log, log.b, log.outcome_2, b, ("*", b, "*", "*"))
+    return _plus_fraction(counts, 1, b, ("*", b, "*", "*"))

@@ -79,8 +79,9 @@ class ObjectiveSpec:
                     raise ValueError(f"{key} angle {name!r} must be finite, got {value!r}")
         if not self.free:
             raise ValueError("at least one free variable is required")
-        if not (math.isfinite(self.grid_step) and self.grid_step > 0):
-            raise ValueError(f"grid_step must be finite and positive, got {self.grid_step!r}")
+        if not 0 < self.grid_step < TAU:  # a step of a turn or more scans one point
+            raise ValueError(f"grid_step must be finite and positive and less than 2*pi, "
+                             f"got {self.grid_step!r}")
         if self.quadrature_nodes < MIN_QUADRATURE_NODES:
             raise ValueError(f"quadrature_nodes must be at least {MIN_QUADRATURE_NODES}, "
                              f"got {self.quadrature_nodes!r}")

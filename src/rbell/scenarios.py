@@ -25,13 +25,13 @@ import numpy as np
 
 from .errors import CellError, ConfigError
 from .estimation import (
+    TrialCounts,
     TrialLog,
     build_table,
     map_blocks,
     marginal_p1,
     marginal_p2,
     p12_table,
-    quadruple_counts,
     substream,
     write_table,
     write_trial_log,
@@ -573,28 +573,21 @@ def _sample_trials(
     )
 
 
-def classify_fractions(log: TrialLog) -> dict[str, float]:
-    n = len(log)
-    eq1 = log.a == log.a_r
-    eq2 = log.b == log.b_r
-    both = int((eq1 & eq2).sum())
-    only1 = int((eq1 & ~eq2).sum())
-    only2 = int((~eq1 & eq2).sum())
-    neither = n - both - only1 - only2
-    return {
-        EqualityClass.BOTH_EQUAL.value: both / n,
-        EqualityClass.ONLY_1_EQUAL.value: only1 / n,
-        EqualityClass.ONLY_2_EQUAL.value: only2 / n,
-        EqualityClass.NEITHER_EQUAL.value: neither / n,
-    }
+def classify_fractions(counts: TrialCounts) -> dict[str, float]:
+    """Fraction of trials in each equality class, from the diagonals of the cells."""
+    c = counts.cells
+    n = int(c.sum())
+    both, eq1, eq2 = (int(np.einsum(f"{d}->", c)) for d in ("ijij", "ijik", "ijkj"))
+    classes = (both, eq1 - both, eq2 - both, n - eq1 - eq2 + both)
+    return {cls.value: k / n for cls, k in zip(EqualityClass, classes)}
 
 
-def empirical_weights(log: TrialLog) -> dict[tuple[str, str], float]:
+def empirical_weights(counts: TrialCounts) -> dict[tuple[str, str], float]:
     """Observed frequency of each retarded pair across all trials."""
-    ids = log.ids()
-    counts = quadruple_counts(log).sum(axis=(0, 1))
-    n = len(log)
-    return {(ids[u], ids[v]): int(counts[u, v]) / n for u, v in zip(*np.nonzero(counts))}
+    ids = counts.ids
+    pairs = counts.cells.sum(axis=(0, 1))
+    n = int(pairs.sum())
+    return {(ids[u], ids[v]): int(pairs[u, v]) / n for u, v in zip(*np.nonzero(pairs))}
 
 
 # B_2k / (2k (2k - 1)) for k = 1..8: the Stirling series of lgamma(s)
@@ -665,7 +658,7 @@ def chi2_upper_quantile(q: float, dof: int) -> float:
             hi = mid
 
 
-def independence_check(log: TrialLog) -> Optional[IndependenceCheck]:
+def independence_check(counts: TrialCounts) -> Optional[IndependenceCheck]:
     """Pearson chi-squared test of (actual pair) x (retarded pair)
     independence.
 
@@ -675,8 +668,8 @@ def independence_check(log: TrialLog) -> Optional[IndependenceCheck]:
     expected count by min(0.5, |E - O|).  The critical value is the
     ``math``-only quantile :func:`chi2_upper_quantile` at q = 0.001.
     """
-    p = len(log.palette)
-    table = quadruple_counts(log).reshape(p * p, p * p)
+    p = len(counts.ids)
+    table = counts.cells.reshape(p * p, p * p)
     observed = table[table.sum(axis=1) > 0][:, table.sum(axis=0) > 0].astype(np.float64)
     r, c = observed.shape
     if r < 2 or c < 2:
@@ -698,14 +691,16 @@ def independence_check(log: TrialLog) -> Optional[IndependenceCheck]:
 # ----------------------------------------------------------------------
 
 
-def _observed_retarded_pairs(table: CorrelationInput, x: str, y: str) -> set[tuple[str, str]]:
-    """Retarded pairs with a cell recorded for actual pair (x, y)."""
-    return {(u, v) for (ax, by, u, v) in table.cells if ax == x and by == y}
+def _observed_retarded_pairs(counts: TrialCounts, x: str, y: str) -> set[tuple[str, str]]:
+    """Retarded pairs observed with actual pair (x, y), both in the palette."""
+    ids = counts.ids
+    u, v = np.nonzero(counts.cells[ids.index(x), ids.index(y)])
+    return {(ids[i], ids[j]) for i, j in zip(u.tolist(), v.tolist())}
 
 
 def _evaluate_reports(
     config: ScenarioConfig,
-    log: TrialLog,
+    counts: TrialCounts,
     table: CorrelationInput,
     weights: dict[tuple[str, str], float],
 ) -> tuple[list[InequalityReport], list[dict]]:
@@ -721,10 +716,10 @@ def _evaluate_reports(
             skipped.append({"name": kind, **detail, "reason": str(exc)})
 
     # observed retarded pairs per actual pair of the quartet
-    d_22 = _observed_retarded_pairs(table, qa2, qb2)
-    d_21 = _observed_retarded_pairs(table, qa2, qb)
-    d_12 = _observed_retarded_pairs(table, qa, qb2)
-    d_11 = _observed_retarded_pairs(table, qa, qb)
+    d_22 = _observed_retarded_pairs(counts, qa2, qb2)
+    d_21 = _observed_retarded_pairs(counts, qa2, qb)
+    d_12 = _observed_retarded_pairs(counts, qa, qb2)
+    d_11 = _observed_retarded_pairs(counts, qa, qb)
 
     # flag -> label id of each complete retarded octuple
     octuples = []
@@ -765,8 +760,8 @@ def _evaluate_reports(
 
     # probability form over the same octuples, whose cells were all observed
     if octuples:
-        p12 = p12_table(log, config.min_count)
-        singles = (Correlation(*marginal_p1(log, qa2)), Correlation(*marginal_p2(log, qb2)))
+        p12 = p12_table(counts, config.min_count)
+        singles = (Correlation(*marginal_p1(counts, qa2)), Correlation(*marginal_p2(counts, qb2)))
     ch = INEQUALITIES["retarded_ch"]
     for ids in octuples:
         try_report(
@@ -829,18 +824,19 @@ def run_scenario(
         outcome_2=outcome_2,
         lam=lam,
     )
-    table = build_table(log, min_count=config.min_count)
-    weights = empirical_weights(log)
-    reports, skipped = _evaluate_reports(config, log, table, weights)
+    counts = TrialCounts(log)
+    table = build_table(counts, min_count=config.min_count)
+    weights = empirical_weights(counts)
+    reports, skipped = _evaluate_reports(config, counts, table, weights)
     return ScenarioResult(
         config=config,
         log=log,
         table=table,
         reports=reports,
-        classification=classify_fractions(log),
+        classification=classify_fractions(counts),
         retarded_weights=weights,
         skipped=skipped,
-        independence=independence_check(log),
+        independence=independence_check(counts),
     )
 
 

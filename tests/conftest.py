@@ -7,7 +7,9 @@ import tracemalloc
 
 import numpy as np
 
-from rbell.errors import UndefinedTimeError
+from rbell.errors import MissingCellError, UndefinedTimeError
+from rbell.inequalities import Correlation
+from rbell.spacetime import EqualityClass
 
 
 def piecewise_constant_mean(f, lo: float, hi: float, coarse: int = 4096) -> float:
@@ -101,3 +103,85 @@ def actual_ids(sched, *times):
     got = [sched.distinct_labels[k].id for k in sched.value_index_at(np.array(times))]
     assert got == [value_at(sched, t).id for t in times]
     return got
+
+
+# ----------------------------------------------------------------------
+# Log-scan oracles of the count-tensor statistics: each reads the trial
+# log's columns directly, one bincount or mask scan per statistic.
+# ----------------------------------------------------------------------
+
+
+def oracle_quadruple_counts(log, weights=None) -> np.ndarray:
+    """Trials per setting quadruple, or the sum of per-trial ``weights``,
+    indexed by the palette indices (a, b, a_r, b_r)."""
+    p = len(log.palette)
+    code = ((log.a * p + log.b) * p + log.a_r) * p + log.b_r
+    return np.bincount(code, weights=weights, minlength=p**4).reshape((p,) * 4)
+
+
+def oracle_build_table(log, min_count: int = 100) -> dict:
+    """Cells of the E table, keyed by label ids in code order."""
+    ids = log.ids()
+    counts = oracle_quadruple_counts(log)
+    sums = oracle_quadruple_counts(log, weights=log.outcome_1.astype(np.int64) * log.outcome_2)
+    cells = {}
+    for idx in zip(*np.nonzero(counts)):
+        n = int(counts[idx])
+        est = int(sums[idx]) / n
+        se = math.sqrt(max(0.0, 1.0 - est * est) / n)
+        cells[tuple(ids[i] for i in idx)] = Correlation(est, se, n, n >= min_count)
+    return cells
+
+
+def oracle_marginal(log, station: int, label: str) -> tuple[float, float, int]:
+    """+1 fraction at ``station`` (1 or 2) over the trials with actual
+    setting ``label`` there, by one mask scan."""
+    column, outcome = (log.a, log.outcome_1) if station == 1 else (log.b, log.outcome_2)
+    ids = log.ids()
+    mask = column == (ids.index(label) if label in ids else -1)
+    n = int(mask.sum())
+    if n == 0:
+        raise MissingCellError((label, "*", "*", "*") if station == 1 else ("*", label, "*", "*"))
+    p = float((outcome[mask] == 1).sum()) / n
+    return p, math.sqrt(max(0.0, p * (1.0 - p)) / n), n
+
+
+def oracle_classify_fractions(log) -> dict[str, float]:
+    n = len(log)
+    eq1 = log.a == log.a_r
+    eq2 = log.b == log.b_r
+    both = int((eq1 & eq2).sum())
+    only1 = int((eq1 & ~eq2).sum())
+    only2 = int((~eq1 & eq2).sum())
+    neither = n - both - only1 - only2
+    return {
+        EqualityClass.BOTH_EQUAL.value: both / n,
+        EqualityClass.ONLY_1_EQUAL.value: only1 / n,
+        EqualityClass.ONLY_2_EQUAL.value: only2 / n,
+        EqualityClass.NEITHER_EQUAL.value: neither / n,
+    }
+
+
+def oracle_empirical_weights(log) -> dict[tuple[str, str], float]:
+    ids = log.ids()
+    counts = oracle_quadruple_counts(log).sum(axis=(0, 1))
+    n = len(log)
+    return {(ids[u], ids[v]): int(counts[u, v]) / n for u, v in zip(*np.nonzero(counts))}
+
+
+def oracle_independence(log):
+    """(statistic, dof) of Pearson's chi-squared over the (actual pair) x
+    (retarded pair) table, Yates-corrected at one degree of freedom, or
+    None for a table with fewer than two non-empty rows or columns."""
+    p = len(log.palette)
+    table = oracle_quadruple_counts(log).reshape(p * p, p * p)
+    observed = table[table.sum(axis=1) > 0][:, table.sum(axis=0) > 0].astype(np.float64)
+    r, c = observed.shape
+    if r < 2 or c < 2:
+        return None
+    dof = (r - 1) * (c - 1)
+    expected = np.multiply.outer(observed.sum(axis=1), observed.sum(axis=0)) / observed.sum()
+    if dof == 1:
+        diff = expected - observed
+        observed = observed + np.minimum(0.5, np.abs(diff)) * np.sign(diff)
+    return float(((observed - expected) ** 2 / expected).sum()), dof

@@ -78,11 +78,11 @@ def test_trial_log_hook_counts_the_csv_bytes(tmp_path):
 
 
 def test_table_cells_carry_what_the_table_hook_counts():
-    from rbell.estimation import TrialLog, build_table
+    from rbell.estimation import TrialCounts, TrialLog, build_table
     from rbell.spacetime import SettingLabel
 
     log = TrialLog([SettingLabel("a", 0.0)], [0.0], [0.0], [0], [0], [0], [0], [1], [-1])
-    cells = list(build_table(log, min_count=1).cells.values())
+    cells = list(build_table(TrialCounts(log), min_count=1).cells.values())
     assert len(cells) == 1 and cells[0].sufficient is True
 
 

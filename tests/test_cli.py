@@ -249,6 +249,8 @@ def test_optimize_cli_spec_with_a_step_too_fine_to_count(tmp_path, capsys, step)
         (json.dumps({**SPEC, "quadrature_nodes": 10}),
          "quadrature_nodes must be at least 1000, got 10"),
         (json.dumps({**SPEC, "grid_step": 0}), "grid_step must be finite and positive"),
+        (json.dumps({**SPEC, "grid_step": 7}), "less than 2*pi, got 7"),
+        (json.dumps({**SPEC, "grid_step": 6.2832}), "less than 2*pi, got 6.2832"),
         ('{"model": "quantum",', "Expecting property name"),
         # json reads NaN and Infinity as numbers
         (json.dumps({**SPEC, "free": ["a2"], "fixed": {"a": math.nan}}),
@@ -258,8 +260,8 @@ def test_optimize_cli_spec_with_a_step_too_fine_to_count(tmp_path, capsys, step)
     ],
     ids=["not-an-object", "unknown-key", "missing-model", "model-list", "inequality-list",
          "direction-number", "free-string", "free-number", "grid-step-string", "grid-step-bool", "fixed-string",
-         "fixed-list", "retarded-null", "nodes-float", "nodes-too-few", "grid-step-zero", "invalid-json",
-         "fixed-nan", "retarded-inf"],
+         "fixed-list", "retarded-null", "nodes-float", "nodes-too-few", "grid-step-zero",
+         "grid-step-seven", "grid-step-turn", "invalid-json", "fixed-nan", "retarded-inf"],
 )
 def test_optimize_cli_malformed_spec_names_file_and_key(tmp_path, capsys, text, key):
     spec_path = tmp_path / "objective.json"
@@ -405,6 +407,11 @@ OPTIMIZE = ["optimize", "--model", "quantum", "--ineq", "chsh"]
          lambda config, out, step=step: OPTIMIZE + [f"--grid-step={step}"])
         for step in ("0", "-0.1")
     ] + [
+        # a grid step of a turn or more scans one point, at all-zero angles
+        ("", "", f"--grid-step must be finite and positive and less than 2*pi, got {step}",
+         lambda config, out, step=step: OPTIMIZE + [f"--grid-step={step}"])
+        for step in ("7", "6.2832")
+    ] + [
         # a non-finite grid step is rejected where it is parsed, like an angle
         ("", "", f"--grid-step: angle '{step}' is not finite",
          lambda config, out, step=step: OPTIMIZE + [f"--grid-step={step}"])
@@ -447,7 +454,8 @@ OPTIMIZE = ["optimize", "--model", "quantum", "--ineq", "chsh"]
          "analytic-seed-flag-negative", "verify-seed-flag-negative", "run-n-flag-negative",
          "run-min-count-flag-negative", "analytic-n-flag-negative",
          "analytic-ch-n-flag-negative", "grid-step-zero", "grid-step-negative",
-         "grid-step-nan", "grid-step-inf", "optimize-free-repeated",
+         "grid-step-seven", "grid-step-turn", "grid-step-nan", "grid-step-inf",
+         "optimize-free-repeated",
          "analytic-angle-zero-divisor", "analytic-retarded-zero-divisor",
          "grid-step-zero-divisor", "optimize-angle-zero-divisor", "labels-zero-divisor",
          "analytic-angle-nan", "analytic-retarded-inf", "optimize-angle-nan",

@@ -11,6 +11,14 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from conftest import (
+    oracle_build_table,
+    oracle_classify_fractions,
+    oracle_empirical_weights,
+    oracle_independence,
+    oracle_marginal,
+    oracle_quadruple_counts,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st_
 
@@ -19,6 +27,7 @@ from rbell import estimation
 from rbell.errors import MissingCellError, UnsupportedModelError
 from rbell.estimation import (
     BLOCK_SIZE,
+    TrialCounts,
     TrialLog,
     analytic_correlations,
     build_table,
@@ -37,6 +46,7 @@ from rbell.estimation import (
     write_table,
     write_trial_log,
 )
+from rbell.inequalities import Correlation
 from rbell.models import (
     DeterministicLHV,
     HiddenSpace,
@@ -45,7 +55,14 @@ from rbell.models import (
     hardy_closed_form_E,
     hardy_singlet,
 )
-from rbell.scenarios import load_config, run_scenario
+from rbell.scenarios import (
+    _observed_retarded_pairs,
+    classify_fractions,
+    empirical_weights,
+    independence_check,
+    load_config,
+    run_scenario,
+)
 from rbell.spacetime import SettingLabel
 
 HARDY = get_model("hardy")
@@ -271,7 +288,7 @@ def test_substream_independence():
 
 
 def test_build_table_empty_log():
-    table = build_table(make_log([]))
+    table = build_table(TrialCounts(make_log([])))
     assert table.cells == {}
 
 
@@ -290,7 +307,7 @@ def make_log(products, a=0, b=1, ar=0, br=1, lam=0.1):
 
 
 def test_build_table_small_cell_flagged_insufficient():
-    table = build_table(make_log([1, 1, -1, 1]), min_count=100)
+    table = build_table(TrialCounts(make_log([1, 1, -1, 1])), min_count=100)
     cell = table.cells[("a", "b", "a", "b")]
     assert cell.count == 4
     assert cell.estimate == pytest.approx(0.5)
@@ -300,7 +317,7 @@ def test_build_table_small_cell_flagged_insufficient():
 
 def test_build_table_two_cells():
     log = make_log([1, 1, -1], b=[1, 1, 2], br=[1, 1, 2])
-    table = build_table(log, min_count=1)
+    table = build_table(TrialCounts(log), min_count=1)
     assert len(table.cells) == 2
     assert table.cells[("a", "b", "a", "b")].count == 2
     assert table.cells[("a", "b2", "a", "b2")].count == 1
@@ -308,7 +325,7 @@ def test_build_table_two_cells():
 
 
 def test_table_estimate_bounds_and_se():
-    table = build_table(make_log([1] * 150), min_count=100)
+    table = build_table(TrialCounts(make_log([1] * 150)), min_count=100)
     cell = table.cells[("a", "b", "a", "b")]
     assert cell.estimate == 1.0
     assert cell.standard_error == 0.0
@@ -701,7 +718,8 @@ def test_lambda_blank_in_some_rows_reads_nan(tmp_path):
 @given(log=trial_logs(outcome=st_.sampled_from([-1, 1])), min_count=st_.integers(1, 4))
 def test_p12_table_and_marginals_match_mask_scan_oracle(log, min_count):
     ids = log.ids()
-    table = p12_table(log, min_count)
+    counts = TrialCounts(log)
+    table = p12_table(counts, min_count)
     assert set(table.cells) == {
         tuple(ids[k] for k in q) for q in zip(log.a, log.b, log.a_r, log.b_r)
     }
@@ -710,21 +728,72 @@ def test_p12_table_and_marginals_match_mask_scan_oracle(log, min_count):
         assert (cell.estimate, cell.standard_error, cell.count) == (
             est.p12, est.p12_se, est.p12_count)
         assert cell.sufficient == (est.p12_count >= min_count)
-        assert marginal_p1(log, key[0]) == (est.p1, est.p1_se, est.p1_count)
-        assert marginal_p2(log, key[1]) == (est.p2, est.p2_se, est.p2_count)
+        assert marginal_p1(counts, key[0]) == (est.p1, est.p1_se, est.p1_count)
+        assert marginal_p2(counts, key[1]) == (est.p2, est.p2_se, est.p2_count)
     for column, marginal in ((log.a, marginal_p1), (log.b, marginal_p2)):
         for unused in sorted(set(range(len(ids))) - set(column.tolist())):
             with pytest.raises(MissingCellError):
-                marginal(log, ids[unused])
+                marginal(counts, ids[unused])
 
 
 def test_marginals_of_an_unknown_label_are_missing_cells():
     log = make_log([1, -1])
     assert "zz" not in log.ids()
     with pytest.raises(MissingCellError, match="zz"):
-        marginal_p1(log, "zz")
+        marginal_p1(TrialCounts(log), "zz")
     with pytest.raises(MissingCellError, match="zz"):
-        marginal_p2(log, "zz")
+        marginal_p2(TrialCounts(log), "zz")
+
+
+def result_of(fn):
+    """``fn()``'s value, or the type and message of what it raised."""
+    try:
+        return fn()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(log=trial_logs(outcome=st_.sampled_from([-1, 1])), min_count=st_.integers(1, 4))
+def test_count_tensor_statistics_match_log_scan_oracles(log, min_count):
+    counts = TrialCounts(log)
+    assert counts.ids == log.ids()
+    assert np.array_equal(counts.cells, oracle_quadruple_counts(log))
+    table = build_table(counts, min_count)
+    expected = oracle_build_table(log, min_count)
+    assert list(table.cells.items()) == list(expected.items())  # values and key order
+    for x in log.ids():
+        for y in log.ids():
+            assert _observed_retarded_pairs(counts, x, y) == {
+                (u, v) for (ax, by, u, v) in expected if (ax, by) == (x, y)}
+    p12 = p12_table(counts, min_count)
+    assert list(p12.cells) == list(expected)
+    for key, cell in p12.cells.items():
+        est = estimate_ch_probs(log, *key)
+        assert cell == Correlation(est.p12, est.p12_se, est.p12_count, est.p12_count >= min_count)
+    for label in log.ids() + ("zz",):
+        for station, marginal in ((1, marginal_p1), (2, marginal_p2)):
+            assert result_of(lambda: marginal(counts, label)) == result_of(
+                lambda: oracle_marginal(log, station, label))
+    assert result_of(lambda: classify_fractions(counts)) == result_of(
+        lambda: oracle_classify_fractions(log))
+    if len(log):
+        assert list(classify_fractions(counts)) == list(oracle_classify_fractions(log))
+    weights = empirical_weights(counts)
+    assert list(weights.items()) == list(oracle_empirical_weights(log).items())
+    check = independence_check(counts)
+    assert (None if check is None else (check.statistic, check.dof)) == oracle_independence(log)
+
+
+@pytest.mark.parametrize("bad", [0, 5])
+@pytest.mark.parametrize("station", [1, 2])
+def test_counts_refuse_an_outcome_other_than_plus_or_minus_one(bad, station):
+    log = make_log([1, -1, 1, 1, -1])
+    column = log.outcome_1 if station == 1 else log.outcome_2
+    column[[2, 4]] = bad
+    with pytest.raises(ValueError, match=r"2 trial\(s\) with an outcome other than "
+                                         r"\+1 or -1, the first at trial index 2"):
+        TrialCounts(log)
 
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -792,7 +861,7 @@ def test_read_trial_log_header_only_is_empty(tmp_path):
 def test_table_roundtrip_bit_exact(tmp_path):
     rng = np.random.default_rng(7)
     outcomes = np.array([int(rng.choice([-1, 1])) for _ in range(600)])
-    table = build_table(make_log(outcomes[0::2] * outcomes[1::2]), min_count=100)
+    table = build_table(TrialCounts(make_log(outcomes[0::2] * outcomes[1::2])), min_count=100)
     path = tmp_path / "table.csv"
     write_table(table, path)
     back = read_table(path)
@@ -804,7 +873,7 @@ def test_table_roundtrip_bit_exact(tmp_path):
 
 
 def test_read_table_min_count_override(tmp_path):
-    table = build_table(make_log([1, 1, -1, 1]), min_count=1)
+    table = build_table(TrialCounts(make_log([1, 1, -1, 1])), min_count=1)
     path = tmp_path / "table.csv"
     write_table(table, path)
     strict = read_table(path, min_count=100)

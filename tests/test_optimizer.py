@@ -194,6 +194,10 @@ def test_objective_spec_validation_and_json():
             ObjectiveSpec(model="quantum", inequality="chsh", grid_step=step)
     with pytest.raises(ValueError, match="grid_step"):
         ObjectiveSpec.from_json('{"model": "quantum", "inequality": "chsh", "grid_step": 0}')
+    # a step of a turn or more would scan one point, all-zero angles, and stall there
+    for step in (7.0, 6.2832, math.tau, 1e308):
+        with pytest.raises(ValueError, match=r"less than 2\*pi, got"):
+            ObjectiveSpec(model="quantum", inequality="chsh", grid_step=step)
     # quadrature refuses fewer nodes, and a spec says so before any search
     with pytest.raises(ValueError, match="quadrature_nodes must be at least 1000, got 999"):
         ObjectiveSpec(model="quantum", inequality="chsh", quadrature_nodes=999)

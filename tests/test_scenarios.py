@@ -9,7 +9,7 @@ from hypothesis import strategies as st_
 
 from conftest import actual_ids
 from rbell.errors import ConfigError
-from rbell.estimation import BLOCK_SIZE, TrialLog, columns_dir, read_trial_log
+from rbell.estimation import BLOCK_SIZE, TrialCounts, TrialLog, columns_dir, read_trial_log
 from rbell.models import (
     _FACTORIES,
     HiddenSpace,
@@ -273,8 +273,8 @@ def test_scenario_ch_reports_match_public_estimator():
             est = estimate_ch_probs(result.log, *q)
             cells[q] = Correlation(est.p12, est.p12_se, est.p12_count,
                                    est.p12_count >= config.min_count)
-        p1, p1_se, n1 = marginal_p1(result.log, "a2")
-        p2, p2_se, n2 = marginal_p2(result.log, "b2")
+        p1, p1_se, n1 = marginal_p1(TrialCounts(result.log), "a2")
+        p2, p2_se, n2 = marginal_p2(TrialCounts(result.log), "b2")
         recomputed = retarded_ch(cells, Correlation(p1, p1_se, n1),
                                  Correlation(p2, p2_se, n2), *octuple)
         assert recomputed.value == report.value
@@ -283,9 +283,9 @@ def test_scenario_ch_reports_match_public_estimator():
 
 def test_classification_and_weights_helpers():
     result = run_scenario(base_config(n_trials=500))
-    fr = classify_fractions(result.log)
+    fr = classify_fractions(TrialCounts(result.log))
     assert fr == result.classification
-    w = empirical_weights(result.log)
+    w = empirical_weights(TrialCounts(result.log))
     assert w == result.retarded_weights
 
 
@@ -638,7 +638,7 @@ def count_tables(draw, max_side=16):
 @example(table=np.ones((16, 16), dtype=np.int64))  # the largest table, dof 225
 def test_independence_statistic_matches_scipy(table):
     stats = pytest.importorskip("scipy.stats")
-    res = independence_check(log_with_table(table))
+    res = independence_check(TrialCounts(log_with_table(table)))
     stat, _, dof, _ = stats.chi2_contingency(table)
     assert res.statistic == float(stat)
     assert res.dof == int(dof)
@@ -675,7 +675,7 @@ def test_independence_check_drops_empty_rows_and_columns(table, rows, cols):
     r, c = table.shape
     padded = np.zeros((16, 16), dtype=np.int64)
     padded[np.ix_(sorted(rows[:r]), sorted(cols[:c]))] = table
-    res = independence_check(log_with_table(padded))
+    res = independence_check(TrialCounts(log_with_table(padded)))
     stat, _, dof, _ = stats.chi2_contingency(table)
     ref = float(stats.chi2.ppf(0.999, dof))
     assert (res.statistic, res.dof) == (float(stat), int(dof))

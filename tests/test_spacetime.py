@@ -11,7 +11,7 @@ from hypothesis import strategies as st_
 
 from conftest import actual_ids, predictive_oracle, value_at
 from rbell.errors import StreamFormatError, UndefinedTimeError
-from rbell.estimation import TrialLog
+from rbell.estimation import TrialCounts, TrialLog
 from rbell.scenarios import classify_fractions
 from rbell.spacetime import (
     EqualityClass,
@@ -597,7 +597,7 @@ def test_classify_fractions_matches_classify_trial(rows):
     counts = dict.fromkeys((c.value for c in EqualityClass), 0)
     for i, k, j, m in rows:
         counts[classify_trial(PALETTE[i], PALETTE[j], PALETTE[k], PALETTE[m]).value] += 1
-    assert classify_fractions(log) == {key: c / n for key, c in counts.items()}
+    assert classify_fractions(TrialCounts(log)) == {key: c / n for key, c in counts.items()}
 
 
 @settings(max_examples=200, deadline=None)
