@@ -45,7 +45,7 @@ from .inequalities import (
     InequalityReport,
     averaged_chsh,
 )
-from .models import Model, get_model, sample_outcomes
+from .models import DeterministicLHV, Model, StochasticLHV, get_model, sample_outcomes
 from .spacetime import (
     EqualityClass,
     Geometry,
@@ -362,8 +362,10 @@ def make_schedule(
     at ``start`` whose time is at most ``end``.  The switches are built
     as one :class:`SwitchTable` of columns.  random_switch: a constant
     base plus interventions at exponentially spaced decision times with
-    uniformly chosen labels and the configured delay.  stream: a constant
-    base plus interventions loaded from file.
+    uniformly chosen labels and the configured delay, refused before any
+    draw when more than 2**31 - 1 (what a timeline's int32 decision index
+    holds) are expected.  stream: a constant base plus interventions
+    loaded from file.
     """
     start, end = window
     palette = station.palette()
@@ -387,19 +389,23 @@ def make_schedule(
 
     base = palette[station.base_label()]
     if station.kind == "random_switch":
-        rng = substream(seed, 100 + station.station)
         rate = float(station.rate)
-        labels = [palette[lid] for lid in (station.switch_labels or tuple(station.labels))]
         span = end - start
-        # draw enough exponential gaps to cover the window, extending if short
+        if rate * span > 2**31 - 1:
+            raise ConfigError(f"station{station.station}.rate {rate!r} over a window of "
+                              f"{span!r} expects more than 2**31 - 1 interventions")
+        rng = substream(seed, 100 + station.station)
+        labels = [palette[lid] for lid in (station.switch_labels or tuple(station.labels))]
+        # draw enough exponential gaps to cover the window, extending if short;
+        # the running sums do not decrease, so those inside are a prefix
         times = []
         t = start
         chunk = max(16, int(rate * span * 1.2) + 16)
         while t <= end:
-            gaps = rng.exponential(scale=1.0 / rate, size=chunk)
-            cum = t + np.cumsum(gaps)
-            inside = cum[cum <= end]
-            times.append(inside)
+            cum = rng.exponential(scale=1.0 / rate, size=chunk)
+            np.cumsum(cum, out=cum)
+            cum += t
+            times.append(cum[: np.searchsorted(cum, end, side="right")])
             t = float(cum[-1])
         decisions = np.concatenate(times) if times else np.empty(0)
         picks = rng.integers(0, len(labels), size=decisions.size)
@@ -518,59 +524,61 @@ def _merge_palettes(config: ScenarioConfig) -> tuple[tuple[SettingLabel, ...], d
     return tuple(labels), index
 
 
-def _schedule_indices(
-    schedule: SettingSchedule, global_index: dict[str, int]
-) -> np.ndarray:
-    return np.array(
-        [global_index[lbl.id] for lbl in schedule.distinct_labels], dtype=np.int64
-    )
+def _schedule_indices(schedule: SettingSchedule, global_index: dict[str, int]) -> np.ndarray:
+    ids = [global_index[lbl.id] for lbl in schedule.distinct_labels]
+    return np.array(ids, dtype=np.min_scalar_type(len(global_index)))
 
 
-def _retarded_indices(
-    config: ScenarioConfig,
-    sched1: SettingSchedule,
-    sched2: SettingSchedule,
-    index: dict[str, int],
-    t1: np.ndarray,
-    t2: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Retarded label indices (merged palette) of trials measured at t1 on
-    station 1 and t2 on station 2.
+def _station_settings(
+    config: ScenarioConfig, index: dict[str, int], t1: np.ndarray, t2: np.ndarray
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per station, the actual and retarded label columns of trials
+    measured at t1 on station 1 and t2 on station 2, as merged-palette
+    indices of the smallest unsigned dtype.
 
     simple: each schedule's value L/c before its own time.  predictive:
     station 1's setting in effect at t1 as decided by t2 - L/c, and the
-    mirror for station 2.
+    mirror for station 2.  Each lookup reads one station's schedule
+    alone, so the schedules are visited in turn and each, with its
+    timeline, is dropped once its columns exist.
     """
     tau = config.geometry.retardation
-    map1 = _schedule_indices(sched1, index)
-    map2 = _schedule_indices(sched2, index)
-    if config.retarded_definition == "simple":
-        return map1[sched1.value_index_at(t1 - tau)], map2[sched2.value_index_at(t2 - tau)]
-    return (
-        map1[sched1.predictive_index_at(t1, t2 - tau)],
-        map2[sched2.predictive_index_at(t2, t1 - tau)],
-    )
+    schedules = list(build_schedules(config))
+    times = (t1, t2)
+    columns = []
+    for k in range(2):
+        # rebinding ``schedule`` drops the previous station's
+        schedule, schedules[k] = schedules[k], None
+        to_palette = _schedule_indices(schedule, index)
+        if config.retarded_definition == "simple":
+            retarded = schedule.value_index_at(times[k] - tau)
+        else:
+            retarded = schedule.predictive_index_at(times[k], times[1 - k] - tau)
+        columns.append((to_palette[schedule.value_index_at(times[k])], to_palette[retarded]))
+    return columns
 
 
 def _sample_trials(
-    model: Model, angles: tuple[np.ndarray, ...], seed: int, workers: Optional[int]
+    model: Model, angles: np.ndarray, columns: tuple, seed: int, workers: Optional[int]
 ) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
-    """Outcome pairs and lambda (None without a hidden variable) for
-    per-trial angles (a, b, a_r, b_r), one substream per block."""
-    a, b, a_r, b_r = angles
+    """Outcome pairs and lambda (None without a hidden variable) for label
+    columns (a, b, a_r, b_r) indexing ``angles``, one substream per block.
+    Each block gathers its own angles and writes its slice of the output."""
+    n = columns[0].size
+    outcome_1, outcome_2 = np.empty(n, np.int8), np.empty(n, np.int8)
+    lam = np.empty(n) if isinstance(model, (DeterministicLHV, StochasticLHV)) else None
 
-    def block(i: int, offset: int, m: int):
+    def block(i: int, offset: int, m: int) -> None:
         sl = slice(offset, offset + m)
-        return sample_outcomes(
-            model, a[sl], b[sl], a_r[sl], b_r[sl], substream(seed, 200, i), m
+        a, b, a_r, b_r = (angles[column[sl]] for column in columns)
+        outcome_1[sl], outcome_2[sl], lam_block = sample_outcomes(
+            model, a, b, a_r, b_r, substream(seed, 200, i), m
         )
+        if lam is not None:
+            lam[sl] = lam_block
 
-    outcome_1, outcome_2, lam = zip(*map_blocks(a.size, block, workers))
-    return (
-        np.concatenate(outcome_1),
-        np.concatenate(outcome_2),
-        None if lam[0] is None else np.concatenate(lam),
-    )
+    map_blocks(n, block, workers)
+    return outcome_1, outcome_2, lam
 
 
 def classify_fractions(counts: TrialCounts) -> dict[str, float]:
@@ -797,20 +805,13 @@ def run_scenario(
     if config.geometry.t0 >= config.start - tau:
         raise ConfigError("geometry.t0 must precede start - L/c")
     model = get_model(config.model)
-    sched1, sched2 = build_schedules(config)
     palette, index = _merge_palettes(config)
     times = config.start + config.spacing * np.arange(config.n_trials)
-
-    a_idx = _schedule_indices(sched1, index)[sched1.value_index_at(times)]
-    b_idx = _schedule_indices(sched2, index)[sched2.value_index_at(times)]
-    ar_idx, br_idx = _retarded_indices(config, sched1, sched2, index, times, times)
+    (a_idx, ar_idx), (b_idx, br_idx) = _station_settings(config, index, times, times)
 
     angles = np.array([lbl.angle for lbl in palette])
     outcome_1, outcome_2, lam = _sample_trials(
-        model,
-        (angles[a_idx], angles[b_idx], angles[ar_idx], angles[br_idx]),
-        config.seed,
-        workers,
+        model, angles, (a_idx, b_idx, ar_idx, br_idx), config.seed, workers
     )
     log = TrialLog(
         palette=palette,
@@ -849,9 +850,10 @@ def replay_retarded(
     config's merged palette (station 1's labels, then station 2's new
     ones, as ``_merge_palettes`` orders them), not ``log.palette``: a
     log read back from disk lists ids in first-seen order, so compare
-    ids, not indices.  Used to audit that recorded retarded settings
-    are a pure function of (config, times).
+    ids, not indices.  The indices take the smallest unsigned dtype.
+    Used to audit that recorded retarded settings are a pure function of
+    (config, times).
     """
-    sched1, sched2 = build_schedules(config)
     _, index = _merge_palettes(config)
-    return _retarded_indices(config, sched1, sched2, index, log.t1, log.t2)
+    (_, ar_idx), (_, br_idx) = _station_settings(config, index, log.t1, log.t2)
+    return ar_idx, br_idx

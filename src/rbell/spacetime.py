@@ -132,6 +132,11 @@ class Geometry:
         return self.separation / self.signal_speed
 
 
+def _nondecreasing(values: np.ndarray) -> bool:
+    """Whether ``values`` is already sorted; a stable sort of it is the identity."""
+    return bool(np.all(values[1:] >= values[:-1]))
+
+
 def _timing_fault(decision_time: float, delay: float) -> Optional[str]:
     """What is wrong with one intervention's timing, or None if nothing is."""
     if not math.isfinite(decision_time):
@@ -151,7 +156,8 @@ class InterventionStream:
     decision time plus its delay.  The delay is the control knob that
     separates the two retarded-setting notions; ``delays`` is one value
     for every row or one per row.  Rows are kept sorted by decision time,
-    and rows with equal decision times keep their given order.
+    and rows with equal decision times keep their given order; label
+    indices take the smallest unsigned dtype.
     """
 
     def __init__(
@@ -184,10 +190,13 @@ class InterventionStream:
             i = int(np.argmin(valid))
             delay = delays[i] if delays.ndim else delays
             raise ValueError(_timing_fault(decision_times[i], delay))
-        order = np.argsort(decision_times, kind="stable")
-        self.decision_times = decision_times[order]
-        self.effect_times = self.decision_times + (delays[order] if delays.ndim else delays)
-        self.label_indices = label_indices[order]
+        if not _nondecreasing(decision_times):
+            order = np.argsort(decision_times, kind="stable")
+            decision_times, label_indices = decision_times[order], label_indices[order]
+            delays = delays[order] if delays.ndim else delays
+        self.decision_times = decision_times
+        self.effect_times = decision_times + delays
+        self.label_indices = label_indices.astype(np.min_scalar_type(len(self.labels)))
 
     def __len__(self) -> int:
         return int(self.decision_times.size)
@@ -316,8 +325,9 @@ class SettingSchedule:
         One stable sort ranks them, and it is the whole tie policy: at
         equal times base switches rank before interventions and
         interventions keep decision order, so the later-ranked event is in
-        force.  The arrays live as long as the schedule, so labels take the
-        smallest unsigned dtype and decision indices int32.
+        force; events already in time order skip the sort.  The arrays live
+        as long as the schedule, so labels take the smallest unsigned dtype
+        and decision indices int32.
         """
         sw, iv = self.switches, self.interventions
         dtype = np.min_scalar_type(len(self.distinct_labels))
@@ -332,8 +342,20 @@ class SettingSchedule:
         labels = np.concatenate(
             (np.zeros(1, dtype), sw_labels[sw.label_indices], iv_labels[iv.label_indices])
         )
+        if _nondecreasing(times):
+            return times, decisions, labels
         order = np.argsort(times, kind="stable")
         return times[order], decisions[order], labels[order]
+
+    def _require_defined(self, name: str, values: np.ndarray) -> None:
+        """Raise :class:`UndefinedTimeError` unless every value is at or
+        after the start; NaN propagates through ``min``, so the one pass
+        also refuses NaN."""
+        low = values.min(initial=np.inf)
+        if not low >= self.start:
+            if np.isnan(low):
+                raise UndefinedTimeError(f"{name} {low} is not a number")
+            raise UndefinedTimeError(f"{name} {low} precedes the timeline start {self.start}")
 
     # ------------------------------------------------------------------
     # Evaluation
@@ -342,10 +364,7 @@ class SettingSchedule:
     def value_index_at(self, times: np.ndarray) -> np.ndarray:
         """Vector lookup; returns indices into :attr:`distinct_labels`."""
         times = np.asarray(times, dtype=np.float64)
-        if times.size and float(times.min()) < self.start:
-            raise UndefinedTimeError(
-                f"time {times.min()} precedes the timeline start {self.start}"
-            )
+        self._require_defined("time", times)
         ts, _, labels = self._timeline
         return labels[np.searchsorted(ts, times, side="right") - 1]
 
@@ -375,12 +394,11 @@ class SettingSchedule:
         """
         t_targets = np.asarray(t_targets, dtype=np.float64)
         cutoffs = np.asarray(cutoffs, dtype=np.float64)
-        if cutoffs.size and float(cutoffs.min()) < self.start:
-            raise UndefinedTimeError(
-                f"cutoff {cutoffs.min()} precedes the timeline start {self.start}"
-            )
+        self._require_defined("cutoff", cutoffs)
         if np.any(t_targets < cutoffs):
             raise ValueError("prediction target must not precede the cutoff")
+        # a target at or after its cutoff is defined; this refuses NaN
+        self._require_defined("target", t_targets)
         ts, decisions, labels = self._timeline
         pos = np.searchsorted(ts, t_targets, side="right")
         jd = np.searchsorted(self.interventions.decision_times, cutoffs, side="right")

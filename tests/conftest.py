@@ -106,6 +106,65 @@ def actual_ids(sched, *times):
 
 
 # ----------------------------------------------------------------------
+# The two-schedule settings path: both schedules built and kept through
+# the lookups, int64 label columns, full-length angle arrays, and outcome
+# blocks joined by concatenation.
+# ----------------------------------------------------------------------
+
+
+def oracle_trials(config, workers=None):
+    """Label columns (a, b, a_r, b_r) as int64 merged-palette indices, and
+    outcome_1, outcome_2 and lambda (None without a hidden variable), of
+    the trials of ``run_scenario(config, workers)``."""
+    from rbell.estimation import map_blocks, substream
+    from rbell.models import get_model, sample_outcomes
+    from rbell.scenarios import _merge_palettes, build_schedules
+
+    sched1, sched2 = build_schedules(config)
+    palette, index = _merge_palettes(config)
+    times = config.start + config.spacing * np.arange(config.n_trials)
+    a, b = oracle_label_columns(sched1, sched2, index, times, times)
+    a_r, b_r = oracle_retarded_columns(config, sched1, sched2, index, times, times)
+    angles = np.array([lbl.angle for lbl in palette])
+    per_trial = (angles[a], angles[b], angles[a_r], angles[b_r])
+    model = get_model(config.model)
+
+    def block(i, offset, m):
+        sl = slice(offset, offset + m)
+        return sample_outcomes(
+            model, *(col[sl] for col in per_trial), substream(config.seed, 200, i), m
+        )
+
+    outcome_1, outcome_2, lam = zip(*map_blocks(config.n_trials, block, workers))
+    return (a, b, a_r, b_r, np.concatenate(outcome_1).astype(np.int8),
+            np.concatenate(outcome_2).astype(np.int8),
+            None if lam[0] is None else np.concatenate(lam))
+
+
+def _to_palette(schedule, index):
+    return np.array([index[lbl.id] for lbl in schedule.distinct_labels], dtype=np.int64)
+
+
+def oracle_label_columns(sched1, sched2, index, t1, t2):
+    """Actual label columns, as int64 merged-palette indices."""
+    return (_to_palette(sched1, index)[sched1.value_index_at(t1)],
+            _to_palette(sched2, index)[sched2.value_index_at(t2)])
+
+
+def oracle_retarded_columns(config, sched1, sched2, index, t1, t2):
+    """Retarded label columns, as int64 merged-palette indices, with both
+    schedules at hand: simple reads each L/c before its own time,
+    predictive reads station 1 at t1 as decided by t2 - L/c and the
+    mirror for station 2."""
+    tau = config.geometry.retardation
+    map1, map2 = _to_palette(sched1, index), _to_palette(sched2, index)
+    if config.retarded_definition == "simple":
+        return map1[sched1.value_index_at(t1 - tau)], map2[sched2.value_index_at(t2 - tau)]
+    return (map1[sched1.predictive_index_at(t1, t2 - tau)],
+            map2[sched2.predictive_index_at(t2, t1 - tau)])
+
+
+# ----------------------------------------------------------------------
 # Log-scan oracles of the count-tensor statistics: each reads the trial
 # log's columns directly, one bincount or mask scan per statistic.
 # ----------------------------------------------------------------------

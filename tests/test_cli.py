@@ -447,6 +447,17 @@ OPTIMIZE = ["optimize", "--model", "quantum", "--ineq", "chsh"]
          lambda config, out: OPTIMIZE + ["--free", "a2", "--ar=inf"]),
         ("labels = a=pi/2, a2=0", "labels = a=nan, a2=0",
          "station1.labels must be id=angle entries; angle 'nan' is not finite", RUN),
+    ] + [
+        # a rate expecting more interventions than a timeline's int32
+        # decision index holds over the run window, refused before any draw
+        ("rate = 2.0", f"rate = {rate}", f"station1.rate {float(rate)!r} over a window of "
+         "20005.0 expects more than 2**31 - 1 interventions", RUN)
+        for rate in ("1e15", "1e300", "1e308")
+    ] + [
+        # --n sets the window, so the check runs with the run
+        ("rate = 2.0", "rate = 1e9", "station1.rate 1000000000.0 over a window of 15.0 "
+         "expects more than 2**31 - 1 interventions",
+         lambda config, out: RUN(config, out) + ["--n", "10"]),
     ],
     ids=["spacing-inf", "spacing-nan", "start-nan", "start-inf", "delay-inf", "rate-inf",
          "rate-nan", "period-inf", "phase-nan", "separation-inf", "signal_speed-nan",
@@ -459,7 +470,8 @@ OPTIMIZE = ["optimize", "--model", "quantum", "--ineq", "chsh"]
          "analytic-angle-zero-divisor", "analytic-retarded-zero-divisor",
          "grid-step-zero-divisor", "optimize-angle-zero-divisor", "labels-zero-divisor",
          "analytic-angle-nan", "analytic-retarded-inf", "optimize-angle-nan",
-         "optimize-retarded-inf", "labels-angle-nan"],
+         "optimize-retarded-inf", "labels-angle-nan", "rate-1e15", "rate-1e300", "rate-1e308",
+         "rate-window-of-n-flag"],
 )
 def test_run_rejects_non_finite_and_negative_numbers(tmp_path, capsys, old, new, message, argv):
     assert old in CONFIG_TEXT

@@ -1,15 +1,27 @@
 import hashlib
 import json
 import math
+import tempfile
+from dataclasses import replace
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st_
 
-from conftest import actual_ids
-from rbell.errors import ConfigError
-from rbell.estimation import BLOCK_SIZE, TrialCounts, TrialLog, columns_dir, read_trial_log
+from conftest import actual_ids, oracle_trials, traced_peak_mib
+from rbell import estimation
+from rbell.errors import ConfigError, UndefinedTimeError
+from rbell.estimation import (
+    BLOCK_SIZE,
+    TrialCounts,
+    TrialLog,
+    columns_dir,
+    read_trial_log,
+    substream,
+)
 from rbell.models import (
     _FACTORIES,
     HiddenSpace,
@@ -20,6 +32,8 @@ from rbell.models import (
     register_model,
 )
 from rbell.scenarios import (
+    RETARDED_DEFINITIONS,
+    SCHEDULE_KINDS,
     ScenarioConfig,
     StationConfig,
     chi2_upper_quantile,
@@ -163,6 +177,45 @@ def test_random_switch_schedule_statistics():
     n = len(sched.interventions)
     assert abs(n - 2000) < 300  # poisson count at rate * span
     assert np.all(np.diff(sched.interventions.effect_times) >= 0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    rate=st_.floats(0.05, 50.0),
+    start=st_.floats(-20.0, 0.0),
+    span=st_.floats(0.0, 40.0),
+    seed=st_.integers(0, 2**32),
+)
+def test_random_switch_draw_matches_masked_cumsum(rate, start, span, seed):
+    # the draw as a fresh cumsum plus a boolean mask per chunk: the
+    # in-place cumsum and prefix slice take the same values from the
+    # same stream
+    end = start + span
+    sched = make_schedule(random_station(2, QUARTET_2, rate), (start, end), seed, 0.5)
+    rng = substream(seed, 102)
+    times, t = [], start
+    chunk = max(16, int(rate * span * 1.2) + 16)
+    while t <= end:
+        cum = t + np.cumsum(rng.exponential(scale=1.0 / rate, size=chunk))
+        times.append(cum[cum <= end])
+        t = float(cum[-1])
+    decisions = np.concatenate(times)
+    picks = rng.integers(0, len(QUARTET_2), size=decisions.size)
+    iv = sched.interventions
+    assert iv.decision_times.tobytes() == decisions.tobytes()
+    assert iv.effect_times.tobytes() == (decisions + 0.5).tobytes()
+    assert np.array_equal(iv.label_indices, picks)
+
+
+@pytest.mark.parametrize("rate", [1e12, 1e15, 1e300, 1e308])
+def test_random_switch_refuses_more_interventions_than_the_index_holds(rate):
+    # a window of 1 expects ``rate`` interventions; the timeline's int32
+    # decision index holds 2**31 - 1, and the refusal comes before any
+    # draw.  Every rate here asks for terabytes or more, so a tree without
+    # the check fails to allocate rather than drawing.
+    station = random_station(2, QUARTET_2, rate)
+    with pytest.raises(ConfigError, match=r"^station2\.rate .* expects more than 2\*\*31 - 1"):
+        make_schedule(station, window=(0.0, 1.0), seed=0)
 
 
 def test_stream_schedule(tmp_path):
@@ -322,6 +375,106 @@ def test_replay_indexes_the_merged_palette_not_the_logs(tmp_path):
     assert not np.array_equal(ar, back.a_r)
     assert np.array_equal(merged[ar], np.array(back.ids())[back.a_r])
     assert np.array_equal(merged[br], np.array(back.ids())[back.b_r])
+
+
+def test_replay_refuses_a_nan_time():
+    for definition in RETARDED_DEFINITIONS:
+        config = base_config(retarded_definition=definition, n_trials=50)
+        log = run_scenario(config).log
+        log.t2[7] = math.nan
+        with pytest.raises(UndefinedTimeError, match="nan is not a number"):
+            replay_retarded(config, log)
+
+
+# Times on a grid of 0.25, so trials, switches, retarded times, cutoffs
+# and stream decisions and effects tie.
+STREAM_DELAYS = (0.0, 0.5, 1.5, 3.0)
+
+
+@st_.composite
+def settings_cases(draw):
+    """A config over every schedule kind and definition, the stream file
+    rows its stream stations read, and a worker count."""
+    tau = draw(st_.sampled_from((1.0, 2.0, 4.0)))
+    n = draw(st_.integers(1, 300))
+    spacing = draw(st_.sampled_from((0.25, 0.5, 1.0)))
+    t0 = -tau - 1.3
+    rows, stations = [], []
+    for k, labels in ((1, QUARTET_1), (2, QUARTET_2)):
+        kind = draw(st_.sampled_from(SCHEDULE_KINDS))
+        if kind == "periodic":
+            station = StationConfig(
+                station=k, labels=labels, kind=kind, cycle=tuple(labels),
+                period=draw(st_.sampled_from((0.25, 0.5, 1.0))),
+                phase=draw(st_.sampled_from((0.0, 0.25))),
+            )
+        elif kind == "random_switch":
+            station = random_station(k, labels, draw(st_.floats(0.25, 4.0)))
+        else:
+            station = StationConfig(station=k, labels=labels, kind=kind, stream_path="-")
+            grid = st_.integers(int(t0 / 0.25), int((n - 1) * spacing / 0.25) + 4)
+            rows += [
+                f"{k},{d * 0.25},{delay},{lid},x\n"
+                for d, delay, lid in draw(st_.lists(st_.tuples(
+                    grid, st_.sampled_from(STREAM_DELAYS), st_.sampled_from(tuple(labels))
+                ), max_size=40))
+            ]
+        stations.append(station)
+    config = ScenarioConfig(
+        geometry=Geometry(separation=tau, signal_speed=1.0, t1=0.0, t2=0.0, t0=t0),
+        model=draw(st_.sampled_from(("hardy-singlet", "quantum-singlet", "hardy-noisy"))),
+        station1=stations[0],
+        station2=stations[1],
+        quartet=("a", "a2", "b", "b2"),
+        n_trials=n,
+        spacing=spacing,
+        seed=draw(st_.integers(0, 1000)),
+        retarded_definition=draw(st_.sampled_from(RETARDED_DEFINITIONS)),
+        intervention_delay=draw(st_.sampled_from((0.0, 0.5, 1.5))),
+    )
+    return config, "".join(rows), draw(st_.sampled_from((1, 2)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(settings_cases())
+def test_settings_and_sampling_match_the_two_schedule_oracle(case):
+    # one schedule at a time, label columns of the smallest dtype and
+    # angles gathered per block give the bits of both schedules kept,
+    # int64 columns and full-length angle arrays; 64-trial blocks make
+    # several blocks of a few hundred trials
+    config, rows, workers = case
+    register_model("hardy-noisy", _noisy_hardy)
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "stream.csv"
+            path.write_text("station,decision_time,delay,label,source_tag\n" + rows)
+            config = replace(config, **{
+                f"station{k}": replace(st, stream_path=str(path))
+                for k, st in ((1, config.station1), (2, config.station2)) if st.kind == "stream"
+            })
+            with mock.patch.object(estimation, "BLOCK_SIZE", 64):
+                expect = oracle_trials(config, workers)
+                log = run_scenario(config, workers=workers).log
+            replayed = replay_retarded(config, log)
+    finally:
+        _FACTORIES.pop("hardy-noisy", None)
+    names = ("a", "b", "a_r", "b_r", "outcome_1", "outcome_2", "lam")
+    for name, want in zip(names, expect):
+        got = getattr(log, name)
+        if want is None:
+            assert got is None, name
+        else:
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+    assert np.array_equal(replayed[0], expect[2]) and np.array_equal(replayed[1], expect[3])
+
+
+def test_run_scenario_in_bounded_memory():
+    # each schedule is dropped once its label columns exist, and angles
+    # are gathered per block: keeping both schedules through sampling
+    # and four full-length angle arrays peaked at 23.6 MiB here
+    path = Path(__file__).resolve().parent.parent / "configs" / "fast_random_switching.ini"
+    config = replace(load_config(path), n_trials=100_000)
+    assert traced_peak_mib(lambda: run_scenario(config)) < 16
 
 
 def test_run_bit_reproducible():

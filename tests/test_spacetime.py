@@ -396,6 +396,32 @@ def test_predictive_target_before_cutoff_rejected():
         sched.predictive_index_at(np.array([1.0, 2.0]), np.array([1.0, -1.0]))
 
 
+@pytest.mark.parametrize(
+    "lookup,message",
+    [
+        (lambda s: s.value_index_at(np.array([math.nan])), "time nan is not a number"),
+        (lambda s: s.value_index_at(np.array([2.0, math.nan, 0.5])), "time nan"),
+        (lambda s: s.predictive_index_at(np.array([math.nan]), np.array([math.nan])),
+         "cutoff nan is not a number"),
+        (lambda s: s.predictive_index_at(np.array([3.0, 3.0]), np.array([1.0, math.nan])),
+         "cutoff nan"),
+        (lambda s: s.predictive_index_at(np.array([3.0, math.nan]), np.array([1.0, 1.0])),
+         "target nan is not a number"),
+        (lambda s: s.predictive_value_at(math.nan, 1.0), "target nan"),
+    ],
+    ids=["time", "time-among-others", "target-and-cutoff", "cutoff", "target", "scalar"],
+)
+def test_nan_times_are_undefined(lookup, message):
+    # NaN fails every comparison, so a guard of the form ``min < start``
+    # let it through to a label
+    iv = Intervention(station=1, decision_time=1.0, delay=0.5, new_label=B2)
+    sched = SettingSchedule(
+        station=1, start=0.0, initial=A, switches=((2.0, A2),), interventions=stream1(iv)
+    )
+    with pytest.raises(UndefinedTimeError, match=message):
+        lookup(sched)
+
+
 def test_predictive_vector_matches_scalar_with_mixed_delays():
     rng = np.random.default_rng(21)
     ivs = tuple(
@@ -538,6 +564,48 @@ def test_schedule_from_columns_matches_schedule_from_pairs(case):
         by_columns.predictive_index_at(targets, cutoffs),
         by_pairs.predictive_index_at(targets, cutoffs),
     )
+
+
+def argsort_timeline(sched):
+    """The timeline's columns ranked by an unconditional stable argsort."""
+    sw, iv = sched.switches, sched.interventions
+    ids = [lbl.id for lbl in sched.distinct_labels]
+    times = np.concatenate(([-np.inf], sw.times, iv.effect_times))
+    decisions = np.concatenate((np.full(1 + len(sw), -1), np.arange(len(iv))))
+    labels = np.array([0] + [ids.index(lbl.id) for _, lbl in sw]
+                      + [ids.index(iv.labels[k].id) for k in iv.label_indices])
+    order = np.argsort(times, kind="stable")
+    return times[order], decisions[order], labels[order]
+
+
+@settings(max_examples=300, deadline=None)
+@given(predictive_cases(), st_.booleans(), st_.one_of(st_.none(), _on_grid(0, 4)))
+# a base switch and an effect at one instant, in time order: the
+# intervention ranks last and wins
+@example(([(2.0, 0.0, B), (2.0, 0.0, A2)], ((2.0, B2),), []), True, None)
+# equal decision times with one delay: sorted rows and effects, no switches
+@example(([(1.0, 0.5, B), (1.0, 0.5, A2), (3.0, 0.5, B)], (), []), True, 0.5)
+def test_sorted_input_matches_stable_argsort(case, presort, common_delay):
+    # input already in order skips the sort and the gathers; a stable sort
+    # of such input is the identity, so the columns are those of the sort
+    ivs, switches, _ = case
+    if presort:
+        ivs = sorted(ivs, key=lambda row: row[0])
+    decisions = np.array([d for d, _, _ in ivs], dtype=np.float64)
+    delays = np.array([x for _, x, _ in ivs]) if common_delay is None else common_delay
+    picks = np.array([PALETTE.index(lbl) for _, _, lbl in ivs], dtype=np.int64)
+    stream = InterventionStream(1, decisions, delays, picks, PALETTE)
+    order = np.argsort(decisions, kind="stable")
+    assert stream.decision_times.tobytes() == decisions[order].tobytes()
+    assert stream.effect_times.tobytes() == (decisions + delays)[order].tobytes()
+    assert np.array_equal(stream.label_indices, picks[order])
+    if presort:
+        assert stream.decision_times is decisions
+    sched = SettingSchedule(
+        station=1, start=-5.0, initial=A, switches=switches, interventions=stream
+    )
+    for got, want in zip(sched._timeline, argsort_timeline(sched)):
+        assert got.tobytes() == want.astype(got.dtype).tobytes()
 
 
 def test_switch_table_rejects_mismatched_columns():
