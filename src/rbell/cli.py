@@ -33,10 +33,10 @@ from .estimation import (
     analytic_ch_probs,
     analytic_correlations,
     analytic_marginals,
+    exact_row,
     mc_correlations,
     quadrature_E,
     read_table,
-    resolve_workers,
 )
 from .inequalities import (
     ANGLE_FLAGS,
@@ -44,6 +44,7 @@ from .inequalities import (
     QUARTET,
     RETARDED_FLAGS,
     CorrelationInput,
+    Inequality,
     InequalityReport,
     ch_identity_check,
     chsh_identity_check,
@@ -51,7 +52,6 @@ from .inequalities import (
 from .models import (
     get_model,
     hardy_closed_form_E,
-    hardy_closed_form_p12,
     model_names,
     quantum_joint_probs,
 )
@@ -200,7 +200,7 @@ def _run(args) -> int:
         from dataclasses import replace
 
         config = replace(config, **overrides)
-    result = run_scenario(config, workers=resolve_workers())
+    result = run_scenario(config)
     outdir = Path(args.out)
     paths = result.write_outputs(outdir)
     _say(f"run: {len(result.log)} trials, {len(result.table.cells)} cells")
@@ -270,6 +270,10 @@ def _optimize(args) -> int:
 # ----------------------------------------------------------------------
 
 
+def _within(row: Inequality, values: np.ndarray, tol: float) -> bool:
+    return bool(np.all(values >= row.lower - tol) and np.all(values <= row.upper + tol))
+
+
 def _verify_checks(rng: np.random.Generator) -> list[tuple[str, bool, str]]:
     checks: list[tuple[str, bool, str]] = []
     hardy = get_model("hardy")
@@ -310,27 +314,13 @@ def _verify_checks(rng: np.random.Generator) -> list[tuple[str, bool, str]]:
          f"worst {float(diff.max()):.2e}")
     )
 
-    angles = rng.uniform(0, math.tau, (8, 10_000))
-    a, a2, b, b2, ar, a2r, br, b2r = angles
-    s = (
-        hardy_closed_form_E(a2, b2, a2r, b2r)
-        + hardy_closed_form_E(a2, b, ar, b2r)
-        + hardy_closed_form_E(a, b2, a2r, br)
-        - hardy_closed_form_E(a, b, ar, br)
-    )
-    ok = bool(np.all(s >= -2 - 1e-9) and np.all(s <= 2 + 1e-9))
-    checks.append(("lhv-retarded-chsh-bound", ok, f"range [{s.min():.6f}, {s.max():.6f}]"))
-
-    ch = (
-        hardy_closed_form_p12(a2, b2, a2r, b2r)
-        + hardy_closed_form_p12(a2, b, ar, b2r)
-        + hardy_closed_form_p12(a, b2, a2r, br)
-        - hardy_closed_form_p12(a, b, ar, br)
-        - 0.5
-        - 0.5
-    )
-    ok = bool(np.all(ch >= -1 - 1e-9) and np.all(ch <= 1e-9))
-    checks.append(("lhv-retarded-ch-bound", ok, f"range [{ch.min():.6f}, {ch.max():.6f}]"))
+    # every local model keeps the retarded rows inside their bounds
+    angles = dict(zip(ANGLE_FLAGS, rng.uniform(0, math.tau, (8, 10_000))))
+    for check, name in (("lhv-retarded-chsh-bound", "retarded_chsh"),
+                        ("lhv-retarded-ch-bound", "retarded_ch")):
+        row = INEQUALITIES[name]
+        v = exact_row(hardy, row)(angles)
+        checks.append((check, _within(row, v, 1e-9), f"range [{v.min():.6f}, {v.max():.6f}]"))
 
     worst = 0.0
     for _ in range(50):
@@ -351,11 +341,13 @@ def _verify_checks(rng: np.random.Generator) -> list[tuple[str, bool, str]]:
         worst = max(worst, abs(r1.value - r2.value))
     checks.append(("same-retarded-reduction-exact", worst == 0.0, f"worst {worst:.2e}"))
 
-    # one changed end cannot violate the probability bound (quantum inputs)
-    dgrid = np.arange(0.0, math.tau, math.pi / 180)
-    v = 2.0 * (1.0 - np.cos(dgrid)) / 4.0 - 1.0  # a2 = a case collapses
-    ok = bool(np.all(v >= -1 - 1e-12) and np.all(v <= 1e-12))
-    checks.append(("ch-one-end-cannot-violate", ok, f"range [{v.min():.6f}, {v.max():.6f}]"))
+    # one changed end cannot violate the probability bound (quantum inputs):
+    # with a2 = a the row collapses to 2 * p12(a, b2) - 1
+    row = INEQUALITIES["retarded_ch"]
+    b2 = np.arange(0.0, math.tau, math.pi / 180)
+    v = exact_row(quantum, row)(dict(zip(ANGLE_FLAGS, (0.0, 0.0, math.pi, b2) * 2)))
+    checks.append(("ch-one-end-cannot-violate", _within(row, v, 1e-12),
+                   f"range [{v.min():.6f}, {v.max():.6f}]"))
 
     return checks
 
@@ -454,6 +446,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_INSUFFICIENT
     except (RbellError, ValueError, OSError) as exc:
         _say(f"error: {exc}")
+        return EXIT_ERROR
+    except MemoryError as exc:
+        _say(f"error: out of memory: {exc}" if str(exc) else "error: out of memory")
         return EXIT_ERROR
 
 

@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 import numpy as np
 
 from .errors import MissingCellError, UnsupportedModelError
-from .inequalities import Correlation, CorrelationInput, Quad
+from .inequalities import Correlation, CorrelationInput, Inequality, Quad
 from .models import ArrayLike, Model, StochasticLHV, sample_outcomes
 from .spacetime import SettingLabel
 
@@ -634,6 +634,23 @@ def exact_values(
     def by_quadrature(a, b, a_r, b_r):
         return tuple(np.asarray(v) for v in quadrature(model, a, b, a_r, b_r, nodes))
     return by_quadrature
+
+
+def exact_row(
+    model: Model, row: Inequality, nodes: int = 100_000
+) -> Callable[[Mapping[str, ArrayLike]], np.ndarray]:
+    """Broadcasting evaluator of table row ``row`` over ``exact_values``:
+    flag -> angle (scalars or arrays that broadcast together) to the
+    row's signed sum, with the retarded-independent +1 marginals at a2
+    and b2 as the singles of a probability row."""
+    exact = exact_values(model, "p12" if row.probability else "E", nodes)
+    marginals = exact_values(model, "marginals", nodes) if row.probability else None
+
+    def value(angles: Mapping[str, ArrayLike]) -> np.ndarray:
+        singles = () if marginals is None else marginals(
+            row.flag(angles, "a2"), row.flag(angles, "b2"), 0.0, 0.0)
+        return row.signed_sum((exact(*cell)[0] for cell in row.cells(angles)), singles)
+    return value
 
 
 # ----------------------------------------------------------------------

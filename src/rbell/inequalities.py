@@ -2,10 +2,13 @@
 
 Correlations are keyed by the setting quadruple (actual pair, retarded
 pair).  ``INEQUALITIES`` states each member of the family once, as
-signed terms over setting flags; its ``evaluate`` pulls the cells a row
-needs, combines their standard errors in quadrature, and issues a
-verdict against the row's bounds with a 3-sigma tolerance band (zero
-for analytic inputs).
+signed terms over setting flags, and ``Inequality.signed_sum`` is the
+one place a row's terms are combined.  Scenario runs, ``analytic``,
+``check``, the optimizer, the identity checks and ``rbell verify`` all
+evaluate these rows.  A row's ``evaluate`` pulls the cells it needs,
+combines their standard errors in quadrature, and issues a verdict
+against the row's bounds with a 3-sigma tolerance band (zero for
+analytic inputs).
 
 Note on the probability-form inequality: the algebraic bound used here
 is ``-1 <= x'y' + x'y + xy' - xy - x' - y' <= 0`` for x, y, x', y' in
@@ -21,7 +24,9 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Optional, Sequence, Union
+from functools import cached_property
+from operator import itemgetter
+from typing import Any, Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -156,18 +161,6 @@ def _report(
     )
 
 
-def _combine(terms: Sequence[tuple[float, Correlation]]) -> tuple[float, float]:
-    """Signed sum of the estimates and quadrature sum of the scaled
-    errors, both in term order and started from the first term."""
-    (coef, cell), *rest = terms
-    value = coef * cell.estimate
-    var = (coef * cell.standard_error) ** 2
-    for coef, cell in rest:
-        value += coef * cell.estimate
-        var += (coef * cell.standard_error) ** 2
-    return value, math.sqrt(var)
-
-
 Estimate = Union[float, tuple[float, float], Correlation]
 
 
@@ -228,9 +221,31 @@ class Inequality:
         """The value (cell id or angle) of flag ``name`` after the ties."""
         return ids[self.ties.get(name, name)]
 
+    @cached_property
+    def _cell_getters(self) -> tuple[itemgetter, ...]:
+        """Per term, a getter of its four flags after the ties."""
+        return tuple(itemgetter(*(self.ties.get(k, k) for k in flags)) for _, flags in self.terms)
+
     def cells(self, ids: Mapping[str, Any]) -> tuple[tuple, ...]:
         """The cell of each term, in term order, for flag values ``ids``."""
-        return tuple(tuple(self.flag(ids, k) for k in flags) for _, flags in self.terms)
+        return tuple(get(ids) for get in self._cell_getters)
+
+    def signed_sum(self, values: Iterable[Any], singles: Sequence[Any] = ()) -> Any:
+        """The row's value from one value per term (floats or arrays, read
+        one at a time): the signed terms added in term order, starting
+        from the first, then for a probability row the +1 ``singles`` at
+        a2 and b2 subtracted.  It is the only code that combines a row's
+        terms."""
+        values = iter(values)
+        (coef, _), *rest = self.terms
+        total = coef * next(values)
+        for coef, _ in rest:
+            # no name holds the term, so numpy may add it in place
+            total = total + coef * next(values)
+        if self.probability:
+            p1, p2 = singles
+            total = total - p1 - p2
+        return total
 
     def evaluate(
         self,
@@ -242,21 +257,30 @@ class Inequality:
         the +1 ``singles`` (p1 at a2, p2 at b2) for a probability row."""
         if self.probability and singles is None:
             raise ValueError(f"{self.name} needs the +1 singles at a2 and b2")
-        terms = []
-        for (coef, _), quad in zip(self.terms, self.cells(ids)):
+        cells = []
+        for quad in self.cells(ids):
             cell = corr.lookup(quad)
-            if self.probability:
-                cell = _as_probability(cell, f"p12{quad!r}")
-            terms.append((coef, cell))
+            cells.append(_as_probability(cell, f"p12{quad!r}") if self.probability else cell)
         if self.probability:
-            terms += [(-1.0, _as_probability(p, what)) for p, what in zip(singles, ("p1", "p2"))]
-        value, se = _combine(terms)
+            singles = [_as_probability(p, what) for p, what in zip(singles, ("p1", "p2"))]
         inputs = {k: self.flag(ids, k) for k in self.inputs}
+        value, se = _combine(self, cells, singles or ())
         return _report(self.name, value, self.lower, self.upper, se, inputs)
 
 
-#: CLI name -> inequality.  ``analytic``, ``check``, scenario runs and
-#: the optimizer all read this table: a new inequality is one row.
+def _combine(
+    row: Inequality, cells: Sequence[Correlation], singles: Sequence[Correlation] = ()
+) -> tuple[float, float]:
+    """The row's signed sum of the estimates, and the quadrature sum of
+    the scaled errors in the same order."""
+    value = row.signed_sum((c.estimate for c in cells), [c.estimate for c in singles])
+    scaled = [coef * c.standard_error for (coef, _), c in zip(row.terms, cells)]
+    scaled += [c.standard_error for c in singles]
+    return value, math.sqrt(sum(s**2 for s in scaled))
+
+
+#: CLI name -> inequality.  ``analytic``, ``check``, ``verify``, scenario
+#: runs and the optimizer all read this table: a new inequality is one row.
 INEQUALITIES = {
     "retarded_chsh": Inequality(
         "retarded_chsh", QUARTET, CHSH_TERMS, ANGLE_FLAGS, -2.0, 2.0,
@@ -305,22 +329,10 @@ def chsh_quadruples(
 # name (perfbench/layers.py), so they stay until it traces Inequality.evaluate.
 
 
-def retarded_chsh(
-    corr: CorrelationInput,
-    a: str,
-    a2: str,
-    b: str,
-    b2: str,
-    ar: str,
-    a2r: str,
-    br: str,
-    b2r: str,
-) -> InequalityReport:
-    """Four-correlation combination conditioned on retarded settings.
-
-    value = E(a2,b2|a2r,b2r) + E(a2,b|ar,b2r) + E(a,b2|a2r,br) - E(a,b|ar,br),
-    bounded by [-2, 2] for any local model.
-    """
+def retarded_chsh(corr: CorrelationInput, a: str, a2: str, b: str, b2: str,
+                  ar: str, a2r: str, br: str, b2r: str) -> InequalityReport:
+    """The ``retarded_chsh`` row: the four correlations conditioned on
+    retarded settings, bounded by [-2, 2] for any local model."""
     ids = dict(zip(ANGLE_FLAGS, (a, a2, b, b2, ar, a2r, br, b2r)))
     return INEQUALITIES["retarded_chsh"].evaluate(corr, ids)
 
@@ -357,16 +369,9 @@ def one_end_equal_chsh(
     return INEQUALITIES["one_end_equal"].evaluate(corr, ids)
 
 
-def averaged_chsh(
-    corr: CorrelationInput,
-    weights: Mapping[tuple[str, str], float],
-    a: str,
-    a2: str,
-    b: str,
-    b2: str,
-    weights_independent: bool = True,
-) -> InequalityReport:
-    """Standard four-correlation bound after averaging out retarded settings.
+def averaged_chsh(corr: CorrelationInput, weights: Mapping[tuple[str, str], float], a: str,
+                  a2: str, b: str, b2: str, weights_independent: bool = True) -> InequalityReport:
+    """The ``chsh`` row after averaging out retarded settings.
 
     E_av(x, y) = sum over (u, v) of w(u, v) * E(x,y|u,v).  The result is
     a valid bound only when the weights do not depend on the actual
@@ -392,30 +397,17 @@ def averaged_chsh(
             var += (w * cell.standard_error) ** 2
         return Correlation(est, math.sqrt(var))
 
+    row = INEQUALITIES["chsh"]
     ids = {"a": a, "a2": a2, "b": b, "b2": b2}
-    terms = [(sign, averaged(ids[x], ids[y])) for sign, (x, y, _, _) in CHSH_TERMS]
-    value, se = _combine(terms)
+    value, se = _combine(row, [averaged(x, y) for x, y, _, _ in row.cells(ids)])
     inputs = {**ids, "weights_independent": str(weights_independent)}
-    return _report("averaged_chsh", value, -2.0, 2.0, se, inputs)
+    return _report("averaged_chsh", value, row.lower, row.upper, se, inputs)
 
 
-def retarded_ch(
-    p12: Union[Mapping[Quad, Correlation], CorrelationInput],
-    p1: Estimate,
-    p2: Estimate,
-    a: str,
-    a2: str,
-    b: str,
-    b2: str,
-    ar: str,
-    a2r: str,
-    br: str,
-    b2r: str,
-) -> InequalityReport:
-    """Probability-form inequality with range [-1, 0].
-
-    value = p12(a2,b2|a2r,b2r) + p12(a2,b|ar,b2r) + p12(a,b2|a2r,br)
-            - p12(a,b|ar,br) - p1 - p2
+def retarded_ch(p12: Union[Mapping[Quad, Correlation], CorrelationInput], p1: Estimate,
+                p2: Estimate, a: str, a2: str, b: str, b2: str, ar: str, a2r: str, br: str,
+                b2r: str) -> InequalityReport:
+    """The ``retarded_ch`` row: the probability form with range [-1, 0].
 
     ``p1`` and ``p2`` are the +1 marginals for the settings a2 and b2
     (see the module docstring for why the primed singles are the ones
@@ -444,23 +436,29 @@ class IdentityCheckResult:
 
 
 def chsh_identity_check() -> IdentityCheckResult:
-    """Every sign assignment gives X'Y' + X'Y + XY' - XY = +/-2."""
-    for x, x2, y, y2 in itertools.product((-1, 1), repeat=4):
-        value = x2 * y2 + x2 * y + x * y2 - x * y
-        if value not in (-2, 2):
-            return IdentityCheckResult(False, 16, (x, x2, y, y2, value))
+    """Every sign assignment of the outcomes at (a, a2, b, b2) puts the
+    ``chsh`` row on one of its bounds: X'Y' + X'Y + XY' - XY = +/-2."""
+    row = INEQUALITIES["chsh"]
+    for signs in itertools.product((-1, 1), repeat=4):
+        value = row.signed_sum(x * y for x, y, _, _ in row.cells(dict(zip(QUARTET, signs))))
+        if value not in (row.lower, row.upper):
+            return IdentityCheckResult(False, 16, signs + (value,))
     return IdentityCheckResult(True, 16)
 
 
 def ch_expression(
     x: np.ndarray, y: np.ndarray, x2: np.ndarray, y2: np.ndarray
 ) -> np.ndarray:
-    """x'y' + x'y + xy' - xy - x' - y' (the probability-form combination)."""
-    return x2 * y2 + x2 * y + x * y2 - x * y - x2 - y2
+    """The ``retarded_ch`` row with p12 = x*y, for +1 probabilities x, x2
+    at a, a2 and y, y2 at b, b2: x'y' + x'y + xy' - xy - x' - y'."""
+    row = INEQUALITIES["retarded_ch"]
+    ids = dict(zip(ANGLE_FLAGS, (x, x2, y, y2) * 2))
+    return row.signed_sum((p * q for p, q, _, _ in row.cells(ids)), (x2, y2))
 
 
 def ch_identity_check(samples: int, seed: int = 0) -> IdentityCheckResult:
-    """Check the probability-form combination stays in [-1, 0].
+    """Check the probability-form combination stays in the ``retarded_ch``
+    row's bounds.
 
     Draws ``samples`` uniform points from the unit 4-cube, ``BLOCK_SIZE``
     at a time, and stops at the first point out of bounds; the
@@ -469,12 +467,13 @@ def ch_identity_check(samples: int, seed: int = 0) -> IdentityCheckResult:
     """
     from .estimation import BLOCK_SIZE  # estimation imports this module
 
+    row = INEQUALITIES["retarded_ch"]
     rng = np.random.default_rng(seed)
     samples = int(samples)
     for start in range(0, samples, BLOCK_SIZE):
         x, y, x2, y2 = rng.random((4, min(BLOCK_SIZE, samples - start)))
         values = ch_expression(x, y, x2, y2)
-        bad = np.flatnonzero((values < -1.0) | (values > 0.0))
+        bad = np.flatnonzero((values < row.lower) | (values > row.upper))
         if bad.size:
             i = int(bad[0])
             return IdentityCheckResult(

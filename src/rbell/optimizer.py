@@ -19,7 +19,7 @@ from typing import Callable, Mapping, Union
 import numpy as np
 
 from .errors import UnsupportedModelError, UnsupportedObjectiveError
-from .estimation import BLOCK_SIZE, MIN_QUADRATURE_NODES, exact_values
+from .estimation import BLOCK_SIZE, MIN_QUADRATURE_NODES, exact_row
 from .inequalities import ANGLE_FLAGS, INEQUALITIES
 from .models import Model, get_model
 
@@ -157,24 +157,17 @@ def _uses_quadrature(model: Model) -> bool:
     return getattr(model, "closed_form_E", None) is None
 
 
-def _exact(model: Model, quantity: str, nodes: int) -> Callable[..., tuple]:
+def build_objective(spec: ObjectiveSpec) -> Callable[[Mapping[str, np.ndarray]], np.ndarray]:
+    """Vectorized objective over dicts of free-variable arrays: the table
+    row's value (:func:`rbell.estimation.exact_row`) at the resolved
+    angles."""
+    model = get_model(spec.model)
     try:
-        return exact_values(model, quantity, nodes)
+        row_value = exact_row(model, INEQUALITIES[spec.inequality], spec.quadrature_nodes)
     except UnsupportedModelError:
         raise UnsupportedObjectiveError(
             f"model {model.name} offers neither a closed form nor lambda functions"
         ) from None
-
-
-def build_objective(spec: ObjectiveSpec) -> Callable[[Mapping[str, np.ndarray]], np.ndarray]:
-    """Vectorized objective over dicts of free-variable arrays: the signed
-    sum of the table row's terms, in term order, minus the +1 singles
-    at a2 and b2 for a probability row."""
-    model = get_model(spec.model)
-    row = INEQUALITIES[spec.inequality]
-    exact = _exact(model, "p12" if row.probability else "E", spec.quadrature_nodes)
-    if row.probability:
-        marginals = _exact(model, "marginals", spec.quadrature_nodes)
 
     def resolve(assign: Mapping[str, np.ndarray], name: str) -> np.ndarray:
         if name in assign:
@@ -190,16 +183,7 @@ def build_objective(spec: ObjectiveSpec) -> Callable[[Mapping[str, np.ndarray]],
         return np.asarray(0.0)
 
     def objective(assign: Mapping[str, np.ndarray]) -> np.ndarray:
-        angles = {name: resolve(assign, name) for name in ANGLE_FLAGS}
-        (coef, _), *rest = row.terms
-        first, *cells = row.cells(angles)
-        value = coef * exact(*first)[0]
-        for (coef, _), cell in zip(rest, cells):
-            value = value + coef * exact(*cell)[0]
-        if row.probability:
-            m1, m2 = marginals(row.flag(angles, "a2"), row.flag(angles, "b2"), 0.0, 0.0)
-            value = value - m1 - m2
-        return value
+        return row_value({name: resolve(assign, name) for name in ANGLE_FLAGS})
 
     return objective
 

@@ -23,7 +23,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import CellError, ConfigError
+from .errors import CellError, ConfigError, UnknownModelError
 from .estimation import (
     TrialCounts,
     TrialLog,
@@ -198,9 +198,13 @@ def _parse_labels(key: str, text: str) -> dict[str, float]:
             continue
         if "=" not in item:
             raise ConfigError(f"{key} entry {item!r} must look like id=angle")
-        lid, ang = item.split("=", 1)
+        lid, ang = (part.strip() for part in item.split("=", 1))
+        if not lid:
+            raise ConfigError(f"{key} entry {item!r} has an empty label id")
+        if lid in out:
+            raise ConfigError(f"{key} repeats label id {lid!r}")
         try:
-            out[lid.strip()] = parse_angle(ang.strip())
+            out[lid] = parse_angle(ang)
         except ValueError as exc:
             raise ConfigError(f"{key} must be id=angle entries; {exc}") from None
     if not out:
@@ -324,10 +328,15 @@ def _config_from_parser(
     quartet = _parse_id_list(run.get("quartet", ""))
     if len(quartet) != 4:
         raise ConfigError("run.quartet must list four labels: a, a2, b, b2")
+    model = model_sec.get("name", "").strip() or "hardy-singlet"
+    try:
+        get_model(model)
+    except UnknownModelError as exc:
+        raise ConfigError(f"model.name: {exc}") from None
 
     return ScenarioConfig(
         geometry=geometry,
-        model=model_sec.get("name", "").strip() or "hardy-singlet",
+        model=model,
         station1=_station_from_section(1, parser["station1"], config_dir),
         station2=_station_from_section(2, parser["station2"], config_dir),
         quartet=(quartet[0], quartet[1], quartet[2], quartet[3]),
@@ -360,12 +369,13 @@ def make_schedule(
     for ``period``: switch ``k`` falls at ``phase + k * period`` and sets
     label ``k % m`` of the cycle, for every ``k`` after the one in force
     at ``start`` whose time is at most ``end``.  The switches are built
-    as one :class:`SwitchTable` of columns.  random_switch: a constant
-    base plus interventions at exponentially spaced decision times with
-    uniformly chosen labels and the configured delay, refused before any
-    draw when more than 2**31 - 1 (what a timeline's int32 decision index
-    holds) are expected.  stream: a constant base plus interventions
-    loaded from file.
+    as one :class:`SwitchTable` of columns, refused before any is built
+    when the window spans more than 2**31 - 1 periods.  random_switch: a
+    constant base plus interventions at exponentially spaced decision
+    times with uniformly chosen labels and the configured delay, refused
+    before any draw when more than 2**31 - 1 (what a timeline's int32
+    decision index holds) are expected.  stream: a constant base plus
+    interventions loaded from file.
     """
     start, end = window
     palette = station.palette()
@@ -374,10 +384,14 @@ def make_schedule(
         phase = float(station.phase)
         cycle = [palette[lid] for lid in station.cycle]
         m = len(cycle)
-        k0 = math.floor((start - phase) / period)
+        first, last = (start - phase) / period, (end - phase) / period
+        if not last - first <= 2**31 - 1:
+            raise ConfigError(f"station{station.station}.period {period!r} over a window of "
+                              f"{end - start!r} gives more than 2**31 - 1 switches")
+        k0 = math.floor(first)
         # two spare k past the last in exact arithmetic absorb rounding;
         # the times are the IEEE values of Python's phase + k * period
-        k = np.arange(k0 + 1, max(k0 + 1, math.floor((end - phase) / period) + 3))
+        k = np.arange(k0 + 1, max(k0 + 1, math.floor(last) + 3))
         times = phase + k.astype(np.float64) * period
         n = int(np.searchsorted(times, end, side="right"))
         return SettingSchedule(
@@ -699,11 +713,37 @@ def independence_check(counts: TrialCounts) -> Optional[IndependenceCheck]:
 # ----------------------------------------------------------------------
 
 
-def _observed_retarded_pairs(counts: TrialCounts, x: str, y: str) -> set[tuple[str, str]]:
-    """Retarded pairs observed with actual pair (x, y), both in the palette."""
+#: The einsum subscript of each retarded flag's axis in the octuple mask.
+_OCTUPLE_AXES = {"a2r": "i", "b2r": "j", "ar": "k", "br": "l"}
+
+
+def _complete_octuples(
+    counts: TrialCounts, quartet: dict[str, str]
+) -> tuple[list[dict[str, str]], bool]:
+    """Flag -> label id of each complete retarded octuple, and whether the
+    ``same_retarded_chsh`` row is complete, for the actual ``quartet``.
+
+    A row is complete when every one of its cells has a count above
+    zero.  An octuple is a choice of retarded ids that completes the
+    ``retarded_chsh`` row: each term's plane of retarded pairs seen with
+    its actual pair lies along the axes of its two retarded flags, and
+    the product of the planes over (a2r, b2r, ar, br) is their
+    conjunction.  The retarded axes run in sorted id order, so the
+    octuples come lexicographic by id in that flag order.
+    """
     ids = counts.ids
-    u, v = np.nonzero(counts.cells[ids.index(x), ids.index(y)])
-    return {(ids[i], ids[j]) for i, j in zip(u.tolist(), v.tolist())}
+    observed = counts.cells > 0
+    at = {flag: ids.index(lid) for flag, lid in quartet.items()}
+    by_id = sorted(range(len(ids)), key=ids.__getitem__)
+    ranked = observed.take(by_id, 2).take(by_id, 3)
+    cells = INEQUALITIES["retarded_chsh"].cells({**at, **_OCTUPLE_AXES})
+    mask = np.einsum(",".join(u + v for _, _, u, v in cells) + "->ijkl",
+                     *(ranked[x, y] for x, y, _, _ in cells))
+    names = [ids[k] for k in by_id]
+    octuples = [dict(quartet, a2r=names[i], b2r=names[j], ar=names[k], br=names[m])
+                for i, j, k, m in np.argwhere(mask).tolist()]
+    same = all(observed[cell] for cell in INEQUALITIES["same_retarded_chsh"].cells(at))
+    return octuples, same
 
 
 def _evaluate_reports(
@@ -723,72 +763,34 @@ def _evaluate_reports(
         except CellError as exc:
             skipped.append({"name": kind, **detail, "reason": str(exc)})
 
-    # observed retarded pairs per actual pair of the quartet
-    d_22 = _observed_retarded_pairs(counts, qa2, qb2)
-    d_21 = _observed_retarded_pairs(counts, qa2, qb)
-    d_12 = _observed_retarded_pairs(counts, qa, qb2)
-    d_11 = _observed_retarded_pairs(counts, qa, qb)
-
-    # flag -> label id of each complete retarded octuple
-    octuples = []
-    for (a2r, b2r) in sorted(d_22):
-        for (ar, br) in sorted(d_11):
-            if (ar, b2r) in d_21 and (a2r, br) in d_12:
-                octuples.append({**quartet, "ar": ar, "a2r": a2r, "br": br, "b2r": b2r})
-
+    octuples, same_complete = _complete_octuples(counts, quartet)
     if not octuples:
-        skipped.append(
-            {
-                "name": "retarded_chsh",
-                "reason": "no complete retarded octuple was observed",
-            }
-        )
-
+        skipped.append({"name": "retarded_chsh",
+                        "reason": "no complete retarded octuple was observed"})
+    chsh, same, ch = (INEQUALITIES[k] for k in ("retarded_chsh", "same_retarded_chsh",
+                                                "retarded_ch"))
     for ids in octuples:
-        try_report(
-            "retarded_chsh",
-            lambda ids=ids: INEQUALITIES["retarded_chsh"].evaluate(table, ids),
-            {k: ids[k] for k in RETARDED_FLAGS},
-        )
-
-    if (qa, qb) in (d_22 & d_21 & d_12 & d_11):
-        try_report(
-            "same_retarded_chsh",
-            lambda: INEQUALITIES["same_retarded_chsh"].evaluate(table, quartet),
-            {"ar": qa, "br": qb},
-        )
+        try_report("retarded_chsh", lambda ids=ids: chsh.evaluate(table, ids),
+                   {k: ids[k] for k in RETARDED_FLAGS})
+    if same_complete:
+        try_report("same_retarded_chsh", lambda: same.evaluate(table, quartet),
+                   {"ar": qa, "br": qb})
     else:
-        skipped.append(
-            {
-                "name": "same_retarded_chsh",
-                "reason": f"retarded pair ({qa}, {qb}) not observed for every "
-                "actual pair of the quartet",
-            }
-        )
+        skipped.append({"name": "same_retarded_chsh", "reason": f"retarded pair ({qa}, {qb}) "
+                        "not observed for every actual pair of the quartet"})
 
     # probability form over the same octuples, whose cells were all observed
     if octuples:
         p12 = p12_table(counts, config.min_count)
         singles = (Correlation(*marginal_p1(counts, qa2)), Correlation(*marginal_p2(counts, qb2)))
-    ch = INEQUALITIES["retarded_ch"]
     for ids in octuples:
-        try_report(
-            "retarded_ch",
-            lambda ids=ids: ch.evaluate(p12, ids, singles),
-            {k: ids[k] for k in RETARDED_FLAGS},
-        )
+        try_report("retarded_ch", lambda ids=ids: ch.evaluate(p12, ids, singles),
+                   {k: ids[k] for k in RETARDED_FLAGS})
 
-    both_random = (
-        config.station1.kind == "random_switch"
-        and config.station2.kind == "random_switch"
-    )
-    try_report(
-        "averaged_chsh",
-        lambda: averaged_chsh(
-            table, weights, qa, qa2, qb, qb2, weights_independent=both_random
-        ),
-        {"weights": "empirical"},
-    )
+    both_random = config.station1.kind == config.station2.kind == "random_switch"
+    try_report("averaged_chsh", lambda: averaged_chsh(
+        table, weights, qa, qa2, qb, qb2, weights_independent=both_random),
+        {"weights": "empirical"})
     return reports, skipped
 
 

@@ -244,3 +244,27 @@ def oracle_independence(log):
         diff = expected - observed
         observed = observed + np.minimum(0.5, np.abs(diff)) * np.sign(diff)
     return float(((observed - expected) ** 2 / expected).sum()), dof
+
+
+def oracle_octuples(observed: set, quartet: dict) -> tuple[list[dict], bool]:
+    """Pair-set enumeration of complete retarded octuples.
+
+    ``observed`` holds the (a, b, a_r, b_r) id quadruples with a trial.
+    For each actual pair of the quartet, the retarded pairs seen with it
+    form a set; an octuple pairs (a2r, b2r) seen with (a2, b2) and
+    (ar, br) seen with (a, b) when (ar, b2r) is seen with (a2, b) and
+    (a2r, br) with (a, b2), in sorted order of the two pairs.  The
+    same-retarded row is complete when (a, b) is seen with all four.
+    """
+    qa, qa2, qb, qb2 = (quartet[k] for k in ("a", "a2", "b", "b2"))
+
+    def seen(x, y):
+        return {(u, v) for (ax, by, u, v) in observed if (ax, by) == (x, y)}
+
+    d_22, d_21, d_12, d_11 = seen(qa2, qb2), seen(qa2, qb), seen(qa, qb2), seen(qa, qb)
+    octuples = []
+    for (a2r, b2r) in sorted(d_22):
+        for (ar, br) in sorted(d_11):
+            if (ar, b2r) in d_21 and (a2r, br) in d_12:
+                octuples.append({**quartet, "ar": ar, "a2r": a2r, "br": br, "b2r": b2r})
+    return octuples, (qa, qb) in (d_22 & d_21 & d_12 & d_11)

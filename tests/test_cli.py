@@ -1,10 +1,12 @@
 import contextlib
+import dataclasses
 import io
 import itertools
 import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st_
 
 from conftest import traced_peak_mib
+from rbell import cli
 from rbell.cli import _verify_checks, main
+from rbell.inequalities import CHSH_TERMS, INEQUALITIES
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 QUARTET_FLAGS = ["--a", "pi/2", "--a2", "0", "--b=-pi/4", "--b2", "pi/4"]
 
@@ -514,12 +520,17 @@ def test_run_rejects_non_finite_and_negative_numbers(tmp_path, capsys, old, new,
         ("spacing = 1.0\n", "", "missing required key 'spacing'"),
         ("[model]\nname = hardy-singlet\n", "", "missing sections ['model']"),
         ("separation = 4.0", "separation = -4.0", "separation must be positive"),
+        ("name = hardy-singlet", "name = foo", "model.name: unknown model 'foo'; known: "),
+        ("labels = a=pi/2, a2=0", "labels = a=pi/2, =1",
+         "station1.labels entry '=1' has an empty label id"),
+        ("labels = a=pi/2, a2=0", "labels = a=pi/2, a2=0, a=1",
+         "station1.labels repeats label id 'a'"),
     ],
     ids=["delay", "min_count", "seed", "n_trials", "spacing", "rate", "period", "phase", "t0",
          "seed-negative", "labels-angle", "labels-zero-divisor", "period-negative",
          "quartet-unknown-label", "schedule-kind", "station-unknown-key", "run-unknown-key",
          "labels-missing", "quartet-two-labels", "spacing-missing", "section-missing",
-         "separation-negative"],
+         "separation-negative", "model-unknown", "labels-empty-id", "labels-repeated-id"],
 )
 def test_run_malformed_number_names_file_and_key(tmp_path, capsys, old, new, message):
     assert old in CONFIG_TEXT
@@ -533,6 +544,44 @@ def test_run_malformed_number_names_file_and_key(tmp_path, capsys, old, new, mes
     assert err.count("\n") == 1
     assert f"{config}: {message}" in err and err.count(str(config)) == 1
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "old,new,message",
+    [
+        ("period = 0.5", "period = 1e-300",
+         "station1.period 1e-300 over a window of 35002.649999999994 gives more than "
+         "2**31 - 1 switches"),
+        ("start = 0.0", "start = 1e300",
+         "station1.period 0.5 over a window of 1e+300 gives more than 2**31 - 1 switches"),
+    ],
+    ids=["period-tiny", "start-huge"],
+)
+def test_run_refuses_a_periodic_window_of_too_many_switches(tmp_path, capsys, old, new,
+                                                            message):
+    # refused before the switch times are built
+    text = (CONFIG_DIR / "periodic_aspect_style.ini").read_text()
+    assert old in text
+    config = tmp_path / "scenario.ini"
+    config.write_text(text.replace(old, new))
+    code, out, err = run_cli(capsys, RUN(str(config), str(tmp_path / "o")))
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+    assert not (tmp_path / "o").exists()
+
+
+def test_run_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch):
+    def exhausted(config, workers=None):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array with shape "
+                          "(1000000000000,) and data type float64")
+
+    monkeypatch.setattr(cli, "run_scenario", exhausted)
+    config = tmp_path / "scenario.ini"
+    config.write_text(CONFIG_TEXT)
+    argv = RUN(str(config), str(tmp_path / "o")) + ["--n", "1000000000000"]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err == ("error: out of memory: Unable to allocate 7.28 TiB for an array with "
+                   "shape (1000000000000,) and data type float64\n")
 
 
 STREAM_CONFIG_TEXT = CONFIG_TEXT.replace(
@@ -687,6 +736,21 @@ def test_verify_command(capsys):
     code, out, _ = run_cli(capsys, ["verify"])
     assert code == 0
     assert "11/11 checks passed" in out
+
+
+def test_verify_reads_the_table_rows(capsys, monkeypatch):
+    # a sign slip in the CHSH terms of the table is a failure of verify,
+    # not only of the runs and the optimizer that read the same rows
+    flipped = CHSH_TERMS[:-1] + ((-CHSH_TERMS[-1][0], CHSH_TERMS[-1][1]),)
+    for name, row in list(INEQUALITIES.items()):
+        if row.terms == CHSH_TERMS:
+            monkeypatch.setitem(INEQUALITIES, name, dataclasses.replace(row, terms=flipped))
+    code, out, _ = run_cli(capsys, ["verify"])
+    assert code == 1
+    failed = [line.split()[1] for line in out.splitlines() if line.startswith("FAIL")]
+    assert failed == ["chsh-identity-16-assignments", "ch-identity-bounds",
+                      "lhv-retarded-chsh-bound", "lhv-retarded-ch-bound",
+                      "ch-one-end-cannot-violate"]
 
 
 def test_verify_checks_run_in_bounded_memory():

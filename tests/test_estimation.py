@@ -17,6 +17,7 @@ from conftest import (
     oracle_empirical_weights,
     oracle_independence,
     oracle_marginal,
+    oracle_octuples,
     oracle_quadruple_counts,
 )
 from hypothesis import given, settings
@@ -56,7 +57,7 @@ from rbell.models import (
     hardy_singlet,
 )
 from rbell.scenarios import (
-    _observed_retarded_pairs,
+    _complete_octuples,
     classify_fractions,
     empirical_weights,
     independence_check,
@@ -762,10 +763,11 @@ def test_count_tensor_statistics_match_log_scan_oracles(log, min_count):
     table = build_table(counts, min_count)
     expected = oracle_build_table(log, min_count)
     assert list(table.cells.items()) == list(expected.items())  # values and key order
-    for x in log.ids():
-        for y in log.ids():
-            assert _observed_retarded_pairs(counts, x, y) == {
-                (u, v) for (ax, by, u, v) in expected if (ax, by) == (x, y)}
+    # the octuples of every quartet whose ids come in palette order, cycled
+    ids = log.ids()
+    for i in range(len(ids)):
+        quartet = dict(zip(("a", "a2", "b", "b2"), (ids * 4)[i:i + 4]))
+        assert _complete_octuples(counts, quartet) == oracle_octuples(set(expected), quartet)
     p12 = p12_table(counts, min_count)
     assert list(p12.cells) == list(expected)
     for key, cell in p12.cells.items():

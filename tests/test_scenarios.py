@@ -4,6 +4,7 @@ import math
 import tempfile
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st_
 
-from conftest import actual_ids, oracle_trials, traced_peak_mib
+from conftest import actual_ids, oracle_octuples, oracle_trials, traced_peak_mib
 from rbell import estimation
 from rbell.errors import ConfigError, UndefinedTimeError
 from rbell.estimation import (
@@ -36,6 +37,7 @@ from rbell.scenarios import (
     SCHEDULE_KINDS,
     ScenarioConfig,
     StationConfig,
+    _complete_octuples,
     chi2_upper_quantile,
     classify_fractions,
     empirical_weights,
@@ -466,6 +468,30 @@ def test_settings_and_sampling_match_the_two_schedule_oracle(case):
         else:
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
     assert np.array_equal(replayed[0], expect[2]) and np.array_equal(replayed[1], expect[3])
+
+
+@st_.composite
+def count_tensors(draw):
+    """Palette ids (not in sorted order), a (p, p, p, p) count tensor with a
+    random zero pattern, and a quartet of palette ids, for p from 1 to 5."""
+    p = draw(st_.integers(1, 5))
+    ids = tuple(draw(st_.permutations(["b2", "a", "x10", "a2", "b"]))[:p])
+    rng = np.random.default_rng(draw(st_.integers(0, 2**32 - 1)))
+    density = draw(st_.sampled_from([0.2, 0.6, 0.9, 1.0]))
+    cells = rng.integers(1, 4, (p,) * 4) * (rng.random((p,) * 4) < density)
+    quartet = dict(zip(("a", "a2", "b", "b2"), draw(st_.lists(st_.sampled_from(ids),
+                                                              min_size=4, max_size=4))))
+    return ids, cells, quartet
+
+
+@settings(max_examples=300, deadline=None)
+@given(count_tensors())
+def test_octuples_match_the_pair_set_oracle(case):
+    # the same octuples in the same order, and the same same-retarded decision
+    ids, cells, quartet = case
+    observed = {tuple(ids[k] for k in cell) for cell in zip(*np.nonzero(cells))}
+    found = _complete_octuples(SimpleNamespace(ids=ids, cells=cells), quartet)
+    assert found == oracle_octuples(observed, quartet)
 
 
 def test_run_scenario_in_bounded_memory():
