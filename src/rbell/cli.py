@@ -22,12 +22,13 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import CellError, ConfigError, RbellError
+from .errors import CellError, ConfigError, RbellError, StreamFormatError
 from .estimation import (
     BLOCK_SIZE,
     analytic_ch_probs,
@@ -186,21 +187,16 @@ def _check(args) -> int:
 
 
 def _run(args) -> int:
-    config = load_config(args.config)
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.n is not None:
-        overrides["n_trials"] = args.n
-    if args.min_count is not None:
-        overrides["min_count"] = args.min_count
-    if args.definition is not None:
-        overrides["retarded_definition"] = args.definition
-    if overrides:
-        from dataclasses import replace
-
-        config = replace(config, **overrides)
-    result = run_scenario(config)
+    flags = {"seed": args.seed, "n_trials": args.n, "min_count": args.min_count,
+             "retarded_definition": args.definition}
+    config = replace(load_config(args.config),
+                     **{field: value for field, value in flags.items() if value is not None})
+    try:
+        result = run_scenario(config)
+    except StreamFormatError:
+        raise  # names its own file and line
+    except ConfigError as exc:  # a schedule window refused as the run starts
+        raise ConfigError(f"{Path(args.config)}: {exc}") from None
     outdir = Path(args.out)
     paths = result.write_outputs(outdir)
     _say(f"run: {len(result.log)} trials, {len(result.table.cells)} cells")

@@ -38,9 +38,13 @@ def resolve_workers(workers: Optional[int] = None) -> int:
 
     RBL_WORKERS also caps an explicit argument, and the machine's CPU
     count caps the result, so no request opens more threads than CPUs.
+    A value that is not an integer raises a ``ValueError`` naming it.
     """
-    env = os.environ.get(WORKERS_ENV)
-    limit = max(0, int(env)) if env is not None and env.strip() else None
+    env = os.environ.get(WORKERS_ENV, "").strip()
+    try:
+        limit = max(0, int(env)) if env else None
+    except ValueError:
+        raise ValueError(f"{WORKERS_ENV} must be an integer, got {env!r}") from None
     if workers is None:
         workers = limit or 0
     elif limit is not None:
@@ -611,6 +615,19 @@ _EXACT = {
 }
 
 
+def uses_quadrature(model: Model, *quantities: str) -> bool:
+    """Whether ``exact_values`` integrates over lambda for any of
+    ``quantities``: whether the model lacks a closed form one reads."""
+    return not all(getattr(model, attr, None) is not None
+                   for quantity in quantities for attr in _EXACT[quantity][0])
+
+
+def row_quantities(row: Inequality) -> tuple[str, ...]:
+    """The ``exact_values`` quantities of a row's signed sum: its cells',
+    then for a probability row the marginals of its singles."""
+    return ("p12", "marginals") if row.probability else ("E",)
+
+
 def exact_values(
     model: Model, quantity: str, nodes: int = 100_000
 ) -> Callable[..., tuple[np.ndarray, ...]]:
@@ -624,8 +641,8 @@ def exact_values(
     runs lambda-quadrature over all the points in one call, which raises
     UnsupportedModelError here for a model without a hidden variable.
     """
-    attrs, closed, quadrature = _EXACT[quantity]
-    if all(getattr(model, attr, None) is not None for attr in attrs):
+    _, closed, quadrature = _EXACT[quantity]
+    if not uses_quadrature(model, quantity):
         def by_closed_form(a, b, a_r, b_r):
             return tuple(np.asarray(v, dtype=float) for v in closed(model, a, b, a_r, b_r))
         return by_closed_form
@@ -643,11 +660,10 @@ def exact_row(
     flag -> angle (scalars or arrays that broadcast together) to the
     row's signed sum, with the retarded-independent +1 marginals at a2
     and b2 as the singles of a probability row."""
-    exact = exact_values(model, "p12" if row.probability else "E", nodes)
-    marginals = exact_values(model, "marginals", nodes) if row.probability else None
+    exact, *marginals = (exact_values(model, q, nodes) for q in row_quantities(row))
 
     def value(angles: Mapping[str, ArrayLike]) -> np.ndarray:
-        singles = () if marginals is None else marginals(
+        singles = () if not marginals else marginals[0](
             row.flag(angles, "a2"), row.flag(angles, "b2"), 0.0, 0.0)
         return row.signed_sum((exact(*cell)[0] for cell in row.cells(angles)), singles)
     return value

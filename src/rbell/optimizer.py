@@ -19,9 +19,15 @@ from typing import Callable, Mapping, Union
 import numpy as np
 
 from .errors import UnsupportedModelError, UnsupportedObjectiveError
-from .estimation import BLOCK_SIZE, MIN_QUADRATURE_NODES, exact_row
+from .estimation import (
+    BLOCK_SIZE,
+    MIN_QUADRATURE_NODES,
+    exact_row,
+    row_quantities,
+    uses_quadrature,
+)
 from .inequalities import ANGLE_FLAGS, INEQUALITIES
-from .models import Model, get_model
+from .models import get_model
 
 TAU = math.tau
 
@@ -153,10 +159,6 @@ class Optimum:
 # ----------------------------------------------------------------------
 
 
-def _uses_quadrature(model: Model) -> bool:
-    return getattr(model, "closed_form_E", None) is None
-
-
 def build_objective(spec: ObjectiveSpec) -> Callable[[Mapping[str, np.ndarray]], np.ndarray]:
     """Vectorized objective over dicts of free-variable arrays: the table
     row's value (:func:`rbell.estimation.exact_row`) at the resolved
@@ -262,8 +264,8 @@ def optimize(spec: ObjectiveSpec) -> Optimum:
         return float(objective(arrays))
 
     # --- grid stage -----------------------------------------------------
-    quadrature_backed = _uses_quadrature(model)
-    step, axis = _grid_axes(spec, quadrature_backed)
+    row = INEQUALITIES[spec.inequality]
+    step, axis = _grid_axes(spec, uses_quadrature(model, *row_quantities(row)))
     free = spec.free
     best_flat, best_value, size = _grid_scan(objective, free, axis, sign)
     evaluations += size

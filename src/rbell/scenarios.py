@@ -147,8 +147,12 @@ class ScenarioConfig:
             "run", spacing=self.spacing, start=self.start,
             intervention_delay=self.intervention_delay,
         )
+        if self.geometry.t0 >= self.start - self.geometry.retardation:
+            raise ConfigError("geometry.t0 must precede start - L/c")
         if self.n_trials < 1:
             raise ConfigError("n_trials must be at least 1")
+        if self.seed < 0:
+            raise ConfigError(f"run.seed must be non-negative, got {self.seed}")
         if self.min_count < 0:
             raise ConfigError("min_count must be non-negative")
         if self.spacing <= 0:
@@ -159,6 +163,8 @@ class ScenarioConfig:
             )
         if self.intervention_delay < 0:
             raise ConfigError("intervention_delay must be non-negative")
+        if len(self.quartet) != 4:
+            raise ConfigError("run.quartet must list four labels: a, a2, b, b2")
         qa, qa2, qb, qb2 = self.quartet
         for lid in (qa, qa2):
             if lid not in self.station1.labels:
@@ -178,19 +184,33 @@ class ScenarioConfig:
 # Config file parsing
 # ----------------------------------------------------------------------
 
-_GEOMETRY_KEYS = {"separation", "signal_speed", "t0"}
-_MODEL_KEYS = {"name"}
-_STATION_KEYS = {
-    "labels", "schedule", "period", "phase", "cycle", "rate",
-    "switch_labels", "file", "base",
-}
-_RUN_KEYS = {
-    "n_trials", "spacing", "start", "seed", "retarded_definition",
-    "intervention_delay", "quartet", "min_count",
-}
+#: The model of a config whose [model] name is absent or blank.  The one
+#: default not on the config types: ``model`` precedes fields without one.
+_DEFAULT_MODEL = "hardy-singlet"
 
 
-def _parse_labels(key: str, text: str) -> dict[str, float]:
+def _number(key: str, text: str, kind: type = float):
+    """``text`` as ``kind`` (float or int); a fault names the key."""
+    try:
+        return kind(text)
+    except ValueError:
+        expected = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{key} must be {expected}, got {text!r}") from None
+
+
+def _integer(key: str, text: str) -> int:
+    return _number(key, text, int)
+
+
+def _text(key: str, text: str) -> str:
+    return text.strip()
+
+
+def _ids(key: str, text: str) -> tuple[str, ...]:
+    return tuple(s.strip() for s in text.split(",") if s.strip())
+
+
+def _labels(key: str, text: str) -> dict[str, float]:
     out: dict[str, float] = {}
     for item in text.split(","):
         item = item.strip()
@@ -212,49 +232,52 @@ def _parse_labels(key: str, text: str) -> dict[str, float]:
     return out
 
 
-def _parse_id_list(text: str) -> tuple[str, ...]:
-    return tuple(s.strip() for s in text.split(",") if s.strip())
-
-
-def _parse_number(key: str, text: str, kind: type = float):
-    """``text`` as ``kind`` (float or int); a malformed value raises a
-    ``ConfigError`` naming the ``section.key``."""
+def _model_name(key: str, text: str) -> str:
+    name = text.strip() or _DEFAULT_MODEL
     try:
-        return kind(text)
-    except ValueError:
-        expected = "an integer" if kind is int else "a number"
-        raise ConfigError(f"{key} must be {expected}, got {text!r}") from None
+        get_model(name)
+    except UnknownModelError as exc:
+        raise ConfigError(f"{key}: {exc}") from None
+    return name
 
 
-def _station_from_section(
-    station: int, sec: configparser.SectionProxy, config_dir: Path
-) -> StationConfig:
-    unknown = set(sec) - _STATION_KEYS
+_STATION = {
+    "labels": ("labels", _labels), "schedule": ("kind", _text), "period": ("period", _number),
+    "phase": ("phase", _number), "cycle": ("cycle", _ids), "rate": ("rate", _number),
+    "switch_labels": ("switch_labels", _ids), "file": ("stream_path", _text),
+    "base": ("base", _text),
+}
+#: Section -> (ini key -> (config field, parser), required keys).  A key
+#: left out takes its field's default on the config types.
+_SECTIONS = {
+    "geometry": ({key: (key, _number) for key in ("separation", "signal_speed", "t0")},
+                 ("separation", "signal_speed", "t0")),
+    "model": ({"name": ("model", _model_name)}, ()),
+    "station1": (_STATION, ("labels", "schedule")),
+    "station2": (_STATION, ("labels", "schedule")),
+    "run": ({"n_trials": ("n_trials", _integer), "spacing": ("spacing", _number),
+             "start": ("start", _number), "seed": ("seed", _integer),
+             "retarded_definition": ("retarded_definition", _text),
+             "intervention_delay": ("intervention_delay", _number),
+             "quartet": ("quartet", _ids), "min_count": ("min_count", _integer)},
+            ("n_trials", "spacing", "quartet")),
+}
+
+
+def _read_section(parser: configparser.ConfigParser, section: str) -> dict[str, object]:
+    """Config field -> value of each key present in ``section``, read
+    through ``_SECTIONS``.  An unknown key, a missing required key and a
+    malformed value each raise a ``ConfigError`` naming it."""
+    keys, required = _SECTIONS[section]
+    sec = parser[section]
+    unknown = set(sec) - set(keys)
     if unknown:
-        raise ConfigError(f"unknown keys in [station{station}]: {sorted(unknown)}")
-    if "labels" not in sec or "schedule" not in sec:
-        raise ConfigError(f"[station{station}] needs 'labels' and 'schedule'")
-    kind = sec["schedule"].strip()
-    stream_path = None
-    if "file" in sec:
-        p = Path(sec["file"].strip())
-        stream_path = str(p if p.is_absolute() else config_dir / p)
-
-    def number(key: str, default: Optional[float]) -> Optional[float]:
-        return _parse_number(f"station{station}.{key}", sec[key]) if key in sec else default
-
-    return StationConfig(
-        station=station,
-        labels=_parse_labels(f"station{station}.labels", sec["labels"]),
-        kind=kind,
-        period=number("period", None),
-        phase=number("phase", 0.0),
-        cycle=_parse_id_list(sec["cycle"]) if "cycle" in sec else (),
-        rate=number("rate", None),
-        switch_labels=_parse_id_list(sec["switch_labels"]) if "switch_labels" in sec else (),
-        stream_path=stream_path,
-        base=sec["base"].strip() if "base" in sec else None,
-    )
+        raise ConfigError(f"unknown keys in [{section}]: {sorted(unknown)}")
+    for key in required:
+        if key not in sec:
+            raise ConfigError(f"missing required key '{section}.{key}'")
+    return {field: parse(f"{section}.{key}", sec[key])
+            for key, (field, parse) in keys.items() if key in sec}
 
 
 def load_config(path: Union[str, Path]) -> ScenarioConfig:
@@ -278,78 +301,26 @@ def load_config(path: Union[str, Path]) -> ScenarioConfig:
 def _config_from_parser(
     parser: configparser.ConfigParser, config_dir: Path
 ) -> ScenarioConfig:
-    required = {"geometry", "model", "station1", "station2", "run"}
-    present = set(parser.sections())
-    if present != required:
-        missing = required - present
-        extra = present - required
-        parts = []
-        if missing:
-            parts.append(f"missing sections {sorted(missing)}")
-        if extra:
-            parts.append(f"unknown sections {sorted(extra)}")
-        raise ConfigError("; ".join(parts))
-
-    geo = parser["geometry"]
-    unknown = set(geo) - _GEOMETRY_KEYS
-    if unknown:
-        raise ConfigError(f"unknown keys in [geometry]: {sorted(unknown)}")
-    model_sec = parser["model"]
-    unknown = set(model_sec) - _MODEL_KEYS
-    if unknown:
-        raise ConfigError(f"unknown keys in [model]: {sorted(unknown)}")
-    run = parser["run"]
-    unknown = set(run) - _RUN_KEYS
-    if unknown:
-        raise ConfigError(f"unknown keys in [run]: {sorted(unknown)}")
-
+    present, known = set(parser.sections()), set(_SECTIONS)
+    if present != known:
+        raise ConfigError("; ".join(f"{what} sections {sorted(names)}" for what, names in (
+            ("missing", known - present), ("unknown", present - known)) if names))
+    fields = {section: _read_section(parser, section) for section in _SECTIONS}
+    run = fields["run"]
+    start = run.get("start", ScenarioConfig.start)
     try:
-        separation = _parse_number("geometry.separation", geo["separation"])
-        signal_speed = _parse_number("geometry.signal_speed", geo["signal_speed"])
-        t0 = _parse_number("geometry.t0", geo["t0"])
-        n_trials = _parse_number("run.n_trials", run["n_trials"], int)
-        spacing = _parse_number("run.spacing", run["spacing"])
-        start = _parse_number("run.start", run.get("start", "0.0"))
-        seed = _parse_number("run.seed", run.get("seed", "0"), int)
-        if seed < 0:
-            raise ConfigError(f"run.seed must be non-negative, got {seed}")
-        geometry = Geometry(
-            separation=separation,
-            signal_speed=signal_speed,
-            t1=start,
-            t2=start,
-            t0=t0,
-        )
-    except KeyError as exc:
-        raise ConfigError(f"missing required key {exc}") from None
+        geometry = Geometry(t1=start, t2=start, **fields["geometry"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-
-    quartet = _parse_id_list(run.get("quartet", ""))
-    if len(quartet) != 4:
-        raise ConfigError("run.quartet must list four labels: a, a2, b, b2")
-    model = model_sec.get("name", "").strip() or "hardy-singlet"
-    try:
-        get_model(model)
-    except UnknownModelError as exc:
-        raise ConfigError(f"model.name: {exc}") from None
-
-    return ScenarioConfig(
-        geometry=geometry,
-        model=model,
-        station1=_station_from_section(1, parser["station1"], config_dir),
-        station2=_station_from_section(2, parser["station2"], config_dir),
-        quartet=(quartet[0], quartet[1], quartet[2], quartet[3]),
-        n_trials=n_trials,
-        spacing=spacing,
-        start=start,
-        seed=seed,
-        retarded_definition=run.get("retarded_definition", "simple").strip(),
-        intervention_delay=_parse_number(
-            "run.intervention_delay", run.get("intervention_delay", "0")
-        ),
-        min_count=_parse_number("run.min_count", run.get("min_count", "100"), int),
-    )
+    stations = {}
+    for k in (1, 2):
+        station = fields[f"station{k}"]
+        if "stream_path" in station:
+            # a relative path is read from the config's folder
+            station["stream_path"] = str(config_dir / station["stream_path"])
+        stations[f"station{k}"] = StationConfig(station=k, **station)
+    return ScenarioConfig(geometry=geometry, model=fields["model"].get("model", _DEFAULT_MODEL),
+                          **stations, **run)
 
 
 # ----------------------------------------------------------------------
@@ -369,8 +340,13 @@ def make_schedule(
     for ``period``: switch ``k`` falls at ``phase + k * period`` and sets
     label ``k % m`` of the cycle, for every ``k`` after the one in force
     at ``start`` whose time is at most ``end``.  The switches are built
-    as one :class:`SwitchTable` of columns, refused before any is built
-    when the window spans more than 2**31 - 1 periods.  random_switch: a
+    as one :class:`SwitchTable` of columns.  Before any is built, a
+    window is refused when it spans more than 2**31 - 1 periods, or
+    unless ``period > 2 * ulp(reach)``, where ``reach = |phase| + K *
+    period`` and K is the largest |k| built.  That condition suffices:
+    each computed time lies within ``ulp(reach)`` of its exact value, so
+    adjacent times are distinct floats; and it fails once K >= 2**53, so
+    every k is exact in int64 and in float64.  random_switch: a
     constant base plus interventions at exponentially spaced decision
     times with uniformly chosen labels and the configured delay, refused
     before any draw when more than 2**31 - 1 (what a timeline's int32
@@ -388,10 +364,16 @@ def make_schedule(
         if not last - first <= 2**31 - 1:
             raise ConfigError(f"station{station.station}.period {period!r} over a window of "
                               f"{end - start!r} gives more than 2**31 - 1 switches")
-        k0 = math.floor(first)
-        # two spare k past the last in exact arithmetic absorb rounding;
+        # k1 is two past the last k in exact arithmetic, to absorb rounding
+        k0, k1 = math.floor(first), math.floor(last) + 2
+        reach = abs(phase) + max(abs(k0 + 1), abs(k1)) * period
+        if not period > 2 * math.ulp(reach):
+            raise ConfigError(
+                f"station{station.station}.period {period!r} with station{station.station}"
+                f".phase {phase!r} over the window [{start!r}, {end!r}] gives switch times "
+                "closer than their float rounding")
         # the times are the IEEE values of Python's phase + k * period
-        k = np.arange(k0 + 1, max(k0 + 1, math.floor(last) + 3))
+        k = np.arange(k0 + 1, k1 + 1)
         times = phase + k.astype(np.float64) * period
         n = int(np.searchsorted(times, end, side="right"))
         return SettingSchedule(
@@ -803,9 +785,6 @@ def run_scenario(
     config: ScenarioConfig, workers: Optional[int] = None
 ) -> ScenarioResult:
     """Generate trials, estimate correlations, and evaluate inequalities."""
-    tau = config.geometry.retardation
-    if config.geometry.t0 >= config.start - tau:
-        raise ConfigError("geometry.t0 must precede start - L/c")
     model = get_model(config.model)
     palette, index = _merge_palettes(config)
     times = config.start + config.spacing * np.arange(config.n_trials)

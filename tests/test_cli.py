@@ -515,9 +515,9 @@ def test_run_rejects_non_finite_and_negative_numbers(tmp_path, capsys, old, new,
         ("schedule = random_switch", "schedule = bogus", "unknown schedule kind 'bogus'"),
         ("rate = 2.0", "rate = 2.0\nturbo = yes", "unknown keys in [station1]: ['turbo']"),
         ("seed = 42", "seed = 42\nturbo = yes", "unknown keys in [run]: ['turbo']"),
-        ("labels = a=pi/2, a2=0\n", "", "[station1] needs 'labels' and 'schedule'"),
+        ("labels = a=pi/2, a2=0\n", "", "missing required key 'station1.labels'"),
         ("quartet = a, a2, b, b2", "quartet = a, a2", "run.quartet must list four labels"),
-        ("spacing = 1.0\n", "", "missing required key 'spacing'"),
+        ("spacing = 1.0\n", "", "missing required key 'run.spacing'"),
         ("[model]\nname = hardy-singlet\n", "", "missing sections ['model']"),
         ("separation = 4.0", "separation = -4.0", "separation must be positive"),
         ("name = hardy-singlet", "name = foo", "model.name: unknown model 'foo'; known: "),
@@ -560,13 +560,48 @@ def test_run_malformed_number_names_file_and_key(tmp_path, capsys, old, new, mes
 def test_run_refuses_a_periodic_window_of_too_many_switches(tmp_path, capsys, old, new,
                                                             message):
     # refused before the switch times are built
+    _assert_periodic_refusal(tmp_path, capsys, [(old, new)], message)
+
+
+@pytest.mark.parametrize(
+    "edits,message",
+    [
+        ([("phase = 0.0", "phase = 1e20")],
+         "station1.period 0.5 with station1.phase 1e+20 over the window "
+         "[-3.0, 34999.649999999994] gives switch times closer than their float rounding"),
+        ([("start = 0.0", "start = 1e19"), ("t0 = -3.0", "t0 = 9999999999999000000"),
+          ("n_trials = 100000", "n_trials = 10")],
+         "station1.period 0.5 with station1.phase 0.0 over the window "
+         "[9.999999999999e+18, 1e+19] gives switch times closer than their float rounding"),
+    ],
+    ids=["phase-1e20", "start-1e19"],
+)
+def test_run_refuses_periodic_switch_times_closer_than_float_rounding(tmp_path, capsys,
+                                                                      edits, message):
+    # the parent printed "switch times must be strictly increasing after
+    # start", naming neither the file nor the key
+    _assert_periodic_refusal(tmp_path, capsys, edits, message)
+
+
+def _assert_periodic_refusal(tmp_path, capsys, edits, message):
     text = (CONFIG_DIR / "periodic_aspect_style.ini").read_text()
-    assert old in text
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new)
     config = tmp_path / "scenario.ini"
-    config.write_text(text.replace(old, new))
+    config.write_text(text)
     code, out, err = run_cli(capsys, RUN(str(config), str(tmp_path / "o")))
-    assert (code, out, err) == (1, "", f"error: {message}\n")
+    assert (code, out, err) == (1, "", f"error: {config}: {message}\n")
     assert not (tmp_path / "o").exists()
+
+
+def test_run_names_a_malformed_worker_count(tmp_path, capsys, monkeypatch):
+    # RBL_WORKERS is not a config key, so the line names it and not the file
+    monkeypatch.setenv("RBL_WORKERS", "abc")
+    config = tmp_path / "scenario.ini"
+    config.write_text(CONFIG_TEXT)
+    code, out, err = run_cli(capsys, RUN(str(config), str(tmp_path / "o")) + ["--n", "100"])
+    assert (code, out, err) == (1, "", "error: RBL_WORKERS must be an integer, got 'abc'\n")
 
 
 def test_run_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch):
@@ -660,6 +695,43 @@ def test_run_fuzzed_stream_file_finishes_or_names_the_line(tmp_path_factory, cas
         assert code in (0, 2, 3) and json.loads(out)["trials"] == 200
 
 
+ADVERSARIAL = ("", "nan", "-1", "1e400", "abc", "9" * 400, "0", "1e20", "zz")
+
+
+@st_.composite
+def fuzzed_configs(draw):
+    """A bundled config with the value of one of its keys replaced by an
+    adversarial string."""
+    text = (CONFIG_DIR / draw(st_.sampled_from(sorted(p.name for p in CONFIG_DIR.glob("*.ini"))))
+            ).read_text()
+    lines = text.splitlines()
+    keyed = [i for i, line in enumerate(lines) if "=" in line and not line.startswith("#")]
+    i = draw(st_.sampled_from(keyed))
+    lines[i] = f"{lines[i].split('=', 1)[0].strip()} = {draw(st_.sampled_from(ADVERSARIAL))}"
+    return "\n".join(lines) + "\n"
+
+
+def _main_output(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(fuzzed_configs())
+def test_run_fuzzed_config_finishes_or_names_the_file(tmp_path_factory, text):
+    tmp = tmp_path_factory.mktemp("fuzz")
+    config = tmp / "scenario.ini"
+    config.write_text(text)
+    code, out, err = _main_output(RUN(str(config), str(tmp / "o")) + ["--n", "200"])
+    assert "Traceback" not in err
+    if code == 1:
+        assert out == "" and err.count("\n") == 1 and err.startswith(f"error: {config}: ")
+    else:
+        assert code in (0, 2, 3) and json.loads(out)["trials"] == 200
+
+
 def _sixteen_cell_table(path):
     """Every (x|x2, y|y2, retarded x|x2, retarded y|y2) cell, each with its
     own correlation."""
@@ -703,6 +775,29 @@ def test_check_every_inequality(tmp_path, capsys, ineq, retarded, code, value):
         data = json.loads(out)
         assert data["value"] == pytest.approx(value, abs=1e-12)
         assert data["combined_se"] == pytest.approx(0.02, abs=1e-15)
+
+
+@settings(max_examples=60, deadline=None)
+@given(row=st_.integers(0, 15), field=st_.integers(0, 7),
+       value=st_.sampled_from(ADVERSARIAL + ("inf", "1.5")), retarded=st_.booleans())
+def test_check_fuzzed_table_finishes_or_names_the_line(tmp_path_factory, row, field, value,
+                                                      retarded):
+    table = tmp_path_factory.mktemp("fuzz") / "correlations.csv"
+    _sixteen_cell_table(table)
+    lines = [line.split(",") for line in table.read_text().splitlines()]
+    lines[row + 1][field] = value
+    table.write_text("".join(",".join(line) + "\n" for line in lines))
+    argv = ["check", "--table", str(table), "--ineq", "retarded_chsh",
+            "--a", "x", "--a2", "x2", "--b", "y", "--b2", "y2"]
+    if retarded:
+        argv += ["--ar", "x2", "--a2r", "x", "--br", "y2", "--b2r", "y"]
+    code, out, err = _main_output(argv)
+    assert "Traceback" not in err
+    if code == 1:
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith(f"error: {table}: line {row + 2}: ")
+    else:
+        assert code in (0, 2, 3)
 
 
 def test_check_empty_table(tmp_path, capsys):

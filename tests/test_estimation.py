@@ -258,6 +258,10 @@ def test_resolve_workers(monkeypatch):
     assert resolve_workers(8) == 2  # env caps explicit requests
     monkeypatch.setenv("RBL_WORKERS", "0")
     assert resolve_workers(8) == 1
+    # not an integer: a ValueError naming the variable, not the int() message
+    monkeypatch.setenv("RBL_WORKERS", "abc")
+    with pytest.raises(ValueError, match=r"^RBL_WORKERS must be an integer, got 'abc'$"):
+        resolve_workers()
 
 
 def test_resolve_workers_capped_at_cpu_count(monkeypatch):

@@ -12,7 +12,7 @@ from rbell import optimizer
 from rbell.errors import UnsupportedObjectiveError
 from rbell.estimation import analytic_ch_probs, analytic_correlations, analytic_marginals
 from rbell.inequalities import ANGLE_FLAGS, INEQUALITIES, QUARTET, CorrelationInput
-from rbell.models import DeterministicLHV, HiddenSpace, get_model
+from rbell.models import DeterministicLHV, HiddenSpace, get_model, hardy_closed_form_E
 from rbell.optimizer import ObjectiveSpec, _grid_axes, _grid_scan, build_objective, optimize
 
 SQRT2 = math.sqrt(2)
@@ -350,6 +350,42 @@ def test_grid_axes_coarsen_a_step_too_fine_to_count(step):
     assert math.isfinite(math.tau / coarse)
     # the finest grid within the limit: half the step would exceed it
     assert axis.size**4 <= optimizer.MAX_GRID_POINTS < math.ceil(math.tau / (coarse / 2)) ** 4
+
+
+@pytest.mark.parametrize(
+    "ineq,quadrature",
+    [("retarded_ch", True), ("same_retarded_chsh", False), ("retarded_chsh", False)],
+)
+def test_grid_size_follows_the_quantities_the_row_reads(monkeypatch, ineq, quadrature):
+    # a model with a closed-form E alone scores a probability row by
+    # quadrature, so its grid takes the quadrature limit; the scan itself
+    # is never run
+    from rbell.models import _FACTORIES, hardy_outcome_A, hardy_outcome_B, register_model
+
+    register_model("hardy-E-only", lambda: DeterministicLHV(
+        name="hardy-E-only",
+        hidden=HiddenSpace.uniform_circle(),
+        outcome_A=hardy_outcome_A,
+        outcome_B=hardy_outcome_B,
+        closed_form_E=hardy_closed_form_E,
+    ))
+
+    class Scanned(Exception):
+        pass
+
+    def scan(objective, free, axis, sign):
+        raise Scanned(axis.size ** len(free))
+
+    monkeypatch.setattr(optimizer, "_grid_scan", scan)
+    try:
+        with pytest.raises(Scanned) as scanned:
+            optimize(ObjectiveSpec(model="hardy-E-only", inequality=ineq))
+    finally:
+        _FACTORIES.pop("hardy-E-only", None)
+    (points,) = scanned.value.args
+    limit = optimizer.MAX_GRID_POINTS_QUADRATURE if quadrature else optimizer.MAX_GRID_POINTS
+    assert points <= limit
+    assert (points <= optimizer.MAX_GRID_POINTS_QUADRATURE) == quadrature
 
 
 def test_grid_scan_memory_does_not_grow_with_the_grid():

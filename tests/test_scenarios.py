@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st_
 
 from conftest import actual_ids, oracle_octuples, oracle_trials, traced_peak_mib
@@ -166,6 +166,48 @@ def test_periodic_schedule_matches_loop(case):
     assert sched.initial == initial
     assert sched.switches.times.tobytes() == times.tobytes()
     assert [lbl for _, lbl in sched.switches] == [lbl for _, lbl in switches]
+
+
+@st_.composite
+def far_periodic_windows(draw):
+    """A periodic window of up to 300 periods whose phase and
+    start sit up to 1e22 from zero, where float spacing can exceed the
+    period."""
+    period = draw(st_.floats(1e-3, 10.0))
+    scale = 10.0 ** draw(st_.integers(0, 22))
+    phase = draw(st_.floats(-1.0, 1.0)) * scale
+    start = draw(st_.just(phase) | st_.floats(-1.0, 1.0).map(lambda u: u * scale))
+    end = start + draw(st_.floats(0.0, 300.0)) * period
+    return _periodic_case(period, phase, start, end)
+
+
+@settings(max_examples=300, deadline=None)
+@given(far_periodic_windows())
+@example(_periodic_case(0.5, 1e20, -3.0, 34999.649999999994))
+@example(_periodic_case(0.5, 0.0, 1e17, 1e17 + 100.0))
+def test_periodic_window_far_from_zero_is_built_exactly_or_refused(case):
+    # a window is built when its switch times are distinct floats, equal to
+    # the loop's; adjacent times that round together are refused up front,
+    # and only when the period is within a few float spacings of the times
+    station, (start, end) = case
+    first, last = (start - station.phase) / station.period, (end - station.phase) / station.period
+    assume(last - first <= 100_000)
+    ks = range(math.floor(first) + 1, math.floor(last) + 3)
+    times = [t for t in (station.phase + k * station.period for k in ks) if t <= end]
+    distinct = all(u < v for u, v in zip(times, times[1:]))
+    try:
+        sched = make_schedule(station, (start, end), seed=0)
+    except ConfigError as exc:
+        assert "closer than their float rounding" in str(exc)
+        reach = max(abs(station.phase), abs(start), abs(end)) + station.period
+        assert station.period <= 8 * math.ulp(reach)
+        return
+    except ValueError:
+        # the rounded first switch is not after the start, as for the loop
+        assert distinct and times and times[0] <= start
+        return
+    assert distinct
+    assert sched.switches.times.tolist() == times
 
 
 def test_random_switch_requires_positive_rate():
@@ -625,6 +667,13 @@ def test_t0_must_precede_first_retarded_time():
         ))
 
 
+def test_t0_must_precede_start_less_retardation_in_the_config():
+    # a start earlier than the geometry's own times is refused by the
+    # config type, before any run
+    with pytest.raises(ConfigError, match=r"^geometry\.t0 must precede start - L/c$"):
+        base_config(start=-2.5)
+
+
 def test_outputs_written(tmp_path):
     result = run_scenario(base_config(n_trials=300))
     paths = result.write_outputs(tmp_path / "out")
@@ -712,6 +761,57 @@ def test_load_config_full(tmp_path):
     assert config.quartet == ("a", "a2", "b", "b2")
     result = run_scenario(config)
     assert len(result.log) == 1000
+
+
+#: Per section, each optional key as (ini text, config field, value).
+OPTIONAL_KEYS = {
+    "model": [("name = quantum-singlet", "model", "quantum-singlet")],
+    "station1": [("phase = 0.25", "phase", 0.25), ("switch_labels = a2, a", "switch_labels",
+                  ("a2", "a")), ("base = a2", "base", "a2"), ("period = 3", "period", 3.0)],
+    "station2": [("phase = -0.5", "phase", -0.5), ("base = b2", "base", "b2")],
+    "run": [("start = 0.5", "start", 0.5), ("seed = 7", "seed", 7),
+            ("retarded_definition = predictive", "retarded_definition", "predictive"),
+            ("intervention_delay = 0.75", "intervention_delay", 0.75),
+            ("min_count = 10", "min_count", 10)],
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st_.fixed_dictionaries({section: st_.lists(st_.sampled_from(keys), unique=True)
+                               for section, keys in OPTIONAL_KEYS.items()}))
+def test_config_with_any_optional_keys_equals_the_dataclasses(chosen):
+    # a key left out takes the config type's own default, and only there
+    text = {
+        "geometry": ["separation = 2.0", "signal_speed = 1.0", "t0 = -6.0"],
+        "model": [],
+        "station1": ["labels = a=pi/2, a2=0", "schedule = random_switch", "rate = 2.0"],
+        "station2": ["labels = b=-pi/4, b2=pi/4", "schedule = periodic", "period = 0.5",
+                     "cycle = b, b2"],
+        "run": ["n_trials = 100", "spacing = 1.0", "quartet = a, a2, b, b2"],
+    }
+    fields = {section: {field: value for _, field, value in keys}
+              for section, keys in chosen.items()}
+    for section, keys in chosen.items():
+        text[section] += [line for line, _, _ in keys]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scenario.ini"
+        path.write_text("".join(f"[{section}]\n" + "".join(f"{line}\n" for line in lines)
+                                for section, lines in text.items()))
+        config = load_config(path)
+    start = fields["run"].get("start", ScenarioConfig.start)
+    assert config == ScenarioConfig(
+        geometry=Geometry(separation=2.0, signal_speed=1.0, t1=start, t2=start, t0=-6.0),
+        model=fields["model"].get("model", "hardy-singlet"),
+        station1=StationConfig(station=1, labels={"a": math.pi / 2, "a2": 0.0},
+                               kind="random_switch", rate=2.0, **fields["station1"]),
+        station2=StationConfig(station=2, labels={"b": -math.pi / 4, "b2": math.pi / 4},
+                               kind="periodic", period=0.5, cycle=("b", "b2"),
+                               **fields["station2"]),
+        quartet=("a", "a2", "b", "b2"),
+        n_trials=100,
+        spacing=1.0,
+        **fields["run"],
+    )
 
 
 def test_load_config_unknown_key(tmp_path):
