@@ -31,10 +31,8 @@ import numpy as np
 from .errors import CellError, ConfigError, RbellError, StreamFormatError
 from .estimation import (
     BLOCK_SIZE,
-    analytic_ch_probs,
-    analytic_correlations,
-    analytic_marginals,
     exact_row,
+    exact_terms,
     mc_correlations,
     quadrature_E,
     read_table,
@@ -44,6 +42,7 @@ from .inequalities import (
     INEQUALITIES,
     QUARTET,
     RETARDED_FLAGS,
+    Correlation,
     CorrelationInput,
     Inequality,
     InequalityReport,
@@ -134,15 +133,10 @@ def _analytic(args) -> int:
     ids = _resolve_ids(args, ineq, by_value=False)
     angles = _given_angles(args, spec.needs + RETARDED_FLAGS)
     quads = spec.cells(ids)
-
-    if spec.probability:
-        cells = CorrelationInput(analytic_ch_probs(model, angles, quads))
-        singles = analytic_marginals(
-            model, angles[spec.flag(ids, "a2")], angles[spec.flag(ids, "b2")]
-        )
-        report = spec.evaluate(cells, ids, singles)
-    else:
-        report = spec.evaluate(analytic_correlations(model, angles, quads), ids)
+    flag_angles = {k: angles[v] for k, v in ids.items() if v in angles}
+    values, singles = exact_terms(model, spec)(flag_angles)
+    exact = CorrelationInput({quad: Correlation(float(v)) for quad, v in zip(quads, values)})
+    report = spec.evaluate(exact, ids, singles or None)
 
     payload = report.to_dict()
     payload["angles"] = angles
@@ -326,15 +320,11 @@ def _verify_checks(rng: np.random.Generator) -> list[tuple[str, bool, str]]:
         worst = max(worst, abs(sum(probs) - 1.0), abs(e - float(quantum.E(a1, b1))))
     checks.append(("quantum-joint-consistent", worst <= 1e-12, f"worst {worst:.2e}"))
 
-    worst = 0.0
-    same, general = INEQUALITIES["same_retarded_chsh"], INEQUALITIES["retarded_chsh"]
-    tied = dict(zip(ANGLE_FLAGS, QUARTET + ("a", "a", "b", "b")))
-    for _ in range(100):
-        amap = dict(zip(QUARTET, rng.uniform(0, math.tau, 4)))
-        corr = analytic_correlations(hardy, amap, general.cells(tied))
-        r1 = same.evaluate(corr, tied)
-        r2 = general.evaluate(corr, tied)
-        worst = max(worst, abs(r1.value - r2.value))
+    # same_retarded_chsh is retarded_chsh with every retarded angle tied
+    a, a2, b, b2 = rng.uniform(0, math.tau, (100, 4)).T
+    tied = dict(zip(ANGLE_FLAGS, (a, a2, b, b2, a, a, b, b)))
+    same = exact_row(hardy, INEQUALITIES["same_retarded_chsh"])(tied)
+    worst = float(np.max(np.abs(same - exact_row(hardy, INEQUALITIES["retarded_chsh"])(tied))))
     checks.append(("same-retarded-reduction-exact", worst == 0.0, f"worst {worst:.2e}"))
 
     # one changed end cannot violate the probability bound (quantum inputs):

@@ -19,7 +19,7 @@ from collections import defaultdict
 from concurrent.futures import ThreadPoolExecutor
 from itertools import chain, count, repeat
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -587,8 +587,9 @@ def quadrature_ch_probs(
     """(p12, p1, p2) by lambda-quadrature, settings as in :func:`quadrature_E`.
 
     A deterministic model's integrands are its +1 indicators.  The
-    marginals are averaged over lambda only (retarded-independent, the
-    default reading).
+    marginals are p1(a | b_r) and p2(b | a_r): each station's +1
+    probability at the far retarded setting given, averaged over lambda.
+    :func:`exact_terms` reads them at far retarded angle 0.
     """
     return _lambda_average(model, (a, b, a_r, b_r), nodes, ch=True)
 
@@ -653,20 +654,37 @@ def exact_values(
     return by_quadrature
 
 
+def exact_terms(
+    model: Model, row: Inequality, nodes: int = 100_000
+) -> Callable[[Mapping[str, ArrayLike]], tuple[Iterator[np.ndarray], tuple[np.ndarray, ...]]]:
+    """The one exact evaluator of table row ``row``, over ``exact_values``.
+
+    It maps flag -> angle (scalars or arrays that broadcast together) to
+    the exact value of each term's cell (E, or p12 for a probability
+    row), in term order and computed as it is read, and to the +1
+    singles of a probability row: p1 at a2 and p2 at b2, read at far
+    retarded angle 0, that is p1(a2 | b_r = 0) and p2(b2 | a_r = 0).
+    The sampled singles of a scenario run are unconditioned instead.
+    Reading them at b2r and a2r is ROADMAP.md's open item "CH singles
+    conditioned on the far retarded setting"; this is the one place to
+    change on the exact side.
+    """
+    exact, *marginals = (exact_values(model, q, nodes) for q in row_quantities(row))
+
+    def terms(angles: Mapping[str, ArrayLike]) -> tuple[Iterator[np.ndarray], tuple]:
+        singles = () if not marginals else marginals[0](
+            row.flag(angles, "a2"), row.flag(angles, "b2"), 0.0, 0.0)
+        return (exact(*cell)[0] for cell in row.cells(angles)), singles
+    return terms
+
+
 def exact_row(
     model: Model, row: Inequality, nodes: int = 100_000
 ) -> Callable[[Mapping[str, ArrayLike]], np.ndarray]:
-    """Broadcasting evaluator of table row ``row`` over ``exact_values``:
-    flag -> angle (scalars or arrays that broadcast together) to the
-    row's signed sum, with the retarded-independent +1 marginals at a2
-    and b2 as the singles of a probability row."""
-    exact, *marginals = (exact_values(model, q, nodes) for q in row_quantities(row))
-
-    def value(angles: Mapping[str, ArrayLike]) -> np.ndarray:
-        singles = () if not marginals else marginals[0](
-            row.flag(angles, "a2"), row.flag(angles, "b2"), 0.0, 0.0)
-        return row.signed_sum((exact(*cell)[0] for cell in row.cells(angles)), singles)
-    return value
+    """Broadcasting evaluator of table row ``row``: its signed sum of
+    :func:`exact_terms`."""
+    terms = exact_terms(model, row, nodes)
+    return lambda angles: row.signed_sum(*terms(angles))
 
 
 # ----------------------------------------------------------------------
@@ -701,32 +719,6 @@ def mc_E(
     return _cell_from_counts(sum(map_blocks(n, block, workers)), n, 0)
 
 
-# ----------------------------------------------------------------------
-# Input builders for the inequality evaluators
-# ----------------------------------------------------------------------
-
-
-def _exact_cells(
-    model: Model, quantity: str, angles: Mapping[str, float], quads: Sequence[Quad], nodes: int
-) -> dict[Quad, Correlation]:
-    """One exact quantity ("E" or "p12") for each cell."""
-    columns = [np.array([angles[q[k]] for q in quads], dtype=float) for k in range(4)]
-    (values,) = exact_values(model, quantity, nodes)(*columns)
-    return {q: Correlation(float(v)) for q, v in zip(quads, np.broadcast_to(values, len(quads)))}
-
-
-def analytic_correlations(
-    model: Model,
-    angles: Mapping[str, float],
-    quadruples: Iterable[Quad],
-    nodes: int = 100_000,
-) -> CorrelationInput:
-    """Exact (closed form or quadrature) correlations for the given cells."""
-    return CorrelationInput(
-        _exact_cells(model, "E", angles, list(quadruples), nodes), source="analytic"
-    )
-
-
 def mc_correlations(
     model: Model,
     angles: Mapping[str, float],
@@ -742,22 +734,6 @@ def mc_correlations(
         for k, quad in enumerate(sorted(set(quadruples)))
     }
     return CorrelationInput(cells, source="monte-carlo")
-
-
-def analytic_ch_probs(
-    model: Model,
-    angles: Mapping[str, float],
-    quadruples: Iterable[Quad],
-    nodes: int = 100_000,
-) -> dict[Quad, Correlation]:
-    """Joint +1 probabilities for the given cells, closed form preferred."""
-    return _exact_cells(model, "p12", angles, list(quadruples), nodes)
-
-
-def analytic_marginals(model: Model, a: float, b: float, nodes: int = 100_000) -> tuple[float, float]:
-    """Retarded-independent +1 marginals for settings (a station 1, b station 2)."""
-    p1, p2 = exact_values(model, "marginals", nodes)(a, b, 0.0, 0.0)
-    return float(p1), float(p2)
 
 
 # ----------------------------------------------------------------------

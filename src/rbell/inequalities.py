@@ -15,7 +15,13 @@ is ``-1 <= x'y' + x'y + xy' - xy - x' - y' <= 0`` for x, y, x', y' in
 [0, 1] (multilinear, so it suffices to check the 16 vertices).  The
 subtracted singles therefore belong to the *primed* settings; for the
 models bundled here both marginals are 1/2, so the numbers match the
-familiar presentation either way.
+familiar presentation either way.  The singles are not yet conditioned
+on the far retarded setting of the cells that hold a2 and b2: the
+exact singles (``estimation.exact_terms``) are read at far retarded
+angle 0, and a scenario run's sampled singles are unconditioned
+(averaged over every retarded setting).  ROADMAP.md's open item "CH
+singles conditioned on the far retarded setting" is to read them at
+b2r and a2r.
 """
 
 from __future__ import annotations
@@ -315,15 +321,6 @@ INEQUALITIES = {
 }
 
 
-def chsh_quadruples(
-    a: str, a2: str, b: str, b2: str, ar: str, a2r: str, br: str, b2r: str
-) -> tuple[Quad, Quad, Quad, Quad]:
-    """The four cells entering the retarded four-correlation combination,
-    in term order (+, +, +, -)."""
-    ids = dict(zip(ANGLE_FLAGS, (a, a2, b, b2, ar, a2r, br, b2r)))
-    return INEQUALITIES["retarded_chsh"].cells(ids)
-
-
 # Per-name entry points over the table rows (all below but averaged_chsh).
 # Nothing in the package calls them, but the benchmark reads their spans by
 # name (perfbench/layers.py), so they stay until it traces Inequality.evaluate.
@@ -411,8 +408,7 @@ def retarded_ch(p12: Union[Mapping[Quad, Correlation], CorrelationInput], p1: Es
 
     ``p1`` and ``p2`` are the +1 marginals for the settings a2 and b2
     (see the module docstring for why the primed singles are the ones
-    subtracted).  Retarded-dependent marginals are supported by simply
-    passing the appropriately conditioned numbers.
+    subtracted, and at which far retarded setting callers read them).
     """
     if not isinstance(p12, CorrelationInput):
         p12 = CorrelationInput(dict(p12), source="monte-carlo")

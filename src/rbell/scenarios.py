@@ -339,14 +339,16 @@ def make_schedule(
     periodic: a deterministic base cycling through the labels, each held
     for ``period``: switch ``k`` falls at ``phase + k * period`` and sets
     label ``k % m`` of the cycle, for every ``k`` after the one in force
-    at ``start`` whose time is at most ``end``.  The switches are built
-    as one :class:`SwitchTable` of columns.  Before any is built, a
-    window is refused when it spans more than 2**31 - 1 periods, or
-    unless ``period > 2 * ulp(reach)``, where ``reach = |phase| + K *
-    period`` and K is the largest |k| built.  That condition suffices:
-    each computed time lies within ``ulp(reach)`` of its exact value, so
-    adjacent times are distinct floats; and it fails once K >= 2**53, so
-    every k is exact in int64 and in float64.  random_switch: a
+    at ``start`` whose time is at most ``end``; a switch whose float time
+    rounds onto or before ``start`` sets the initial label instead.  The
+    switches are built as one :class:`SwitchTable` of columns.  Before
+    any is built, a window is refused when it spans more than 2**31 - 1
+    periods, or unless ``period > 2 * ulp(reach)``, where ``reach =
+    |phase| + K * period`` and K is the largest |k| built.  That
+    condition suffices: each computed time lies within ``ulp(reach)`` of
+    its exact value, so adjacent times are distinct floats; and it fails
+    once K >= 2**53, so every k is exact in int64 and in float64.
+    random_switch: a
     constant base plus interventions at exponentially spaced decision
     times with uniformly chosen labels and the configured delay, refused
     before any draw when more than 2**31 - 1 (what a timeline's int32
@@ -375,12 +377,13 @@ def make_schedule(
         # the times are the IEEE values of Python's phase + k * period
         k = np.arange(k0 + 1, k1 + 1)
         times = phase + k.astype(np.float64) * period
-        n = int(np.searchsorted(times, end, side="right"))
+        # switches that rounding puts at or before the start set the initial label
+        n0, n = (int(np.searchsorted(times, t, side="right")) for t in (start, end))
         return SettingSchedule(
             station=station.station,
             start=start,
-            initial=cycle[k0 % m],
-            switches=SwitchTable(times[:n], k[:n] % m, cycle),
+            initial=cycle[(k0 + n0) % m],
+            switches=SwitchTable(times[n0:n], k[n0:n] % m, cycle),
         )
 
     base = palette[station.base_label()]

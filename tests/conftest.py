@@ -8,8 +8,24 @@ import tracemalloc
 import numpy as np
 
 from rbell.errors import MissingCellError, UndefinedTimeError
-from rbell.inequalities import Correlation
+from rbell.estimation import exact_values
+from rbell.inequalities import ANGLE_FLAGS, INEQUALITIES, Correlation, CorrelationInput
 from rbell.spacetime import EqualityClass
+
+
+def octuple_cells(*octuple):
+    """The ``retarded_chsh`` row's four cells, in term order, for the flag
+    ids ``octuple`` = (a, a2, b, b2, ar, a2r, br, b2r)."""
+    return INEQUALITIES["retarded_chsh"].cells(dict(zip(ANGLE_FLAGS, octuple)))
+
+
+def exact_input(model, angles, quads) -> CorrelationInput:
+    """Exact correlations (``exact_values``) of the cells ``quads``, whose
+    ids are keys of ``angles``."""
+    (e,) = exact_values(model, "E")(*np.array([[angles[k] for k in q] for q in quads]).T)
+    return CorrelationInput(
+        {q: Correlation(float(v)) for q, v in zip(quads, np.broadcast_to(e, len(quads)))}
+    )
 
 
 def piecewise_constant_mean(f, lo: float, hi: float, coarse: int = 4096) -> float:

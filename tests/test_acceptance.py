@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import octuple_cells
 from rbell.cli import main
 from rbell.estimation import (
     mc_correlations,
@@ -24,7 +25,6 @@ from rbell.inequalities import (
     both_equal_reduction,
     ch_expression,
     chsh_identity_check,
-    chsh_quadruples,
     one_end_equal_chsh,
     retarded_ch,
     same_retarded_chsh,
@@ -64,7 +64,7 @@ def test_criterion_01_model_value_and_monte_carlo(capsys):
     value = json.loads(out)["value"]
     ok_exact = code == 0 and abs(value - (-SQRT2)) <= 1e-9
 
-    quads = chsh_quadruples("a", "a2", "b", "b2", "a", "a", "b", "b")
+    quads = octuple_cells("a", "a2", "b", "b2", "a", "a", "b", "b")
     mc = mc_correlations(HARDY, QUARTET_ANGLES, quads, n=1_000_000, seed=20_240)
     mc_report = same_retarded_chsh(mc, "a", "a2", "b", "b2")
     ok_mc = abs(mc_report.value - (-SQRT2)) <= 5 * mc_report.combined_se
@@ -191,7 +191,7 @@ def test_criterion_06_algebraic_identities(capsys):
 
 def test_criterion_07_probability_form(capsys):
     octuple = ("a", "a2", "b", "b2", "a", "a", "b", "b")
-    quads = chsh_quadruples(*octuple)
+    quads = octuple_cells(*octuple)
     cells = {
         q: Correlation((1.0 - math.cos(QUARTET_ANGLES[q[0]] - QUARTET_ANGLES[q[1]])) / 4.0)
         for q in quads

@@ -17,6 +17,7 @@ from conftest import traced_peak_mib
 from rbell import cli
 from rbell.cli import _verify_checks, main
 from rbell.inequalities import CHSH_TERMS, INEQUALITIES
+from rbell.models import get_model
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -134,41 +135,105 @@ RETARDED_ANGLE_FLAGS = ["--ar", "0.3", "--a2r", "1.1", "--br=-0.4", "--b2r", "2.
 
 
 # pinned exact and Monte Carlo (n=2000, seed 5) values, with and without
-# the retarded flags
+# the retarded flags; hardy-quadrature is hardy without closed forms
+ANALYTIC_PINS = [
+    ("hardy", "retarded_chsh", False, -1.4142135623730951, -1.411),
+    ("hardy", "retarded_chsh", True, -0.5347728245756019, -0.427),
+    ("hardy", "same_retarded_chsh", False, -1.4142135623730951, -1.411),
+    ("hardy", "same_retarded_chsh", True, -1.4142135623730951, -1.411),
+    ("hardy", "chsh", False, -1.4142135623730951, -1.411),
+    ("hardy", "chsh", True, -1.4142135623730951, -1.411),
+    ("hardy", "both_equal", False, 1.414213562373095, 1.39),
+    ("hardy", "both_equal", True, 1.414213562373095, 1.39),
+    ("hardy", "one_end_equal", False, -1.4142135623730951, -1.384),
+    ("hardy", "one_end_equal", True, -1.6164042080122294, -1.609),
+    ("hardy", "retarded_ch", False, -0.8535533905932737, None),
+    ("hardy", "retarded_ch", True, -0.6336932061439006, None),
+    ("quantum", "retarded_chsh", False, -2.8284271247461903, -2.868),
+    ("quantum", "retarded_chsh", True, -2.8284271247461903, -2.868),
+    ("quantum", "same_retarded_chsh", True, -2.8284271247461903, -2.868),
+    ("quantum", "chsh", True, -2.8284271247461903, -2.868),
+    ("quantum", "both_equal", True, 1.414213562373095, 1.352),
+    ("quantum", "one_end_equal", False, -1.4142135623730951, -1.442),
+    ("quantum", "one_end_equal", True, -1.4142135623730951, -1.478),
+    ("quantum", "retarded_ch", False, -1.2071067811865475, None),
+    ("quantum", "retarded_ch", True, -1.2071067811865475, None),
+    ("hardy-quadrature", "retarded_chsh", True, -0.53472, -0.427),
+    ("hardy-quadrature", "same_retarded_chsh", False, -1.41424, -1.411),
+    ("hardy-quadrature", "both_equal", True, 1.41424, 1.39),
+    ("hardy-quadrature", "one_end_equal", True, -1.6164, -1.609),
+    ("hardy-quadrature", "retarded_ch", False, -0.85356, None),
+    ("hardy-quadrature", "retarded_ch", True, -0.63368, None),
+]
+
+
+@pytest.fixture
+def quadrature_model():
+    """``hardy-quadrature`` registered: the hardy model without closed forms."""
+    from rbell.models import _FACTORIES, register_model
+
+    register_model("hardy-quadrature", lambda: dataclasses.replace(
+        get_model("hardy"), name="hardy-quadrature", closed_form_E=None,
+        closed_form_p12=None, closed_form_p1=None, closed_form_p2=None))
+    yield
+    _FACTORIES.pop("hardy-quadrature", None)
+
+
 @pytest.mark.parametrize(
-    "ineq,retarded,exact,mc",
-    [
-        ("retarded_chsh", False, -1.4142135623730951, -1.411),
-        ("retarded_chsh", True, -0.5347728245756019, -0.427),
-        ("same_retarded_chsh", False, -1.4142135623730951, -1.411),
-        ("same_retarded_chsh", True, -1.4142135623730951, -1.411),
-        ("chsh", False, -1.4142135623730951, -1.411),
-        ("chsh", True, -1.4142135623730951, -1.411),
-        ("both_equal", False, 1.414213562373095, 1.39),
-        ("both_equal", True, 1.414213562373095, 1.39),
-        ("one_end_equal", False, -1.4142135623730951, -1.384),
-        ("one_end_equal", True, -1.6164042080122294, -1.609),
-        ("retarded_ch", False, -0.8535533905932737, None),
-        ("retarded_ch", True, -0.6336932061439006, None),
-    ],
+    "model,ineq,retarded,exact,mc",
+    [pytest.param(*pin, id="-".join(map(str, pin[1:] if pin[0] == "hardy" else pin)))
+     for pin in ANALYTIC_PINS],
 )
-def test_analytic_every_inequality(capsys, ineq, retarded, exact, mc):
-    argv = ["analytic", "hardy", ineq] + QUARTET_FLAGS
+def test_analytic_every_inequality(capsys, quadrature_model, model, ineq, retarded, exact, mc):
+    argv = ["analytic", model, ineq] + QUARTET_FLAGS
     argv += RETARDED_ANGLE_FLAGS if retarded else []
+    row = INEQUALITIES[ineq]
+    expect_code = 0 if row.lower <= exact <= row.upper else 3
     code, out, _ = run_cli(capsys, argv)
-    assert code == 0
-    assert json.loads(out)["value"] == pytest.approx(exact, abs=1e-12)
+    assert code == expect_code
+    assert json.loads(out)["value"] == exact
     assert "monte_carlo" not in json.loads(out)
 
     code, out, err = run_cli(capsys, argv + ["--n", "2000", "--seed", "5"])
-    assert code == 0
+    assert code == expect_code
     data = json.loads(out)
-    assert data["value"] == pytest.approx(exact, abs=1e-12)
+    assert data["value"] == exact
     if mc is None:
         assert "monte_carlo" not in data
         assert f"--n is ignored for {ineq}" in err
     else:
         assert data["monte_carlo"]["value"] == pytest.approx(mc, abs=1e-12)
+
+
+def _bad_closed_forms(value):
+    """The hardy model with every closed-form cell (E and p12) equal to ``value``."""
+    def bad(a, b, a_r, b_r):
+        return np.full(np.broadcast_shapes(*map(np.shape, (a, b, a_r, b_r))), value)
+
+    return dataclasses.replace(get_model("hardy"), closed_form_E=bad, closed_form_p12=bad)
+
+
+@pytest.mark.parametrize("ineq", list(INEQUALITIES))
+@pytest.mark.parametrize("name,model,message", [
+    ("nan-cells", lambda: _bad_closed_forms(math.nan), "error: estimate nan outside [-1, 1]"),
+    ("big-cells", lambda: _bad_closed_forms(1.5), "error: estimate 1.5 outside [-1, 1]"),
+    ("nan-singles", lambda: dataclasses.replace(get_model("hardy"), closed_form_p1=(
+        lambda a, b_r: math.nan)), "error: estimate nan outside [-1, 1]"),
+])
+def test_analytic_refuses_exact_values_out_of_range(capsys, ineq, name, model, message):
+    # a NaN or out-of-range exact value is refused in one line, never scored
+    from rbell.models import _FACTORIES, register_model
+
+    register_model(name, model)
+    try:
+        code, out, err = run_cli(capsys, ["analytic", name, ineq] + QUARTET_FLAGS)
+    finally:
+        _FACTORIES.pop(name, None)
+    if name == "nan-singles" and not INEQUALITIES[ineq].probability:
+        assert code == 0  # a correlation row reads no singles
+        return
+    assert (code, out) == (1, "")
+    assert err == message + "\n"
 
 
 def test_analytic_unknown_model(capsys):
@@ -593,6 +658,25 @@ def _assert_periodic_refusal(tmp_path, capsys, edits, message):
     code, out, err = run_cli(capsys, RUN(str(config), str(tmp_path / "o")))
     assert (code, out, err) == (1, "", f"error: {config}: {message}\n")
     assert not (tmp_path / "o").exists()
+
+
+def test_run_folds_a_periodic_switch_that_rounds_onto_the_start(tmp_path, capsys):
+    # floor((-3.75 + 1.92) / 0.03) is -62, and -1.92 + (-61) * 0.03 rounds to
+    # -3.75, the window start: that switch sets station 1's initial label
+    text = (CONFIG_DIR / "periodic_aspect_style.ini").read_text()
+    for old, new in [("t0 = -3.0", "t0 = -3.75"),
+                     ("period = 0.5\nphase = 0.0", "period = 0.03\nphase = -1.92")]:
+        assert old in text
+        text = text.replace(old, new)
+    config = tmp_path / "scenario.ini"
+    config.write_text(text)
+    code, out, err = run_cli(capsys, RUN(str(config), str(tmp_path / "o")) + ["--n", "200"])
+    # the run finishes like the bundled config: exit 2, since periodic
+    # switching leaves no complete retarded octuple to score
+    assert code == cli.EXIT_INSUFFICIENT
+    assert "error" not in err
+    assert json.loads(out)["trials"] == 200
+    assert (tmp_path / "o" / "trials.csv").exists()
 
 
 def test_run_names_a_malformed_worker_count(tmp_path, capsys, monkeypatch):

@@ -20,7 +20,7 @@ from conftest import (
     oracle_octuples,
     oracle_quadruple_counts,
 )
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st_
 
 from rbell import estimation
@@ -30,9 +30,10 @@ from rbell.estimation import (
     BLOCK_SIZE,
     TrialCounts,
     TrialLog,
-    analytic_correlations,
     build_table,
     columns_dir,
+    exact_row,
+    exact_terms,
     exact_values,
     marginal_p1,
     marginal_p2,
@@ -47,7 +48,7 @@ from rbell.estimation import (
     write_table,
     write_trial_log,
 )
-from rbell.inequalities import Correlation
+from rbell.inequalities import ANGLE_FLAGS, INEQUALITIES, Correlation, CorrelationInput
 from rbell.models import (
     DeterministicLHV,
     HiddenSpace,
@@ -878,6 +879,36 @@ def test_table_roundtrip_bit_exact(tmp_path):
         assert back.cells[key].sufficient == cell.sufficient
 
 
+_TABLE_IDS = st_.text(st_.characters(codec="ascii", exclude_characters="\x00"), max_size=6)
+_TABLE_CELLS = st_.builds(
+    Correlation,
+    st_.floats(-1.0, 1.0),
+    st_.floats(0.0, 1e300) | st_.sampled_from((0.0, 5e-324)),
+    st_.integers(1, 2**63),
+    st_.booleans(),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cells=st_.dictionaries(st_.tuples(*[_TABLE_IDS] * 4), _TABLE_CELLS, max_size=8))
+@example(cells={("a,b", '"q"', " s p ", "x\r\ny"): Correlation(-0.0, 5e-324, 1, False),
+                ("", "'", ",", '""'): Correlation(0.1 + 0.2, 1e300, 2**63, True)})
+def test_table_roundtrip_any_ids_and_numbers_bit_exact(cells):
+    # ids with commas, quotes, spaces or line breaks, and any finite numbers,
+    # come back from correlations.csv unchanged
+    table = CorrelationInput(cells, source="monte-carlo")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "correlations.csv"
+        write_table(table, path)
+        back = read_table(path)
+    assert back.cells.keys() == cells.keys()
+    for key, cell in cells.items():
+        got = back.cells[key]
+        assert got.estimate.hex() == cell.estimate.hex()
+        assert got.standard_error.hex() == cell.standard_error.hex()
+        assert (got.count, got.sufficient) == (cell.count, cell.sufficient)
+
+
 def test_read_table_min_count_override(tmp_path):
     table = build_table(TrialCounts(make_log([1, 1, -1, 1])), min_count=1)
     path = tmp_path / "table.csv"
@@ -944,19 +975,59 @@ def test_se_honesty_coverage():
     assert inside / 200 >= 0.93
 
 
-def test_analytic_correlations_uses_quadrature_without_closed_form():
+def test_exact_terms_uses_quadrature_without_closed_form():
     model = DeterministicLHV(
         name="no-closed-form",
         hidden=HARDY.hidden,
         outcome_A=HARDY.outcome_A,
         outcome_B=HARDY.outcome_B,
     )
-    corr = analytic_correlations(
-        model, QUARTET, [("a", "b", "a", "b")], nodes=50_000
-    )
+    (e,), singles = exact_terms(model, INEQUALITIES["both_equal"], nodes=50_000)(QUARTET)
     expect = float(hardy_closed_form_E(QUARTET["a"], QUARTET["b"], QUARTET["a"], QUARTET["b"]))
-    assert corr.lookup(("a", "b", "a", "b")).estimate == pytest.approx(expect, abs=1e-4)
-    assert corr.lookup(("a", "b", "a", "b")).standard_error == 0.0
+    assert float(e) == pytest.approx(expect, abs=1e-4)
+    assert singles == ()
+
+
+@pytest.mark.parametrize("ineq", list(INEQUALITIES))
+@pytest.mark.parametrize("model", [HARDY, QUANTUM, StochasticLHV.from_deterministic(HARDY)],
+                         ids=["hardy", "quantum", "lift"])
+def test_exact_terms_reads_each_cell_and_the_singles(model, ineq):
+    # each term's cell through exact_values in term order, the singles at
+    # far retarded angle 0, and exact_row as their signed sum, bit for bit
+    row = INEQUALITIES[ineq]
+    rng = np.random.default_rng(5)
+    angles = dict(zip(ANGLE_FLAGS, rng.uniform(-7.0, 7.0, (8, 3, 1))))
+    angles["b"] = rng.uniform(-7.0, 7.0, 4)  # broadcasts to (3, 4)
+    values, singles = exact_terms(model, row)(angles)
+    values = list(values)
+    quantity = "p12" if row.probability else "E"
+    cells = row.cells(angles)
+    assert len(values) == len(cells) == len(row.terms)
+    for v, cell in zip(values, cells):
+        assert np.array_equal(v, exact_values(model, quantity)(*cell)[0])
+    if row.probability:
+        p1, p2 = exact_values(model, "marginals")(angles["a2"], angles["b2"], 0.0, 0.0)
+        assert np.array_equal(singles[0], p1) and np.array_equal(singles[1], p2)
+    else:
+        assert singles == ()
+    total = exact_row(model, row)(angles)
+    assert total.shape == (3, 4)
+    assert np.array_equal(total, row.signed_sum(values, singles))
+
+
+def test_exact_terms_read_singles_at_far_retarded_angle_zero():
+    # station 1's +1 probability depends on the far retarded setting, so
+    # where the singles are read shows: at b_r = 0, not at b2r
+    model = StochasticLHV(
+        name="far-dependent",
+        hidden=HiddenSpace.uniform_circle(),
+        p1=lambda a, b_r, lam: np.broadcast_to(0.5 + 0.4 * np.cos(b_r), np.shape(lam)),
+        p2=lambda b, a_r, lam: np.full(np.shape(lam), 0.5),
+    )
+    angles = dict(zip(ANGLE_FLAGS, (0.3, 1.1, -0.4, 2.0, 0.5, 0.7, 1.3, math.pi / 2)))
+    _, (p1, p2) = exact_terms(model, INEQUALITIES["retarded_ch"], nodes=1_000)(angles)
+    assert float(p1) == pytest.approx(0.9, abs=1e-12)  # 0.5 + 0.4 * cos(0)
+    assert float(p2) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_exact_values_quadrature_matches_closed_forms_on_a_grid():

@@ -9,7 +9,8 @@ from hypothesis import strategies as st_
 
 from rbell.errors import InsufficientCellError, MissingCellError
 from rbell import inequalities
-from rbell.estimation import BLOCK_SIZE, analytic_correlations
+from conftest import exact_input, octuple_cells
+from rbell.estimation import BLOCK_SIZE
 from rbell.inequalities import (
     Correlation,
     CorrelationInput,
@@ -18,7 +19,6 @@ from rbell.inequalities import (
     ch_expression,
     ch_identity_check,
     chsh_identity_check,
-    chsh_quadruples,
     one_end_equal_chsh,
     retarded_ch,
     retarded_chsh,
@@ -33,11 +33,11 @@ QUANTUM = get_model("quantum")
 
 
 def hardy_input(angles, octuple):
-    return analytic_correlations(HARDY, angles, chsh_quadruples(*octuple))
+    return exact_input(HARDY, angles, octuple_cells(*octuple))
 
 
 def quantum_input(angles, octuple):
-    return analytic_correlations(QUANTUM, angles, chsh_quadruples(*octuple))
+    return exact_input(QUANTUM, angles, octuple_cells(*octuple))
 
 
 def tied_octuple():
@@ -111,7 +111,7 @@ def test_chsh_identity_spot_values():
 
 
 def test_retarded_chsh_zero_everywhere():
-    cells = {q: Correlation(0.0) for q in chsh_quadruples(*tied_octuple())}
+    cells = {q: Correlation(0.0) for q in octuple_cells(*tied_octuple())}
     report = retarded_chsh(CorrelationInput(cells), *tied_octuple())
     assert report.value == 0.0
     assert report.verdict == "satisfied"
@@ -134,7 +134,7 @@ def test_retarded_chsh_quantum_violates():
 
 
 def test_retarded_chsh_missing_cell_lists_key():
-    cells = {q: Correlation(0.0) for q in chsh_quadruples(*tied_octuple())}
+    cells = {q: Correlation(0.0) for q in octuple_cells(*tied_octuple())}
     bad = tied_octuple()[:4] + ("a2", "a", "b", "b")  # ar=a2 cells were not built
     with pytest.raises(MissingCellError) as err:
         retarded_chsh(CorrelationInput(cells), *bad)
@@ -143,7 +143,7 @@ def test_retarded_chsh_missing_cell_lists_key():
 
 def test_insufficient_cell_rejected():
     cells = {q: Correlation(0.0, 0.01, 5, sufficient=False)
-             for q in chsh_quadruples(*tied_octuple())}
+             for q in octuple_cells(*tied_octuple())}
     with pytest.raises(InsufficientCellError):
         retarded_chsh(CorrelationInput(cells, source="monte-carlo"), *tied_octuple())
 
@@ -200,7 +200,7 @@ def test_both_equal_boundary():
 
 def test_both_equal_quantum_parallel():
     angles = {"a": 0.7, "b": 0.7}
-    corr = analytic_correlations(QUANTUM, angles, [("a", "b", "a", "b")])
+    corr = exact_input(QUANTUM, angles, [("a", "b", "a", "b")])
     report = both_equal_reduction(corr, "a", "b")
     assert report.value == -2.0
     assert report.verdict == "satisfied"
@@ -208,7 +208,7 @@ def test_both_equal_quantum_parallel():
 
 def test_both_equal_hardy_quarter_turn():
     angles = {"a": math.pi / 2, "b": 0.0}
-    corr = analytic_correlations(HARDY, angles, [("a", "b", "a", "b")])
+    corr = exact_input(HARDY, angles, [("a", "b", "a", "b")])
     report = both_equal_reduction(corr, "a", "b")
     assert report.value == pytest.approx(0.0, abs=1e-12)
     assert report.verdict == "satisfied"
@@ -228,7 +228,7 @@ def test_one_end_equal_collapses_for_retarded_independent_models():
             ("a", "b", "b2", "br", "b2r"), rng.uniform(0, math.tau, 5))}
         quads = [("a", "b2", "a", "b2r"), ("a", "b", "a", "b2r"),
                  ("a", "b2", "a", "br"), ("a", "b", "a", "br")]
-        corr = analytic_correlations(QUANTUM, ang, quads)
+        corr = exact_input(QUANTUM, ang, quads)
         report = one_end_equal_chsh(corr, "a", "b", "b2", "br", "b2r")
         assert report.value == pytest.approx(2.0 * float(quantum_E(ang["a"], ang["b2"])), abs=1e-12)
         assert report.verdict == "satisfied"
@@ -238,7 +238,7 @@ def test_one_end_equal_quantum_boundary():
     ang = {"a": 0.0, "b": math.pi, "b2": 0.0, "br": 1.0, "b2r": 2.0}
     quads = [("a", "b2", "a", "b2r"), ("a", "b", "a", "b2r"),
              ("a", "b2", "a", "br"), ("a", "b", "a", "br")]
-    corr = analytic_correlations(QUANTUM, ang, quads)
+    corr = exact_input(QUANTUM, ang, quads)
     report = one_end_equal_chsh(corr, "a", "b", "b2", "br", "b2r")
     assert report.value == -2.0
     assert report.verdict == "satisfied"
@@ -264,7 +264,7 @@ def _full_hardy_input(angles):
         for u, v in pairs:
             if u in ("a", "a2") and v in ("b", "b2"):
                 quads.append((x, y, u, v))
-    return analytic_correlations(HARDY, angles, quads)
+    return exact_input(HARDY, angles, quads)
 
 
 def test_averaged_point_mass_reduces_to_retarded():
@@ -299,7 +299,7 @@ def test_averaged_quantum_equals_plain_chsh_any_weights():
     for x, y in pairs:
         for u, v in pairs:
             quads.append((x, y, u, v))
-    corr = analytic_correlations(QUANTUM, QUARTET, quads)
+    corr = exact_input(QUANTUM, QUARTET, quads)
     w = {("a", "b"): 0.1, ("a", "b2"): 0.2, ("a2", "b"): 0.3, ("a2", "b2"): 0.4}
     report = averaged_chsh(corr, w, "a", "a2", "b", "b2")
     assert report.value == pytest.approx(-2 * math.sqrt(2), abs=1e-12)
@@ -320,7 +320,7 @@ def test_averaged_weight_validation():
 
 
 def test_retarded_ch_zero_probabilities():
-    cells = {q: Correlation(0.0) for q in chsh_quadruples(*tied_octuple())}
+    cells = {q: Correlation(0.0) for q in octuple_cells(*tied_octuple())}
     report = retarded_ch(cells, 0.0, 0.0, *tied_octuple())
     assert report.value == 0.0
     assert report.verdict == "satisfied"  # upper boundary
@@ -331,7 +331,7 @@ def test_retarded_ch_quantum_quartet_violates():
         return (1.0 - math.cos(QUARTET[x] - QUARTET[y])) / 4.0
 
     cells = {
-        q: Correlation(p12(q[0], q[1])) for q in chsh_quadruples(*tied_octuple())
+        q: Correlation(p12(q[0], q[1])) for q in octuple_cells(*tied_octuple())
     }
     report = retarded_ch(cells, 0.5, 0.5, *tied_octuple())
     assert report.value == pytest.approx(-(1 + math.sqrt(2)) / 2, abs=1e-12)
@@ -347,7 +347,7 @@ def test_retarded_ch_hardy_random_octuples_bounded():
                   "ar": ar, "a2r": a2r, "br": br, "b2r": b2r}
         octuple = ("a", "a2", "b", "b2", "ar", "a2r", "br", "b2r")
         cells = {}
-        for q in chsh_quadruples(*octuple):
+        for q in octuple_cells(*octuple):
             e = float(HARDY.closed_form_E(*(angles[k] for k in q)))
             cells[q] = Correlation((1.0 + e) / 4.0)
         report = retarded_ch(cells, 0.5, 0.5, *octuple)
@@ -355,7 +355,7 @@ def test_retarded_ch_hardy_random_octuples_bounded():
 
 
 def test_retarded_ch_rejects_out_of_range_probability():
-    cells = {q: Correlation(0.2) for q in chsh_quadruples(*tied_octuple())}
+    cells = {q: Correlation(0.2) for q in octuple_cells(*tied_octuple())}
     with pytest.raises(ValueError):
         retarded_ch(cells, -0.1, 0.5, *tied_octuple())
 
@@ -366,7 +366,7 @@ def test_ch_chsh_consistency_identity():
     for _ in range(100):
         e = rng.uniform(-1, 1, 4)
         chsh_value = e[0] + e[1] + e[2] - e[3]
-        quads = chsh_quadruples(*tied_octuple())
+        quads = octuple_cells(*tied_octuple())
         cells = {q: Correlation((1.0 + e[i]) / 4.0) for i, q in enumerate(quads)}
         corr_cells = {q: Correlation(e[i]) for i, q in enumerate(quads)}
         ch = retarded_ch(cells, 0.5, 0.5, *tied_octuple())
@@ -395,7 +395,7 @@ def test_ch_violation_needs_both_ends_changed():
             for b2 in coarse[::3]:
                 angles = {"a": a, "a2": a, "b": b, "b2": b2}
                 cells = {}
-                for q in chsh_quadruples("a", "a2", "b", "b2", "a", "a", "b", "b"):
+                for q in octuple_cells("a", "a2", "b", "b2", "a", "a", "b", "b"):
                     p = (1.0 - math.cos(angles[q[0]] - angles[q[1]])) / 4.0
                     cells[q] = Correlation(p)
                 report = retarded_ch(cells, 0.5, 0.5, "a", "a2", "b", "b2",
@@ -409,7 +409,7 @@ def test_ch_violation_needs_both_ends_changed():
 
 
 def test_statistical_verdict_bands():
-    quads = chsh_quadruples(*tied_octuple())
+    quads = octuple_cells(*tied_octuple())
     se = 0.05
     combined = 2 * se  # quadrature over four equal errors
 

@@ -10,8 +10,8 @@ from hypothesis import strategies as st_
 from conftest import grid_min, traced_peak_mib
 from rbell import optimizer
 from rbell.errors import UnsupportedObjectiveError
-from rbell.estimation import analytic_ch_probs, analytic_correlations, analytic_marginals
-from rbell.inequalities import ANGLE_FLAGS, INEQUALITIES, QUARTET, CorrelationInput
+from rbell.estimation import exact_terms
+from rbell.inequalities import ANGLE_FLAGS, INEQUALITIES, QUARTET, Correlation, CorrelationInput
 from rbell.models import DeterministicLHV, HiddenSpace, get_model, hardy_closed_form_E
 from rbell.optimizer import ObjectiveSpec, _grid_axes, _grid_scan, build_objective, optimize
 
@@ -227,7 +227,7 @@ def test_optimum_json_shape():
 @given(data=st_.data())
 def test_objective_matches_table_evaluate(ineq, model, retarded, data):
     # the optimizer's vectorized objective against the row's scalar
-    # evaluate on exact cells, point by point
+    # evaluate on exact cells, point by point, as `analytic` builds them
     flags = ANGLE_FLAGS if retarded else QUARTET
     n = data.draw(st_.integers(1, 6), label="n")
     angle = st_.floats(-2 * math.pi, 2 * math.pi, allow_nan=False)
@@ -241,17 +241,11 @@ def test_objective_matches_table_evaluate(ineq, model, retarded, data):
     row, m = INEQUALITIES[ineq], get_model(model)
     # an absent retarded flag takes its actual flag's angle, as in `analytic`
     ids = {k: k if k in flags else k[:-1] for k in ANGLE_FLAGS}
-    quads = row.cells(ids)
+    quads, terms = row.cells(ids), exact_terms(m, row)
     for i in range(n):
-        angles = {k: float(v[i]) for k, v in assign.items()}
-        if row.probability:
-            cells = CorrelationInput(analytic_ch_probs(m, angles, quads))
-            singles = analytic_marginals(
-                m, angles[row.flag(ids, "a2")], angles[row.flag(ids, "b2")]
-            )
-            report = row.evaluate(cells, ids, singles)
-        else:
-            report = row.evaluate(analytic_correlations(m, angles, quads), ids)
+        cell_values, singles = terms({k: float(assign[v][i]) for k, v in ids.items()})
+        cells = CorrelationInput({q: Correlation(float(v)) for q, v in zip(quads, cell_values)})
+        report = row.evaluate(cells, ids, singles or None)
         assert abs(values[i] - report.value) <= 1e-12
 
 

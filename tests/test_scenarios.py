@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st_
 
-from conftest import actual_ids, oracle_octuples, oracle_trials, traced_peak_mib
+from conftest import actual_ids, octuple_cells, oracle_octuples, oracle_trials, traced_peak_mib
 from rbell import estimation
 from rbell.errors import ConfigError, UndefinedTimeError
 from rbell.estimation import (
@@ -108,19 +108,24 @@ LABELS_3 = {"a": 0.0, "a2": math.pi / 2, "a3": math.pi / 4}
 
 def periodic_oracle(station, window):
     """The periodic base as a loop over k: the initial label and one
-    ``(time, label)`` pair per switch."""
+    ``(time, label)`` pair per switch.  A switch whose time rounds onto
+    or before the start sets the initial label instead."""
     start, end = window
     palette = station.palette()
     period = float(station.period)
     cycle = [palette[lid] for lid in station.cycle]
     m = len(cycle)
     k0 = math.floor((start - station.phase) / period)
+    initial = cycle[k0 % m]
     switches = []
     k = k0 + 1
     while station.phase + k * period <= end:
-        switches.append((station.phase + k * period, cycle[k % m]))
+        if station.phase + k * period <= start:
+            initial = cycle[k % m]
+        else:
+            switches.append((station.phase + k * period, cycle[k % m]))
         k += 1
-    return cycle[k0 % m], switches
+    return initial, switches
 
 
 def _periodic_case(period, phase, start, end, cycle=("a", "a2")):
@@ -153,15 +158,13 @@ def periodic_windows(draw):
 @example(_periodic_case(0.1, 5.0, 0.0, 2.0))
 @example(_periodic_case(0.35, 12.3, -7.0, 12.3 - 4 * 0.35, ("a3", "a", "a3")))
 @example(_periodic_case(0.5, 2.0, 2.0, 2.0))
+@example(_periodic_case(0.03, -1.92, -3.75, 0.0))  # k = -61 rounds onto the start
 def test_periodic_schedule_matches_loop(case):
     station, window = case
     initial, switches = periodic_oracle(station, window)
     times = np.array([t for t, _ in switches], dtype=np.float64)
-    # where rounding puts the first switch on the start, both must refuse
-    if times.size and not (times[0] > window[0] and np.all(np.diff(times) > 0)):
-        with pytest.raises(ValueError):
-            make_schedule(station, window, seed=0)
-        return
+    # where rounding puts the first switch on the start, both fold it into
+    # the initial label
     sched = make_schedule(station, window, seed=0)
     assert sched.initial == initial
     assert sched.switches.times.tobytes() == times.tobytes()
@@ -202,12 +205,9 @@ def test_periodic_window_far_from_zero_is_built_exactly_or_refused(case):
         reach = max(abs(station.phase), abs(start), abs(end)) + station.period
         assert station.period <= 8 * math.ulp(reach)
         return
-    except ValueError:
-        # the rounded first switch is not after the start, as for the loop
-        assert distinct and times and times[0] <= start
-        return
     assert distinct
-    assert sched.switches.times.tolist() == times
+    # a rounded switch not after the start is folded into the initial label
+    assert sched.switches.times.tolist() == [t for t in times if t > start]
 
 
 def test_random_switch_requires_positive_rate():
@@ -348,7 +348,7 @@ def test_quantum_scenario_lambda_free_and_violations():
 
 def test_scenario_ch_reports_match_public_estimator():
     from rbell.estimation import marginal_p1, marginal_p2
-    from rbell.inequalities import Correlation, chsh_quadruples, retarded_ch
+    from rbell.inequalities import Correlation, retarded_ch
     from test_estimation import estimate_ch_probs  # the mask-scan oracle
 
     config = base_config(
@@ -366,7 +366,7 @@ def test_scenario_ch_reports_match_public_estimator():
         ids = report.inputs
         octuple = ("a", "a2", "b", "b2", ids["ar"], ids["a2r"], ids["br"], ids["b2r"])
         cells = {}
-        for q in chsh_quadruples(*octuple):
+        for q in octuple_cells(*octuple):
             est = estimate_ch_probs(result.log, *q)
             cells[q] = Correlation(est.p12, est.p12_se, est.p12_count,
                                    est.p12_count >= config.min_count)
