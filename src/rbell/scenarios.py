@@ -53,6 +53,7 @@ from .spacetime import (
     SettingLabel,
     SettingSchedule,
     SwitchTable,
+    label_dtype,
     load_interventions,
     parse_angle,
 )
@@ -338,9 +339,9 @@ def make_schedule(
 
     periodic: a deterministic base cycling through the labels, each held
     for ``period``: switch ``k`` falls at ``phase + k * period`` and sets
-    label ``k % m`` of the cycle, for every ``k`` after the one in force
-    at ``start`` whose time is at most ``end``; a switch whose float time
-    rounds onto or before ``start`` sets the initial label instead.  The
+    label ``k % m`` of the cycle, for every ``k`` whose float time is
+    after ``start`` and at most ``end``; the last switch at or before
+    ``start``, as rounded, sets the initial label.  The
     switches are built as one :class:`SwitchTable` of columns.  Before
     any is built, a window is refused when it spans more than 2**31 - 1
     periods, or unless ``period > 2 * ulp(reach)``, where ``reach =
@@ -366,23 +367,24 @@ def make_schedule(
         if not last - first <= 2**31 - 1:
             raise ConfigError(f"station{station.station}.period {period!r} over a window of "
                               f"{end - start!r} gives more than 2**31 - 1 switches")
-        # k1 is two past the last k in exact arithmetic, to absorb rounding
+        # k0 is the k in force at start, or one past it when floor rounds
+        # up; k1 is two past the last k in exact arithmetic, to absorb rounding
         k0, k1 = math.floor(first), math.floor(last) + 2
-        reach = abs(phase) + max(abs(k0 + 1), abs(k1)) * period
+        reach = abs(phase) + max(abs(k0), abs(k1)) * period
         if not period > 2 * math.ulp(reach):
             raise ConfigError(
                 f"station{station.station}.period {period!r} with station{station.station}"
                 f".phase {phase!r} over the window [{start!r}, {end!r}] gives switch times "
                 "closer than their float rounding")
         # the times are the IEEE values of Python's phase + k * period
-        k = np.arange(k0 + 1, k1 + 1)
+        k = np.arange(k0, k1 + 1)
         times = phase + k.astype(np.float64) * period
-        # switches that rounding puts at or before the start set the initial label
+        # the last switch at or before the start sets the initial label
         n0, n = (int(np.searchsorted(times, t, side="right")) for t in (start, end))
         return SettingSchedule(
             station=station.station,
             start=start,
-            initial=cycle[(k0 + n0) % m],
+            initial=cycle[(k0 + n0 - 1) % m],
             switches=SwitchTable(times[n0:n], k[n0:n] % m, cycle),
         )
 
@@ -407,6 +409,8 @@ def make_schedule(
             times.append(cum[: np.searchsorted(cum, end, side="right")])
             t = float(cum[-1])
         decisions = np.concatenate(times) if times else np.empty(0)
+        # the prefixes are views of whole chunks: free them before the picks
+        times = cum = None
         picks = rng.integers(0, len(labels), size=decisions.size)
         stream = InterventionStream(
             station=station.station,
@@ -525,7 +529,7 @@ def _merge_palettes(config: ScenarioConfig) -> tuple[tuple[SettingLabel, ...], d
 
 def _schedule_indices(schedule: SettingSchedule, global_index: dict[str, int]) -> np.ndarray:
     ids = [global_index[lbl.id] for lbl in schedule.distinct_labels]
-    return np.array(ids, dtype=np.min_scalar_type(len(global_index)))
+    return np.array(ids, dtype=label_dtype(len(global_index)))
 
 
 def _station_settings(

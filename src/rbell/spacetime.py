@@ -132,6 +132,12 @@ class Geometry:
         return self.separation / self.signal_speed
 
 
+def label_dtype(count: int) -> np.dtype:
+    """The smallest unsigned dtype that indexes ``count`` labels: uint8 up
+    to 255 labels.  Label columns and tables share it."""
+    return np.min_scalar_type(count)
+
+
 def _nondecreasing(values: np.ndarray) -> bool:
     """Whether ``values`` is already sorted; a stable sort of it is the identity."""
     return bool(np.all(values[1:] >= values[:-1]))
@@ -155,9 +161,11 @@ class InterventionStream:
     schedule to ``labels[label_indices[i]]`` at ``effect_times[i]``, its
     decision time plus its delay.  The delay is the control knob that
     separates the two retarded-setting notions; ``delays`` is one value
-    for every row or one per row.  Rows are kept sorted by decision time,
-    and rows with equal decision times keep their given order; label
-    indices take the smallest unsigned dtype.
+    for every row (a 0-d array) or one per row.  Rows are kept sorted by
+    decision time, and rows with equal decision times keep their given
+    order; label indices take the smallest unsigned dtype.  The effect
+    times are not stored: :attr:`effect_times` adds them up on first
+    read, and a schedule's timeline adds them into its own array.
     """
 
     def __init__(
@@ -195,11 +203,16 @@ class InterventionStream:
             decision_times, label_indices = decision_times[order], label_indices[order]
             delays = delays[order] if delays.ndim else delays
         self.decision_times = decision_times
-        self.effect_times = decision_times + delays
-        self.label_indices = label_indices.astype(np.min_scalar_type(len(self.labels)))
+        self.delays = delays
+        self.label_indices = label_indices.astype(label_dtype(len(self.labels)))
 
     def __len__(self) -> int:
         return int(self.decision_times.size)
+
+    @cached_property
+    def effect_times(self) -> np.ndarray:
+        """Each row's decision time plus its delay, in row order."""
+        return self.decision_times + self.delays
 
 
 class SwitchTable:
@@ -315,37 +328,62 @@ class SettingSchedule:
                 labels.append(lbl)
         return tuple(labels)
 
+    def _event_times(self) -> np.ndarray:
+        """Every event's time before ranking: the initial label at -inf, the
+        base switches, then the intervention effects, their delays added in
+        place."""
+        sw, iv = self.switches, self.interventions
+        times = np.concatenate(([-np.inf], sw.times, iv.decision_times))
+        times[1 + len(sw):] += iv.delays
+        return times
+
     @cached_property
-    def _timeline(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every event in rank order: its time, its decision index and the
-        label index it sets.
+    def _events(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every event in rank order: its time and the label index it sets.
 
         Event 0 is the initial label at -inf; the base switches and then the
-        intervention effects follow.  Base events have decision index -1.
-        One stable sort ranks them, and it is the whole tie policy: at
-        equal times base switches rank before interventions and
-        interventions keep decision order, so the later-ranked event is in
-        force; events already in time order skip the sort.  The arrays live
-        as long as the schedule, so labels take the smallest unsigned dtype
-        and decision indices int32.
+        intervention effects follow.  One stable sort ranks them, and it is
+        the whole tie policy: at equal times base switches rank before
+        interventions and interventions keep decision order, so the
+        later-ranked event is in force; events already in time order skip
+        the sort.  The arrays live as long as the schedule, so labels take
+        the smallest unsigned dtype.
         """
         sw, iv = self.switches, self.interventions
-        dtype = np.min_scalar_type(len(self.distinct_labels))
+        dtype = label_dtype(len(self.distinct_labels))
         index = {lbl.id: i for i, lbl in enumerate(self.distinct_labels)}
         # a label no switch sets is not distinct; its entry is never read
         sw_labels = np.array([index.get(lbl.id, 0) for lbl in sw.labels], dtype=dtype)
         iv_labels = np.array([index[lbl.id] for lbl in iv.labels], dtype=dtype)
-        times = np.concatenate(([-np.inf], sw.times, iv.effect_times))
-        decisions = np.concatenate(
-            (np.full(1 + len(sw), -1, np.int32), np.arange(len(iv), dtype=np.int32))
-        )
+        times = self._event_times()
         labels = np.concatenate(
             (np.zeros(1, dtype), sw_labels[sw.label_indices], iv_labels[iv.label_indices])
         )
         if _nondecreasing(times):
-            return times, decisions, labels
+            return times, labels
         order = np.argsort(times, kind="stable")
-        return times[order], decisions[order], labels[order]
+        return times[order], labels[order]
+
+    @cached_property
+    def _decisions(self) -> np.ndarray:
+        """Each ranked event's decision index (int32): -1 for the initial
+        label and the base switches, the row for an intervention.  Only the
+        predictive lookup reads it, so it is built, and the events ranked
+        again, on its first call."""
+        sw, iv = self.switches, self.interventions
+        decisions = np.concatenate(
+            (np.full(1 + len(sw), -1, np.int32), np.arange(len(iv), dtype=np.int32))
+        )
+        times = self._event_times()
+        if _nondecreasing(times):
+            return decisions
+        return decisions[np.argsort(times, kind="stable")]
+
+    @property
+    def _timeline(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The ranked events' times, decision indices and labels."""
+        times, labels = self._events
+        return times, self._decisions, labels
 
     def _require_defined(self, name: str, values: np.ndarray) -> None:
         """Raise :class:`UndefinedTimeError` unless every value is at or
@@ -365,7 +403,7 @@ class SettingSchedule:
         """Vector lookup; returns indices into :attr:`distinct_labels`."""
         times = np.asarray(times, dtype=np.float64)
         self._require_defined("time", times)
-        ts, _, labels = self._timeline
+        ts, labels = self._events
         return labels[np.searchsorted(ts, times, side="right") - 1]
 
     def predictive_value_at(self, t_target: float, cutoff: float) -> SettingLabel:

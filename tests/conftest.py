@@ -190,7 +190,9 @@ def oracle_quadruple_counts(log, weights=None) -> np.ndarray:
     """Trials per setting quadruple, or the sum of per-trial ``weights``,
     indexed by the palette indices (a, b, a_r, b_r)."""
     p = len(log.palette)
-    code = ((log.a * p + log.b) * p + log.a_r) * p + log.b_r
+    # int64 first: the log's label columns may be uint8, which would wrap
+    a, b, a_r, b_r = (col.astype(np.int64) for col in (log.a, log.b, log.a_r, log.b_r))
+    code = ((a * p + b) * p + a_r) * p + b_r
     return np.bincount(code, weights=weights, minlength=p**4).reshape((p,) * 4)
 
 

@@ -1,4 +1,6 @@
 import csv
+import hashlib
+import json
 import math
 import os
 import re
@@ -525,6 +527,16 @@ def assert_logs_equal(back, ref):
         assert bit_equal(back.lam, ref.lam)
 
 
+@pytest.mark.parametrize("bad", [-1, 2, 256])
+def test_trial_log_refuses_a_label_index_outside_its_palette(bad):
+    # labels are narrowed to one byte here, so an index outside the
+    # palette must be refused before the cast could wrap it into range
+    cols = dict(t1=[0.0], t2=[0.0], b=[1], a_r=[0], b_r=[1], outcome_1=[1], outcome_2=[1])
+    assert TrialLog(palette=(LA, LB), a=[1], **cols).a.dtype == np.uint8
+    with pytest.raises(ValueError, match="label index out of range"):
+        TrialLog(palette=(LA, LB), a=[bad], **cols)
+
+
 def test_trial_log_roundtrip(tmp_path):
     log = make_log([1, -1, 1])
     path = tmp_path / "trials.csv"
@@ -644,6 +656,32 @@ def test_trial_log_matches_row_by_row_oracle(log, chunk):
         assert back.lam is None
     else:
         assert bit_equal(back.lam, log.lam)
+
+
+@settings(max_examples=100, deadline=None)
+@given(log=trial_logs())
+def test_int64_label_column_files_still_load_from_the_columns(log):
+    # column directories once stored label indices as int64: with their
+    # index sealed over those files they load without parsing the CSV,
+    # narrowed to the dtype the CSV parse gives
+    angles = {lbl.id: lbl.angle for lbl in log.palette}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trials.csv"
+        write_trial_log(log, path)
+        folder = columns_dir(path)
+        index = json.loads((folder / "index.json").read_text())
+        del index["sha256"]
+        for name in ("a", "b", "a_r", "b_r"):
+            file = folder / f"{name}.npy"
+            np.save(file, np.load(file).astype(np.int64))
+            index["digests"][name] = hashlib.sha256(file.read_bytes()).hexdigest()
+        index["sha256"] = estimation._index_digest(index)
+        (folder / "index.json").write_text(json.dumps(index, indent=2, sort_keys=True))
+        with spy_csv_parse() as parse:
+            back = read_trial_log(path, palette=angles)
+        assert not parse.called
+        assert_logs_equal(back, estimation._parse_csv(path, angles))
+    assert back.a.dtype == np.uint8
 
 
 GARBLED_INDEXES = ("", "{", "[]", "{}", "null", '"index"', '{"sha256": []}')

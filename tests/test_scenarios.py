@@ -13,7 +13,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st_
 
 from conftest import actual_ids, octuple_cells, oracle_octuples, oracle_trials, traced_peak_mib
-from rbell import estimation
+from rbell import estimation, scenarios
 from rbell.errors import ConfigError, UndefinedTimeError
 from rbell.estimation import (
     BLOCK_SIZE,
@@ -109,16 +109,17 @@ LABELS_3 = {"a": 0.0, "a2": math.pi / 2, "a3": math.pi / 4}
 def periodic_oracle(station, window):
     """The periodic base as a loop over k: the initial label and one
     ``(time, label)`` pair per switch.  A switch whose time rounds onto
-    or before the start sets the initial label instead."""
+    or before the start sets the initial label instead.  The loop starts
+    two switches below ``floor``'s k, which can round one too high, so
+    the first switch it meets is at or before the start."""
     start, end = window
     palette = station.palette()
     period = float(station.period)
     cycle = [palette[lid] for lid in station.cycle]
     m = len(cycle)
-    k0 = math.floor((start - station.phase) / period)
-    initial = cycle[k0 % m]
+    k = math.floor((start - station.phase) / period) - 2
+    initial = None
     switches = []
-    k = k0 + 1
     while station.phase + k * period <= end:
         if station.phase + k * period <= start:
             initial = cycle[k % m]
@@ -171,6 +172,19 @@ def test_periodic_schedule_matches_loop(case):
     assert [lbl for _, lbl in sched.switches] == [lbl for _, lbl in switches]
 
 
+def test_periodic_switch_just_after_a_rounded_up_start_is_kept():
+    # floor((start - phase) / period) rounds up to k = -93, whose switch
+    # falls one ulp after the start: k = -94's label is in force there
+    station, window = _periodic_case(
+        0.3333333333333333, 15.15929727227629, -15.840702727723711, -14.0
+    )
+    sched = make_schedule(station, window, seed=0)
+    assert sched.initial.id == "a"
+    t, label = next(iter(sched.switches))
+    assert (t, label.id) == (-15.84070272772371, "a2")
+    assert (sched.initial, list(sched.switches)) == periodic_oracle(station, window)
+
+
 @st_.composite
 def far_periodic_windows(draw):
     """A periodic window of up to 300 periods whose phase and
@@ -195,7 +209,8 @@ def test_periodic_window_far_from_zero_is_built_exactly_or_refused(case):
     station, (start, end) = case
     first, last = (start - station.phase) / station.period, (end - station.phase) / station.period
     assume(last - first <= 100_000)
-    ks = range(math.floor(first) + 1, math.floor(last) + 3)
+    # from below floor's k, which can round one too high
+    ks = range(math.floor(first) - 1, math.floor(last) + 3)
     times = [t for t in (station.phase + k * station.period for k in ks) if t <= end]
     distinct = all(u < v for u, v in zip(times, times[1:]))
     try:
@@ -483,7 +498,7 @@ def settings_cases(draw):
 @given(settings_cases())
 def test_settings_and_sampling_match_the_two_schedule_oracle(case):
     # one schedule at a time, label columns of the smallest dtype and
-    # angles gathered per block give the bits of both schedules kept,
+    # angles gathered per block give the values of both schedules kept,
     # int64 columns and full-length angle arrays; 64-trial blocks make
     # several blocks of a few hundred trials
     config, rows, workers = case
@@ -507,6 +522,9 @@ def test_settings_and_sampling_match_the_two_schedule_oracle(case):
         got = getattr(log, name)
         if want is None:
             assert got is None, name
+        elif name in ("a", "b", "a_r", "b_r"):
+            # the oracle's label columns are int64; the log keeps one byte
+            assert got.dtype == np.uint8 and np.array_equal(got, want), name
         else:
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
     assert np.array_equal(replayed[0], expect[2]) and np.array_equal(replayed[1], expect[3])
@@ -543,6 +561,34 @@ def test_run_scenario_in_bounded_memory():
     path = Path(__file__).resolve().parent.parent / "configs" / "fast_random_switching.ini"
     config = replace(load_config(path), n_trials=100_000)
     assert traced_peak_mib(lambda: run_scenario(config)) < 16
+
+
+def test_run_scenario_labels_take_one_byte_and_schedules_store_no_effect_times():
+    # labels are one byte per trial, schedules keep no effect-time copy, and
+    # the simple lookup never ranks decision indices.  The traced peak read
+    # 86.5 bytes per trial here, 126.6 with int64 labels and stored effect
+    # times; the bound leaves about 20% headroom.
+    path = Path(__file__).resolve().parent.parent / "configs" / "fast_random_switching.ini"
+    config = replace(load_config(path), n_trials=20_000)
+    assert config.retarded_definition == "simple"
+    schedules = []
+    build = scenarios.build_schedules
+
+    def keep(config):
+        schedules.extend(build(config))
+        return tuple(schedules)
+
+    with mock.patch.object(scenarios, "build_schedules", keep):
+        log = run_scenario(config).log
+    for name in ("a", "b", "a_r", "b_r"):
+        assert getattr(log, name).dtype == np.uint8, name
+    assert len(schedules) == 2
+    for schedule in schedules:
+        assert "_events" in vars(schedule) and "_decisions" not in vars(schedule)
+        assert "effect_times" not in vars(schedule.interventions)
+    del schedules[:], log
+    peak = traced_peak_mib(lambda: run_scenario(config))
+    assert peak * 2**20 / config.n_trials < 104
 
 
 def test_run_bit_reproducible():
@@ -604,9 +650,9 @@ def _noisy_hardy():
 
 #: SHA-256 of ``trials.columns/index.json`` for the runs pinned below.
 COLUMN_INDEX_SHA = {
-    "hardy-singlet": "794a30bb7cfbb5a3b1e9d71528341b0d038b20605ff9a00d7120b5be1d7f591d",
-    "hardy-noisy": "1322cd8222a38d1fabc07c000fe55b30a56d41dfe432f95d6d18ed74173868cc",
-    "quantum-singlet": "f57673a8521428b34e7c1903856adcd4bc90543acbeb1de9c7085a7720512003",
+    "hardy-singlet": "65c5a869b25ac07f90ace0ef88fc892334603367e09dfcfd000f29b2a7911df7",
+    "hardy-noisy": "55c46b760b4f678f6cdb643b7286db8c3fa6c1804e41293db0dbf791509d8758",
+    "quantum-singlet": "7552dad2b9665b373dddf340d25699d085215cd93215af1438ec7bc6c75c8307",
 }
 
 
