@@ -144,11 +144,12 @@ def _label_column(values, size: int) -> np.ndarray:
 
 TRIAL_HEADER = ["trial_id", "t1", "t2", "a", "b", "a_r", "b_r", "A", "B", "lambda"]
 
-#: A parsed CSV row.  Its label fields are wide because the ids are
-#: counted only as they are parsed; the log then narrows them.
+#: A parsed CSV row.  The ids are counted only as they are parsed, so
+#: its label fields take uint32, which indexes more ids than a log can
+#: have rows for; each is narrowed as it is copied out of the rows.
 _TRIAL_DTYPE = np.dtype([
     ("t1", np.float64), ("t2", np.float64),
-    ("a", np.int64), ("b", np.int64), ("a_r", np.int64), ("b_r", np.int64),
+    ("a", np.uint32), ("b", np.uint32), ("a_r", np.uint32), ("b_r", np.uint32),
     ("outcome_1", np.int8), ("outcome_2", np.int8), ("lam", np.float64),
 ])
 
@@ -350,7 +351,11 @@ def _parse_csv(path: Path, palette: Optional[Mapping[str, float]]) -> TrialLog:
             labels = _labels(index, palette)  # an empty id raises here
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
-    cols = {name: np.ascontiguousarray(rows[name]) for name in _TRIAL_DTYPE.names}
+    width = label_dtype(len(labels))
+    cols = {
+        name: rows[name].astype(width if name in _LABEL_COLUMNS else rows[name].dtype)
+        for name in _TRIAL_DTYPE.names
+    }
     if not has_lam:
         cols["lam"] = None
     return TrialLog(palette=labels, **cols)

@@ -533,17 +533,22 @@ def _schedule_indices(schedule: SettingSchedule, global_index: dict[str, int]) -
 
 
 def _station_settings(
-    config: ScenarioConfig, index: dict[str, int], t1: np.ndarray, t2: np.ndarray
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per station, the actual and retarded label columns of trials
-    measured at t1 on station 1 and t2 on station 2, as merged-palette
-    indices of the smallest unsigned dtype.
+    config: ScenarioConfig,
+    index: dict[str, int],
+    t1: np.ndarray,
+    t2: np.ndarray,
+    actual: bool = True,
+) -> list[tuple[Optional[np.ndarray], np.ndarray]]:
+    """Per station, the actual (None unless ``actual``) and retarded label
+    columns of trials measured at t1 on station 1 and t2 on station 2, as
+    merged-palette indices of the smallest unsigned dtype.
 
     simple: each schedule's value L/c before its own time.  predictive:
     station 1's setting in effect at t1 as decided by t2 - L/c, and the
-    mirror for station 2.  Each lookup reads one station's schedule
-    alone, so the schedules are visited in turn and each, with its
-    timeline, is dropped once its columns exist.
+    mirror for station 2; one rank search gives it and the actual
+    setting.  Each lookup reads one station's schedule alone, so the
+    schedules are visited in turn and each, with its timeline, is
+    dropped once its columns exist.
     """
     tau = config.geometry.retardation
     schedules = list(build_schedules(config))
@@ -555,9 +560,10 @@ def _station_settings(
         to_palette = _schedule_indices(schedule, index)
         if config.retarded_definition == "simple":
             retarded = schedule.value_index_at(times[k] - tau)
+            current = schedule.value_index_at(times[k]) if actual else None
         else:
-            retarded = schedule.predictive_index_at(times[k], times[1 - k] - tau)
-        columns.append((to_palette[schedule.value_index_at(times[k])], to_palette[retarded]))
+            current, retarded = schedule.predictive_index_at(times[k], times[1 - k] - tau)
+        columns.append((to_palette[current] if actual else None, to_palette[retarded]))
     return columns
 
 
@@ -843,5 +849,6 @@ def replay_retarded(
     (config, times).
     """
     _, index = _merge_palettes(config)
-    (_, ar_idx), (_, br_idx) = _station_settings(config, index, log.t1, log.t2)
+    columns = _station_settings(config, index, log.t1, log.t2, actual=False)
+    (_, ar_idx), (_, br_idx) = columns
     return ar_idx, br_idx

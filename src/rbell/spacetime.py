@@ -138,6 +138,17 @@ def label_dtype(count: int) -> np.dtype:
     return np.min_scalar_type(count)
 
 
+#: Base switches read per step of the scan for a schedule's labels.
+_SCAN_CHUNK = 8192
+
+#: Targets per block of the predictive lookup.  A block's float64 lifting
+#: levels span its ranks (two a target on a random-switching schedule), so
+#: it works in about 170 bytes a target, 0.7 MiB.  Predictive settings at
+#: 2e4 trials then peak at 1.4x the simple ones; with ``BLOCK_SIZE``
+#: targets a block they peaked at 3x, as high as a table over every rank.
+_LOOKUP_BLOCK = 4096
+
+
 def _nondecreasing(values: np.ndarray) -> bool:
     """Whether ``values`` is already sorted; a stable sort of it is the identity."""
     return bool(np.all(values[1:] >= values[:-1]))
@@ -312,21 +323,22 @@ class SettingSchedule:
 
     @cached_property
     def distinct_labels(self) -> tuple[SettingLabel, ...]:
-        """All labels this schedule can produce, initial first."""
-        labels = [self.initial]
-        seen = {self.initial.id}
+        """All labels this schedule can produce, initial first, then the
+        switches' in the order they are first set and the interventions'.
+        The switches are scanned ``_SCAN_CHUNK`` at a time, and the scan
+        stops once every id of the switch labels has been seen."""
+        labels = {self.initial.id: self.initial}
         sw = self.switches
-        _, first = np.unique(sw.label_indices, return_index=True)
-        for i in sw.label_indices[np.sort(first)].tolist():
-            lbl = sw.labels[i]
-            if lbl.id not in seen:
-                seen.add(lbl.id)
-                labels.append(lbl)
+        ids = {self.initial.id} | {lbl.id for lbl in sw.labels}
+        for lo in range(0, len(sw), _SCAN_CHUNK):
+            if len(labels) == len(ids):
+                break
+            values, first = np.unique(sw.label_indices[lo:lo + _SCAN_CHUNK], return_index=True)
+            for i in values[np.argsort(first)].tolist():
+                labels.setdefault(sw.labels[i].id, sw.labels[i])
         for lbl in self.interventions.labels:
-            if lbl.id not in seen:
-                seen.add(lbl.id)
-                labels.append(lbl)
-        return tuple(labels)
+            labels.setdefault(lbl.id, lbl)
+        return tuple(labels.values())
 
     def _event_times(self) -> np.ndarray:
         """Every event's time before ranking: the initial label at -inf, the
@@ -369,11 +381,16 @@ class SettingSchedule:
         """Each ranked event's decision index (int32): -1 for the initial
         label and the base switches, the row for an intervention.  Only the
         predictive lookup reads it, so it is built, and the events ranked
-        again, on its first call."""
+        again, on its first call.  Switches are increasing and one common
+        delay keeps the effects in decision order, so then the events are
+        in time order unless the seam between the two is not."""
         sw, iv = self.switches, self.interventions
-        decisions = np.concatenate(
-            (np.full(1 + len(sw), -1, np.int32), np.arange(len(iv), dtype=np.int32))
-        )
+        decisions = np.arange(-1 - len(sw), len(iv), dtype=np.int32)
+        np.maximum(decisions, -1, out=decisions)
+        if not iv.delays.ndim and not (
+            len(sw) and len(iv) and sw.times[-1] > iv.decision_times[0] + iv.delays
+        ):
+            return decisions
         times = self._event_times()
         if _nondecreasing(times):
             return decisions
@@ -413,22 +430,32 @@ class SettingSchedule:
         the base plus the surviving interventions is evaluated at
         ``t_target``.
         """
-        k = self.predictive_index_at(np.array([t_target]), np.array([cutoff]))
+        _, k = self.predictive_index_at(np.array([t_target]), np.array([cutoff]))
         return self.distinct_labels[int(k[0])]
 
     def predictive_index_at(
         self, t_targets: np.ndarray, cutoffs: np.ndarray
-    ) -> np.ndarray:
-        """Vectorized :meth:`predictive_value_at`; returns label indices.
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Vectorized lookup of both columns a predictive run reads: returns
+        ``(actual, predictive)`` label indices, the label in force at each
+        target and :meth:`predictive_value_at`'s label.
 
-        For a trial, the first ``pos`` ranks of the timeline have taken
-        effect by the target and the first ``jd`` decisions were made by
-        the cutoff; the winner is the largest rank below ``pos`` whose
-        decision index is below ``jd``.  Base events (index -1) always
-        qualify, so the initial label at rank 0 ends every search.  Binary
-        lifting over a sparse table of range minima of the decision index
-        finds the winner in O(log E) steps per trial for E base switches
-        and interventions, O((N + E) log E) in all.
+        One rank search serves both.  The first ``pos`` ranks of the
+        timeline have taken effect by a target, so rank ``pos - 1`` holds
+        its actual label.  That event is late when its decision index ``d``
+        is at least 0 and ``decision_times[d]`` is after the cutoff, which
+        one gather tests; every other trial's predictive label is its
+        actual one.  A late trial's winner is the largest rank below
+        ``pos`` whose event was not decided after the cutoff.  Base events
+        always qualify, so the initial label at rank 0 ends every search.
+        Targets are taken ``_LOOKUP_BLOCK`` at a time, in time order, and
+        galloping binary lifting (:func:`_lift`) finds the winners of a
+        block's late trials over the ranks they can reach.  For N targets,
+        E base switches and interventions and jumps of at most J ranks,
+        that is O((N + E) log J) time and O(window log J) memory for the
+        window of ranks of one block; once a jump outgrows a block, the
+        remaining targets share one window, so a stream whose jumps are
+        long (J ~ E) stays O((N + E) log E).
         """
         t_targets = np.asarray(t_targets, dtype=np.float64)
         cutoffs = np.asarray(cutoffs, dtype=np.float64)
@@ -437,28 +464,128 @@ class SettingSchedule:
             raise ValueError("prediction target must not precede the cutoff")
         # a target at or after its cutoff is defined; this refuses NaN
         self._require_defined("target", t_targets)
+        n = t_targets.size
+        order = None if _nondecreasing(t_targets) else np.argsort(t_targets, kind="stable")
+        labels = self._events[1]
+        actual, predictive = np.empty(n, labels.dtype), np.empty(n, labels.dtype)
+        start, size = 0, _LOOKUP_BLOCK
+        while start < n:
+            rows = slice(start, start + size) if order is None else order[start:start + size]
+            # a block whose jumps outgrow it hands the rest to one window
+            limit = math.inf if start + size >= n else size
+            columns = self._predictive_block(t_targets[rows], cutoffs[rows], limit)
+            if columns is None:
+                size = n - start
+                continue
+            actual[rows], predictive[rows] = columns
+            start += size
+        return actual, predictive
+
+    def _predictive_block(
+        self, targets: np.ndarray, cutoffs: np.ndarray, limit: float
+    ) -> Optional[tuple[np.ndarray, np.ndarray]]:
+        """:meth:`predictive_index_at` for targets in time order, or None
+        when a late trial's jump would reach more than ``limit`` ranks
+        below the block."""
         ts, decisions, labels = self._timeline
-        pos = np.searchsorted(ts, t_targets, side="right")
-        jd = np.searchsorted(self.interventions.decision_times, cutoffs, side="right")
-        # only trials whose latest event was decided after the cutoff
-        # search further back
-        todo = np.flatnonzero(decisions[pos - 1] >= jd)
-        p, j = pos[todo], jd[todo]
-        # levels[k][r] = min(decisions[r : r + 2**k]); a jump never
-        # exceeds p, so no longer level is needed.  Jump back over blocks
-        # decided after the cutoff, longest first.
-        levels = [decisions]
-        while (1 << len(levels)) <= p.max(initial=0):
-            prev, half = levels[-1], 1 << (len(levels) - 1)
-            levels.append(np.minimum(prev[:-half], prev[half:]))
-        for k in range(len(levels) - 1, -1, -1):
-            start = p - (1 << k)
-            # a block clipped to rank 0 holds the initial label's -1 and
-            # never jumps
-            jump = levels[k][np.maximum(start, 0)] >= j
-            p = np.where(jump, start, p)
-        pos[todo] = p
-        return labels[pos - 1]
+        decision_times = self.interventions.decision_times
+        pos = np.searchsorted(ts, targets, side="right")
+        pos -= 1
+        actual = labels[pos]
+        if not decision_times.size:
+            return actual, actual
+        d = decisions[pos]
+        # d = -1 reads the last decision time; the second test drops it
+        late = decision_times[d] > cutoffs
+        late &= d >= 0
+        late = np.flatnonzero(late)
+        if not late.size:
+            return actual, actual
+        winners = _lift(decisions, decision_times, pos[late], cutoffs[late], limit)
+        if winners is None:
+            return None
+        predictive = actual.copy()
+        predictive[late] = labels[winners]
+        return actual, predictive
+
+
+def _lift(
+    decisions: np.ndarray,
+    decision_times: np.ndarray,
+    ranks: np.ndarray,
+    cutoffs: np.ndarray,
+    limit: float,
+) -> Optional[np.ndarray]:
+    """For late events at nondecreasing ``ranks``, each the largest rank
+    below it whose event was not decided after its cutoff, or None once a
+    jump needs a reach of more than ``limit`` ranks.
+
+    Levels are built only over the ranks the trials can reach: from
+    ``reach`` below the lowest rank to the highest.  The reach starts at
+    64 ranks and grows eightfold while a jump outgrows it.  Level 0 is each
+    ranked event's decision time, -inf for a base event, so the levels
+    compare with the cutoffs directly.
+    """
+    reach = 64
+    while True:
+        lo = max(int(ranks[0]) + 1 - reach, 0)
+        window = decisions[lo:int(ranks[-1]) + 1]
+        times = decision_times[window]
+        times[window < 0] = -np.inf
+        q = _gallop(times, ranks + (1 - lo), cutoffs, bounded=lo > 0)
+        if q is not None:
+            q += lo - 1
+            return q
+        reach *= 8
+        if reach > limit:
+            return None
+
+
+def _gallop(
+    times: np.ndarray, q: np.ndarray, cutoffs: np.ndarray, bounded: bool
+) -> Optional[np.ndarray]:
+    """:func:`_lift` over one window of decision times: for the first ``q``
+    ranks of the window, of which the last was decided late, the winner's
+    rank plus one, or None if a jump may leave a window that does not
+    start at rank 0 (``bounded``).
+
+    ``levels[k][r]`` is ``min(times[r : r + 2**k])``.  Level k is kept
+    only if some trial's whole block of 2**k ranks before it was decided
+    late (level 0, one rank, is late for every trial), so the top level K
+    has 2**K <= J < 2**(K + 1) for the longest jump J.  The descent then
+    jumps back over late blocks, longest first.  In a window from rank 0,
+    a block clipped to rank 0 holds the initial label's -inf and never
+    jumps.
+    """
+    levels = [times]
+    hit = np.ones(q.size, dtype=bool)
+    while True:
+        size = 2 << (len(levels) - 1)
+        if bounded and size > q[0]:
+            return None
+        if size > q[-1]:
+            break  # every block of this size reaches rank 0
+        prev, half = levels[-1], size >> 1
+        level = np.minimum(prev[:-half], prev[half:])
+        start = q - size
+        if not bounded:
+            np.maximum(start, 0, out=start)
+        longer = level[start] > cutoffs
+        if not longer.any():
+            break
+        levels.append(level)
+        hit = longer
+    # the top level's jumps are known; descend through the rest.  A jump
+    # is subtracted as a shifted 0/1, which beats a masked copy of
+    # unpredictable masks
+    top = len(levels) - 1
+    q -= hit.astype(q.dtype) << top
+    for k in range(top - 1, -1, -1):
+        start = q - (1 << k)
+        if not bounded:
+            np.maximum(start, 0, out=start)
+        q -= (levels[k][start] > cutoffs).astype(q.dtype) << k
+    return q
 
 
 # ----------------------------------------------------------------------

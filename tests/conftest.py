@@ -176,8 +176,8 @@ def oracle_retarded_columns(config, sched1, sched2, index, t1, t2):
     map1, map2 = _to_palette(sched1, index), _to_palette(sched2, index)
     if config.retarded_definition == "simple":
         return map1[sched1.value_index_at(t1 - tau)], map2[sched2.value_index_at(t2 - tau)]
-    return (map1[sched1.predictive_index_at(t1, t2 - tau)],
-            map2[sched2.predictive_index_at(t2, t1 - tau)])
+    return (map1[sched1.predictive_index_at(t1, t2 - tau)[1]],
+            map2[sched2.predictive_index_at(t2, t1 - tau)[1]])
 
 
 # ----------------------------------------------------------------------

@@ -38,6 +38,8 @@ from rbell.scenarios import (
     ScenarioConfig,
     StationConfig,
     _complete_octuples,
+    _merge_palettes,
+    _station_settings,
     chi2_upper_quantile,
     classify_fractions,
     empirical_weights,
@@ -47,7 +49,7 @@ from rbell.scenarios import (
     replay_retarded,
     run_scenario,
 )
-from rbell.spacetime import Geometry, SettingLabel
+from rbell.spacetime import Geometry, SettingLabel, SettingSchedule
 
 QUARTET_1 = {"a": math.pi / 2, "a2": 0.0}
 QUARTET_2 = {"b": -math.pi / 4, "b2": math.pi / 4}
@@ -436,6 +438,30 @@ def test_replay_indexes_the_merged_palette_not_the_logs(tmp_path):
     assert np.array_equal(merged[br], np.array(back.ids())[back.b_r])
 
 
+def test_actual_columns_are_looked_up_only_where_read():
+    # a predictive run takes the actual column from the predictive
+    # lookup's rank search, and a replay looks up retarded columns alone
+    def spy(name):
+        method = getattr(SettingSchedule, name)
+        return mock.patch.object(SettingSchedule, name, autospec=True, side_effect=method)
+
+    for definition, run_calls, replay_calls in (("simple", (4, 0), (2, 0)),
+                                                ("predictive", (0, 2), (0, 2))):
+        config = base_config(
+            station1=random_station(1, QUARTET_1, rate=2.0),
+            station2=random_station(2, QUARTET_2, rate=2.0),
+            retarded_definition=definition,
+            n_trials=300,
+        )
+        with spy("value_index_at") as simple, spy("predictive_index_at") as predictive:
+            log = run_scenario(config).log
+        assert (simple.call_count, predictive.call_count) == run_calls
+        with spy("value_index_at") as simple, spy("predictive_index_at") as predictive:
+            ar, br = replay_retarded(config, log)
+        assert (simple.call_count, predictive.call_count) == replay_calls
+        assert np.array_equal(ar, log.a_r) and np.array_equal(br, log.b_r)
+
+
 def test_replay_refuses_a_nan_time():
     for definition in RETARDED_DEFINITIONS:
         config = base_config(retarded_definition=definition, n_trials=50)
@@ -589,6 +615,22 @@ def test_run_scenario_labels_take_one_byte_and_schedules_store_no_effect_times()
     del schedules[:], log
     peak = traced_peak_mib(lambda: run_scenario(config))
     assert peak * 2**20 / config.n_trials < 104
+
+
+def test_predictive_settings_in_the_simple_settings_memory():
+    # the predictive lookup lifts over the ranks a block of 4096 targets
+    # can reach: a sparse table over every event rank, or one block of
+    # BLOCK_SIZE targets, peaked at 3.0x the simple settings' peak here;
+    # this reads 1.4x.  The first pass of each warms up.
+    path = Path(__file__).resolve().parent.parent / "configs" / "fast_random_switching.ini"
+    config = replace(load_config(path), n_trials=20_000)
+    _, index = _merge_palettes(config)
+    times = config.start + config.spacing * np.arange(config.n_trials)
+    peaks = {}
+    for definition in RETARDED_DEFINITIONS * 2:
+        run = replace(config, retarded_definition=definition)
+        peaks[definition] = traced_peak_mib(lambda: _station_settings(run, index, times, times))
+    assert peaks["predictive"] <= 1.5 * peaks["simple"]
 
 
 def test_run_bit_reproducible():

@@ -3,6 +3,7 @@ import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st_
 
 from conftest import actual_ids, predictive_oracle, value_at
+from rbell import spacetime
 from rbell.errors import StreamFormatError, UndefinedTimeError
 from rbell.estimation import TrialCounts, TrialLog
 from rbell.scenarios import classify_fractions
@@ -439,7 +441,7 @@ def test_predictive_vector_matches_scalar_with_mixed_delays():
     )
     assert np.any(np.diff(sched.interventions.effect_times) < 0)
     ts = rng.uniform(0, 10, 80)
-    out = sched.predictive_index_at(ts, ts - 2.0)
+    _, out = sched.predictive_index_at(ts, ts - 2.0)
     for t, k in zip(ts, out):
         expect = predictive_oracle(sched, float(t), float(t) - 2.0)
         assert sched.distinct_labels[int(k)].id == expect.id
@@ -500,7 +502,7 @@ def test_predictive_matches_oracle(case):
     sched, trials = schedule_of(case), case[2]
     cutoffs = np.array([c for c, _ in trials])
     targets = cutoffs + np.array([gap for _, gap in trials])
-    out = sched.predictive_index_at(targets, cutoffs)
+    _, out = sched.predictive_index_at(targets, cutoffs)
     for t, c, k in zip(targets, cutoffs, out):
         expect = predictive_oracle(sched, float(t), float(c)).id
         assert sched.distinct_labels[int(k)].id == expect
@@ -513,7 +515,7 @@ def test_actual_is_predictive_with_cutoff_at_target(case):
     # delays are >= 0, so nothing in force at x was decided after x
     sched = schedule_of(case)
     x = np.array([c for c, _ in case[2]])
-    assert np.array_equal(sched.value_index_at(x), sched.predictive_index_at(x, x))
+    assert np.array_equal(sched.value_index_at(x), sched.predictive_index_at(x, x)[1])
 
 
 @settings(max_examples=50, deadline=None)
@@ -561,8 +563,8 @@ def test_schedule_from_columns_matches_schedule_from_pairs(case):
     targets = cutoffs + np.array([gap for _, gap in trials])
     assert np.array_equal(by_columns.value_index_at(targets), by_pairs.value_index_at(targets))
     assert np.array_equal(
-        by_columns.predictive_index_at(targets, cutoffs),
-        by_pairs.predictive_index_at(targets, cutoffs),
+        by_columns.predictive_index_at(targets, cutoffs)[1],
+        by_pairs.predictive_index_at(targets, cutoffs)[1],
     )
 
 
@@ -629,12 +631,143 @@ def test_predictive_scales_with_mixed_delays():
     sched = SettingSchedule(station=1, start=-1.0, initial=A, interventions=stream)
     ts = np.arange(n, dtype=np.float64)
     t0 = time.perf_counter()
-    out = sched.predictive_index_at(ts, ts - 1.0)
+    _, out = sched.predictive_index_at(ts, ts - 1.0)
     # a loop over trials x interventions takes minutes here
     assert time.perf_counter() - t0 < 2.0
     for i in rng.integers(0, n, 10):
         expect = predictive_oracle(sched, ts[i], ts[i] - 1.0)
         assert sched.distinct_labels[int(out[i])].id == expect.id
+
+
+def brute_force_jumps(sched, targets, cutoffs):
+    """Per trial, how many ranks the predictive search steps back: the run
+    of events decided after the cutoff that ends at the event in force."""
+    ts, decisions, _ = sched._timeline
+    decided = sched.interventions.decision_times
+    late = np.zeros((targets.size, ts.size), dtype=bool)
+    rows = decisions >= 0
+    late[:, rows] = decided[decisions[rows]][None, :] > cutoffs[:, None]
+    pos = np.searchsorted(ts, targets, side="right")
+    jumps = []
+    for row, p in zip(late, pos):
+        j = 0
+        while row[p - 1 - j]:
+            j += 1
+        jumps.append(j)
+    return np.array(jumps)
+
+
+def test_all_late_stream_matches_oracle():
+    # 95% of the cutoffs precede every decision, so their searches step
+    # back over all E ranks to the initial label (J ~ E), and the rest
+    # precede all but the first few thousand: the jumps outgrow the first
+    # block of targets, and the rest is looked up in one window from rank 0
+    rng = np.random.default_rng(9)
+    e = n = 100_000
+    stream = InterventionStream(
+        station=1,
+        decision_times=np.sort(rng.uniform(0.0, 1.0, e)),
+        delays=0.0,
+        label_indices=rng.integers(0, 3, e),
+        labels=(A2, B, B2),
+    )
+    sched = SettingSchedule(station=1, start=-1.0, initial=A, interventions=stream)
+    targets = np.linspace(0.5, 2.0, n)
+    cutoffs = np.minimum(rng.uniform(-1.0, 0.05, n), targets)
+    t0 = time.perf_counter()
+    actual, out = sched.predictive_index_at(targets, cutoffs)
+    assert time.perf_counter() - t0 < 3.0
+    assert np.array_equal(actual, sched.value_index_at(targets))
+    # the initial label wins wherever nothing was decided by the cutoff
+    assert np.count_nonzero(out == 0) > n // 2
+    for i in np.concatenate((rng.integers(0, n, 12), [0, n - 1])):
+        expect = predictive_oracle(sched, targets[i], cutoffs[i])
+        assert sched.distinct_labels[int(out[i])].id == expect.id
+
+
+STOP_RULE_JUMPS = sorted({(1 << k) + d for k in range(1, 8) for d in (-1, 0, 1)})
+
+
+@pytest.mark.parametrize("block", [None, 16])
+def test_jumps_around_the_galloping_stop_rule(block):
+    # rows decided in pairs at one instant and in force in triples from
+    # one instant, base switches at some of those instants, and cutoffs
+    # on and between the decision times: every jump length of
+    # STOP_RULE_JUMPS occurs, at ranks both within 64 of rank 0 and far
+    # from it
+    rows = 400
+    decided = np.arange(rows) // 2 * 1.0
+    effects = 300.0 + np.arange(rows) // 3
+    stream = InterventionStream(1, decided, effects - decided, np.arange(rows) % 3, (A2, B, B2))
+    switches = SwitchTable(300.0 + np.arange(0, 140, 45), np.arange(4) % 2, (A, B2))
+    sched = SettingSchedule(
+        station=1, start=-1.0, initial=A, switches=switches, interventions=stream
+    )
+    targets, cutoffs = np.meshgrid(300.0 + np.array([20, 29, 60, 88, 89, 100, 133.5]),
+                                   np.arange(-1, 2 * rows // 2 + 1) * 0.5)
+    targets, cutoffs = targets.ravel(), cutoffs.ravel()
+    jumps = brute_force_jumps(sched, targets, cutoffs)
+    assert set(STOP_RULE_JUMPS) <= set(jumps.tolist())
+    pick = np.flatnonzero(np.isin(jumps, STOP_RULE_JUMPS + [0]))
+    shuffled = np.random.default_rng(4).permutation(targets.size)
+    with mock.patch.object(spacetime, "_LOOKUP_BLOCK", block or spacetime._LOOKUP_BLOCK):
+        _, out = sched.predictive_index_at(targets, cutoffs)
+        _, back = sched.predictive_index_at(targets[shuffled], cutoffs[shuffled])
+    assert np.array_equal(back, out[shuffled])
+    for i in pick:
+        expect = predictive_oracle(sched, float(targets[i]), float(cutoffs[i]))
+        assert sched.distinct_labels[int(out[i])].id == expect.id
+
+
+@settings(max_examples=200, deadline=None)
+@given(predictive_cases(), st_.sampled_from([1, 2, 5]))
+def test_predictive_blocks_match_one_block(case, block):
+    # blocks of a few targets, out of time order: each block's window,
+    # and the rest in one window once a jump outgrows a block
+    sched, trials = schedule_of(case), case[2]
+    cutoffs = np.array([c for c, _ in trials])
+    targets = cutoffs + np.array([gap for _, gap in trials])
+    whole = sched.predictive_index_at(targets, cutoffs)
+    with mock.patch.object(spacetime, "_LOOKUP_BLOCK", block):
+        blocked = sched.predictive_index_at(targets, cutoffs)
+    assert np.array_equal(whole[0], sched.value_index_at(targets))
+    for got, want in zip(blocked, whole):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def distinct_labels_by_sorting(sched):
+    """Every label of a schedule as a sort of all its switches gives them."""
+    labels = [sched.initial]
+    seen = {sched.initial.id}
+    sw = sched.switches
+    _, first = np.unique(sw.label_indices, return_index=True)
+    for i in sw.label_indices[np.sort(first)].tolist():
+        lbl = sw.labels[i]
+        if lbl.id not in seen:
+            seen.add(lbl.id)
+            labels.append(lbl)
+    for lbl in sched.interventions.labels:
+        if lbl.id not in seen:
+            seen.add(lbl.id)
+            labels.append(lbl)
+    return tuple(labels)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair_and_column_cases(), st_.sampled_from([1, 2, 3, 8192]))
+def test_distinct_labels_match_a_sort_of_every_switch(case, chunk):
+    table, ivs, _ = case
+    interventions = stream1(
+        *(Intervention(station=1, decision_time=d, delay=x, new_label=lbl) for d, x, lbl in ivs)
+    )
+    for initial in (A, B2):
+        sched = SettingSchedule(
+            station=1, start=-5.0, initial=initial, switches=table, interventions=interventions
+        )
+        with mock.patch.object(spacetime, "_SCAN_CHUNK", chunk):
+            got = sched.distinct_labels
+        want = distinct_labels_by_sorting(sched)
+        assert got == want and all(g is w for g, w in zip(got, want))
 
 
 # ----------------------------------------------------------------------
@@ -687,7 +820,7 @@ def test_retarded_lookups_match_scalar_oracles(case, tau):
     t1 = np.array([max(c, -2.0) for c, _ in trials])
     t2 = t1 - np.array([gap for _, gap in trials]) / 4
     simple = sched.value_index_at(t1 - tau)
-    predictive = sched.predictive_index_at(t1, t2 - tau)
+    _, predictive = sched.predictive_index_at(t1, t2 - tau)
     for i in range(t1.size):
         assert sched.distinct_labels[simple[i]] is simple_retarded(sched, t1[i], g)
         want = predictive_retarded(sched, t1[i], t2[i], g)
