@@ -183,13 +183,13 @@ def _check(args) -> int:
 def _run(args) -> int:
     flags = {"seed": args.seed, "n_trials": args.n, "min_count": args.min_count,
              "retarded_definition": args.definition}
-    config = replace(load_config(args.config),
-                     **{field: value for field, value in flags.items() if value is not None})
+    config = load_config(args.config)
     try:
-        result = run_scenario(config)
+        result = run_scenario(replace(
+            config, **{field: value for field, value in flags.items() if value is not None}))
     except StreamFormatError:
         raise  # names its own file and line
-    except ConfigError as exc:  # a schedule window refused as the run starts
+    except ConfigError as exc:  # a flag's value, or a schedule window refused as the run starts
         raise ConfigError(f"{Path(args.config)}: {exc}") from None
     outdir = Path(args.out)
     paths = result.write_outputs(outdir)

@@ -3,8 +3,8 @@
 Monte Carlo sampling is organized in fixed-size blocks of trials.  Each
 block derives its own random stream from (seed, block index), and block
 results (integer sums) are reduced in block order, so estimates are
-bit-identical for any worker count.  Worker parallelism is capped by
-the ``RBL_WORKERS`` environment variable (0 or unset means serial).
+bit-identical for any worker count.  The ``RBL_WORKERS`` environment
+variable alone sets the worker threads (0, 1 or unset means serial).
 """
 
 from __future__ import annotations
@@ -26,29 +26,25 @@ import numpy as np
 from .errors import MissingCellError, UnsupportedModelError
 from .inequalities import Correlation, CorrelationInput, Inequality, Quad
 from .models import ArrayLike, Model, StochasticLHV, sample_outcomes
-from .spacetime import SettingLabel, label_dtype
+from .spacetime import SettingLabel, as_label_indices, label_dtype
 
 BLOCK_SIZE = 1 << 16
 
 WORKERS_ENV = "RBL_WORKERS"
 
 
-def resolve_workers(workers: Optional[int] = None) -> int:
-    """Effective worker count: the explicit argument, else RBL_WORKERS.
+def resolve_workers() -> int:
+    """Effective worker count, read from RBL_WORKERS, the one control.
 
-    RBL_WORKERS also caps an explicit argument, and the machine's CPU
-    count caps the result, so no request opens more threads than CPUs.
-    A value that is not an integer raises a ``ValueError`` naming it.
+    Unset, or a value below 2, means serial.  The machine's CPU count
+    caps the result, so no request opens more threads than CPUs.  A
+    value that is not an integer raises a ``ValueError`` naming it.
     """
     env = os.environ.get(WORKERS_ENV, "").strip()
     try:
-        limit = max(0, int(env)) if env else None
+        workers = int(env) if env else 0
     except ValueError:
         raise ValueError(f"{WORKERS_ENV} must be an integer, got {env!r}") from None
-    if workers is None:
-        workers = limit or 0
-    elif limit is not None:
-        workers = min(workers, limit)
     return max(1, min(workers, os.cpu_count() or 1))
 
 
@@ -57,12 +53,9 @@ def substream(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((int(seed),) + tuple(int(k) for k in key)))
 
 
-def map_blocks(
-    n_total: int,
-    fn: Callable[[int, int, int], object],
-    workers: Optional[int] = None,
-) -> list:
-    """Apply ``fn(block_index, offset, block_n)`` over fixed-size blocks.
+def map_blocks(n_total: int, fn: Callable[[int, int, int], object]) -> list:
+    """Apply ``fn(block_index, offset, block_n)`` over fixed-size blocks,
+    on :func:`resolve_workers` threads.
 
     Results come back ordered by block index regardless of how many
     workers ran them.
@@ -71,7 +64,7 @@ def map_blocks(
     sizes = [
         min(BLOCK_SIZE, n_total - i * BLOCK_SIZE) for i in range(n_blocks)
     ]
-    nworkers = resolve_workers(workers)
+    nworkers = resolve_workers()
     if nworkers <= 1 or n_blocks <= 1:
         return [fn(i, i * BLOCK_SIZE, sizes[i]) for i in range(n_blocks)]
     with ThreadPoolExecutor(max_workers=nworkers) as pool:
@@ -116,7 +109,7 @@ class TrialLog:
         self.t1 = np.asarray(t1, dtype=np.float64)
         self.t2 = np.asarray(t2, dtype=np.float64)
         self.a, self.b, self.a_r, self.b_r = (
-            _label_column(col, len(self.palette)) for col in (a, b, a_r, b_r)
+            as_label_indices(col, len(self.palette), "label") for col in (a, b, a_r, b_r)
         )
         self.outcome_1 = np.asarray(outcome_1, dtype=np.int8)
         self.outcome_2 = np.asarray(outcome_2, dtype=np.int8)
@@ -131,15 +124,6 @@ class TrialLog:
 
     def ids(self) -> tuple[str, ...]:
         return tuple(lbl.id for lbl in self.palette)
-
-
-def _label_column(values, size: int) -> np.ndarray:
-    """``values`` as indices into a palette of ``size`` labels, in
-    :func:`label_dtype`; an index outside it raises before any cast."""
-    values = np.asarray(values)
-    if values.size and not (0 <= values.min() and values.max() < size):
-        raise ValueError(f"label index out of range for a palette of {size}")
-    return values.astype(label_dtype(size), copy=False)
 
 
 TRIAL_HEADER = ["trial_id", "t1", "t2", "a", "b", "a_r", "b_r", "A", "B", "lambda"]
@@ -483,7 +467,7 @@ def read_table(path: Union[str, Path], min_count: Optional[int] = None) -> Corre
                 )
             except ValueError as exc:
                 raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
-    return CorrelationInput(cells, source="monte-carlo")
+    return CorrelationInput(cells)
 
 
 def _table(counts: TrialCounts, cell: Callable[[tuple, int], Correlation]) -> CorrelationInput:
@@ -491,8 +475,7 @@ def _table(counts: TrialCounts, cell: Callable[[tuple, int], Correlation]) -> Co
     ids = counts.ids
     return CorrelationInput(
         {tuple(ids[i] for i in idx): cell(idx, int(counts.cells[idx]))
-         for idx in zip(*np.nonzero(counts.cells))},
-        source="monte-carlo",
+         for idx in zip(*np.nonzero(counts.cells))}
     )
 
 
@@ -720,21 +703,13 @@ def exact_row(
 # ----------------------------------------------------------------------
 
 
-def mc_E(
-    model: Model,
-    a: float,
-    b: float,
-    a_r: float,
-    b_r: float,
-    n: int,
-    seed: int,
-    workers: Optional[int] = None,
-) -> Correlation:
+def mc_E(model: Model, a: float, b: float, a_r: float, b_r: float, n: int,
+         seed: int) -> Correlation:
     """Monte Carlo correlation estimate from n sampled trials.
 
     Deterministic given (seed, n): trials are drawn in fixed blocks with
     per-block substreams, so the result does not depend on the worker
-    count.
+    count (:func:`resolve_workers`).
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -744,24 +719,18 @@ def mc_E(
         # the sum of m products of +-1 outcomes: m less twice the disagreements
         return m - 2 * int(np.count_nonzero(o1 != o2))
 
-    return _cell_from_counts(sum(map_blocks(n, block, workers)), n, 0)
+    return _cell_from_counts(sum(map_blocks(n, block)), n, 0)
 
 
-def mc_correlations(
-    model: Model,
-    angles: Mapping[str, float],
-    quadruples: Iterable[Quad],
-    n: int,
-    seed: int,
-    workers: Optional[int] = None,
-) -> CorrelationInput:
+def mc_correlations(model: Model, angles: Mapping[str, float], quadruples: Iterable[Quad],
+                    n: int, seed: int) -> CorrelationInput:
     """Monte Carlo correlations, one independent substream per cell."""
     cells = {
         # seed + k: a distinct substream family per cell
-        quad: mc_E(model, *(angles[s] for s in quad), n, seed=seed + k, workers=workers)
+        quad: mc_E(model, *(angles[s] for s in quad), n, seed=seed + k)
         for k, quad in enumerate(sorted(set(quadruples)))
     }
-    return CorrelationInput(cells, source="monte-carlo")
+    return CorrelationInput(cells)
 
 
 # ----------------------------------------------------------------------

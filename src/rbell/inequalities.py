@@ -27,7 +27,6 @@ b2r and a2r.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -65,21 +64,14 @@ class Correlation:
 class CorrelationInput:
     """Mapping from setting quadruples to correlation estimates.
 
-    ``source`` is "analytic" (zero standard errors) or "monte-carlo".
-    Lookups raise on missing quadruples and on cells flagged as having
-    too few trials; partial inequality values are never produced.
+    Exact and sampled tables are one type: an exact cell is one whose
+    standard error is 0.  Lookups raise on missing quadruples and on
+    cells flagged as having too few trials; partial inequality values
+    are never produced.
     """
 
-    def __init__(self, cells: Mapping[Quad, Correlation], source: str = "analytic"):
-        if source not in ("analytic", "monte-carlo"):
-            raise ValueError("source must be 'analytic' or 'monte-carlo'")
-        for key, cell in cells.items():
-            if source == "analytic" and cell.standard_error != 0.0:
-                raise ValueError(
-                    f"analytic cell {key!r} must have zero standard error"
-                )
+    def __init__(self, cells: Mapping[Quad, Correlation]):
         self.cells = dict(cells)
-        self.source = source
 
     def lookup(self, key: Quad) -> Correlation:
         key = tuple(key)
@@ -125,9 +117,6 @@ class InequalityReport:
             "violated_bound": self.violated_bound,
             "inputs": dict(self.inputs),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
 
 def _report(
@@ -411,7 +400,7 @@ def retarded_ch(p12: Union[Mapping[Quad, Correlation], CorrelationInput], p1: Es
     subtracted, and at which far retarded setting callers read them).
     """
     if not isinstance(p12, CorrelationInput):
-        p12 = CorrelationInput(dict(p12), source="monte-carlo")
+        p12 = CorrelationInput(p12)
     ids = dict(zip(ANGLE_FLAGS, (a, a2, b, b2, ar, a2r, br, b2r)))
     return INEQUALITIES["retarded_ch"].evaluate(p12, ids, singles=(p1, p2))
 
@@ -426,9 +415,6 @@ class IdentityCheckResult:
     passed: bool
     checked: int
     counterexample: Optional[tuple] = None
-
-    def __bool__(self) -> bool:
-        return self.passed
 
 
 def chsh_identity_check() -> IdentityCheckResult:

@@ -39,7 +39,6 @@ class HiddenSpace:
     upper: float
     density: Callable[[np.ndarray], np.ndarray]
     sample: Callable[[np.random.Generator, int], np.ndarray]
-    description: str = ""
 
     @classmethod
     def uniform_circle(cls) -> "HiddenSpace":
@@ -48,7 +47,6 @@ class HiddenSpace:
             upper=TAU,
             density=lambda lam: np.full_like(np.asarray(lam, dtype=float), 1.0 / TAU),
             sample=lambda rng, n: rng.uniform(0.0, TAU, size=n),
-            description="uniform angle on [0, 2pi)",
         )
 
     def normalization_defect(self, nodes: int = 200_000) -> float:

@@ -150,9 +150,6 @@ class Optimum:
             "trace": [list(t) for t in self.trace],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
 
 # ----------------------------------------------------------------------
 # Objective construction

@@ -47,6 +47,7 @@ from .inequalities import (
 )
 from .models import DeterministicLHV, Model, StochasticLHV, get_model, sample_outcomes
 from .spacetime import (
+    ANGLE_TOL,
     EqualityClass,
     Geometry,
     InterventionStream,
@@ -158,6 +159,13 @@ class ScenarioConfig:
             raise ConfigError("min_count must be non-negative")
         if self.spacing <= 0:
             raise ConfigError("trial spacing must be positive")
+        try:
+            last = self.start + (self.n_trials - 1) * self.spacing
+        except OverflowError:  # an int too large for a float
+            last = math.inf
+        if not math.isfinite(last):
+            raise ConfigError("the last trial time, run.start + (run.n_trials - 1) * "
+                              "run.spacing, must be finite")
         if self.retarded_definition not in RETARDED_DEFINITIONS:
             raise ConfigError(
                 f"retarded_definition must be one of {RETARDED_DEFINITIONS}"
@@ -175,7 +183,7 @@ class ScenarioConfig:
                 raise ConfigError(f"quartet label {lid!r} not on station 2")
         shared = set(self.station1.labels) & set(self.station2.labels)
         for lid in shared:
-            if abs(self.station1.labels[lid] - self.station2.labels[lid]) > 1e-12:
+            if abs(self.station1.labels[lid] - self.station2.labels[lid]) > ANGLE_TOL:
                 raise ConfigError(
                     f"label {lid!r} has inconsistent angles between stations"
                 )
@@ -307,10 +315,8 @@ def _config_from_parser(
         raise ConfigError("; ".join(f"{what} sections {sorted(names)}" for what, names in (
             ("missing", known - present), ("unknown", present - known)) if names))
     fields = {section: _read_section(parser, section) for section in _SECTIONS}
-    run = fields["run"]
-    start = run.get("start", ScenarioConfig.start)
     try:
-        geometry = Geometry(t1=start, t2=start, **fields["geometry"])
+        geometry = Geometry(**fields["geometry"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     stations = {}
@@ -321,7 +327,7 @@ def _config_from_parser(
             station["stream_path"] = str(config_dir / station["stream_path"])
         stations[f"station{k}"] = StationConfig(station=k, **station)
     return ScenarioConfig(geometry=geometry, model=fields["model"].get("model", _DEFAULT_MODEL),
-                          **stations, **run)
+                          **stations, **fields["run"])
 
 
 # ----------------------------------------------------------------------
@@ -568,7 +574,7 @@ def _station_settings(
 
 
 def _sample_trials(
-    model: Model, angles: np.ndarray, columns: tuple, seed: int, workers: Optional[int]
+    model: Model, angles: np.ndarray, columns: tuple, seed: int
 ) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
     """Outcome pairs and lambda (None without a hidden variable) for label
     columns (a, b, a_r, b_r) indexing ``angles``, one substream per block.
@@ -586,7 +592,7 @@ def _sample_trials(
         if lam is not None:
             lam[sl] = lam_block
 
-    map_blocks(n, block, workers)
+    map_blocks(n, block)
     return outcome_1, outcome_2, lam
 
 
@@ -794,9 +800,7 @@ def _evaluate_reports(
 # ----------------------------------------------------------------------
 
 
-def run_scenario(
-    config: ScenarioConfig, workers: Optional[int] = None
-) -> ScenarioResult:
+def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     """Generate trials, estimate correlations, and evaluate inequalities."""
     model = get_model(config.model)
     palette, index = _merge_palettes(config)
@@ -805,7 +809,7 @@ def run_scenario(
 
     angles = np.array([lbl.angle for lbl in palette])
     outcome_1, outcome_2, lam = _sample_trials(
-        model, angles, (a_idx, b_idx, ar_idx, br_idx), config.seed, workers
+        model, angles, (a_idx, b_idx, ar_idx, br_idx), config.seed
     )
     log = TrialLog(
         palette=palette,

@@ -101,30 +101,24 @@ class Geometry:
 
     ``separation`` is the distance between stations 1 and 2 and
     ``signal_speed`` the fastest signal speed, so ``retardation`` is the
-    one-way light-crossing time.  ``t1``/``t2`` are the measurement
-    times and ``t0`` the instant at which the shared hidden state is
-    fixed; ``t0`` must precede both retarded times.
+    one-way light-crossing time.  ``t0`` is the instant at which the
+    shared hidden state is fixed.  The measurement times belong to the
+    run (``ScenarioConfig.start`` and ``spacing``), which checks that
+    ``t0`` precedes the first of them less L/c.
     """
 
     separation: float
     signal_speed: float
-    t1: float
-    t2: float
     t0: float
 
     def __post_init__(self) -> None:
-        for name in ("separation", "signal_speed", "t1", "t2", "t0"):
+        for name in ("separation", "signal_speed", "t0"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.separation <= 0:
             raise ValueError("separation must be positive")
         if self.signal_speed <= 0:
             raise ValueError("signal_speed must be positive")
-        tau = self.separation / self.signal_speed
-        if not (self.t0 < self.t1 - tau and self.t0 < self.t2 - tau):
-            raise ValueError(
-                "t0 must precede both retarded times t1 - L/c and t2 - L/c"
-            )
 
     @property
     def retardation(self) -> float:
@@ -136,6 +130,16 @@ def label_dtype(count: int) -> np.dtype:
     """The smallest unsigned dtype that indexes ``count`` labels: uint8 up
     to 255 labels.  Label columns and tables share it."""
     return np.min_scalar_type(count)
+
+
+def as_label_indices(values, size: int, what: str) -> np.ndarray:
+    """``values`` as indices into ``size`` labels, in :func:`label_dtype`.
+    An index outside ``[0, size)`` raises a ``ValueError`` that begins
+    with ``what`` before any cast; every label column goes through here."""
+    values = np.asarray(values)
+    if values.size and not (0 <= values.min() and values.max() < size):
+        raise ValueError(f"{what} index out of range for a palette of {size}")
+    return values.astype(label_dtype(size), copy=False)
 
 
 #: Base switches read per step of the scan for a schedule's labels.
@@ -190,20 +194,16 @@ class InterventionStream:
         self.station = int(station)
         decision_times = np.asarray(decision_times, dtype=np.float64)
         delays = np.asarray(delays, dtype=np.float64)
-        label_indices = np.asarray(label_indices, dtype=np.int64)
         self.labels = tuple(labels)
         if not (
             decision_times.ndim == 1
-            and label_indices.shape == decision_times.shape
+            and np.shape(label_indices) == decision_times.shape
             and delays.shape in ((), decision_times.shape)
         ):
             raise ValueError(
                 "decision times, delays and label indices must be 1-d of one length"
             )
-        if label_indices.size and not (
-            0 <= label_indices.min() and label_indices.max() < len(self.labels)
-        ):
-            raise ValueError("intervention label index out of range")
+        label_indices = as_label_indices(label_indices, len(self.labels), "intervention label")
         valid = np.isfinite(decision_times) & (delays >= 0) & (delays < np.inf)
         if not valid.all():
             i = int(np.argmin(valid))
@@ -215,7 +215,7 @@ class InterventionStream:
             delays = delays[order] if delays.ndim else delays
         self.decision_times = decision_times
         self.delays = delays
-        self.label_indices = label_indices.astype(label_dtype(len(self.labels)))
+        self.label_indices = label_indices
 
     def __len__(self) -> int:
         return int(self.decision_times.size)
@@ -233,7 +233,8 @@ class SwitchTable:
     ``len()`` and iteration give, but holds numpy arrays so that a
     periodic base with hundreds of thousands of switches stays cheap.
     Switch ``i`` sets ``labels[label_indices[i]]`` at ``times[i]``;
-    ``labels`` may repeat a label.
+    ``labels`` may repeat a label, and label indices take the smallest
+    unsigned dtype.
     """
 
     def __init__(
@@ -243,14 +244,10 @@ class SwitchTable:
         labels: Sequence[SettingLabel],
     ):
         self.times = np.asarray(times, dtype=np.float64)
-        self.label_indices = np.asarray(label_indices, dtype=np.int64)
         self.labels = tuple(labels)
-        if self.times.ndim != 1 or self.label_indices.shape != self.times.shape:
+        if self.times.ndim != 1 or np.shape(label_indices) != self.times.shape:
             raise ValueError("switch times and label indices must be 1-d of one length")
-        if self.label_indices.size and not (
-            0 <= self.label_indices.min() and self.label_indices.max() < len(self.labels)
-        ):
-            raise ValueError("switch label index out of range")
+        self.label_indices = as_label_indices(label_indices, len(self.labels), "switch label")
 
     def __len__(self) -> int:
         return int(self.times.size)

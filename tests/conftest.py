@@ -128,10 +128,10 @@ def actual_ids(sched, *times):
 # ----------------------------------------------------------------------
 
 
-def oracle_trials(config, workers=None):
+def oracle_trials(config):
     """Label columns (a, b, a_r, b_r) as int64 merged-palette indices, and
     outcome_1, outcome_2 and lambda (None without a hidden variable), of
-    the trials of ``run_scenario(config, workers)``."""
+    the trials of ``run_scenario(config)``, on the RBL_WORKERS threads."""
     from rbell.estimation import map_blocks, substream
     from rbell.models import get_model, sample_outcomes
     from rbell.scenarios import _merge_palettes, build_schedules
@@ -151,7 +151,7 @@ def oracle_trials(config, workers=None):
             model, *(col[sl] for col in per_trial), substream(config.seed, 200, i), m
         )
 
-    outcome_1, outcome_2, lam = zip(*map_blocks(config.n_trials, block, workers))
+    outcome_1, outcome_2, lam = zip(*map_blocks(config.n_trials, block))
     return (a, b, a_r, b_r, np.concatenate(outcome_1).astype(np.int8),
             np.concatenate(outcome_2).astype(np.int8),
             None if lam[0] is None else np.concatenate(lam))

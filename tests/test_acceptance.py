@@ -237,7 +237,7 @@ def test_criterion_07_probability_form(capsys):
 def test_criterion_08_periodic_switching_classification(capsys):
     # full switching cycle (two labels, half-period hold) equals L/c
     config = ScenarioConfig(
-        geometry=Geometry(separation=1.0, signal_speed=1.0, t1=0.0, t2=0.0, t0=-3.0),
+        geometry=Geometry(separation=1.0, signal_speed=1.0, t0=-3.0),
         model="hardy-singlet",
         station1=hardy_station(1, "periodic", period=0.5, cycle=("a", "a2")),
         station2=hardy_station(2, "periodic", period=0.5, phase=0.25, cycle=("b", "b2")),
@@ -260,7 +260,7 @@ def test_criterion_08_periodic_switching_classification(capsys):
 
 def test_criterion_09_delay_control(capsys):
     config = ScenarioConfig(
-        geometry=Geometry(separation=1.0, signal_speed=1.0, t1=0.0, t2=0.0, t0=-3.0),
+        geometry=Geometry(separation=1.0, signal_speed=1.0, t0=-3.0),
         model="hardy-singlet",
         station1=hardy_station(1, "random_switch", rate=3.0),
         station2=hardy_station(2, "random_switch", rate=3.0),
@@ -284,7 +284,7 @@ def test_criterion_09_delay_control(capsys):
 
 def test_criterion_10_averaging_recovers_standard_bound(capsys):
     config = ScenarioConfig(
-        geometry=Geometry(separation=4.0, signal_speed=1.0, t1=0.0, t2=0.0, t0=-6.0),
+        geometry=Geometry(separation=4.0, signal_speed=1.0, t0=-6.0),
         model="hardy-singlet",
         station1=hardy_station(1, "random_switch", rate=2.0),
         station2=hardy_station(2, "random_switch", rate=2.0),

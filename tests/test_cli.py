@@ -529,6 +529,14 @@ OPTIMIZE = ["optimize", "--model", "quantum", "--ineq", "chsh"]
         ("rate = 2.0", "rate = 1e9", "station1.rate 1000000000.0 over a window of 15.0 "
          "expects more than 2**31 - 1 interventions",
          lambda config, out: RUN(config, out) + ["--n", "10"]),
+    ] + [
+        # the last trial time overflows: from the file, and from --n
+        ("spacing = 1.0", spacing, "the last trial time, run.start + (run.n_trials - 1) * "
+         "run.spacing, must be finite", argv)
+        for spacing, argv in (
+            ("spacing = 1e308", RUN),
+            ("spacing = 1e300", lambda config, out: RUN(config, out) + ["--n", "10000000000"]),
+        )
     ],
     ids=["spacing-inf", "spacing-nan", "start-nan", "start-inf", "delay-inf", "rate-inf",
          "rate-nan", "period-inf", "phase-nan", "separation-inf", "signal_speed-nan",
@@ -542,7 +550,7 @@ OPTIMIZE = ["optimize", "--model", "quantum", "--ineq", "chsh"]
          "grid-step-zero-divisor", "optimize-angle-zero-divisor", "labels-zero-divisor",
          "analytic-angle-nan", "analytic-retarded-inf", "optimize-angle-nan",
          "optimize-retarded-inf", "labels-angle-nan", "rate-1e15", "rate-1e300", "rate-1e308",
-         "rate-window-of-n-flag"],
+         "rate-window-of-n-flag", "spacing-1e308", "spacing-1e300-n-flag"],
 )
 def test_run_rejects_non_finite_and_negative_numbers(tmp_path, capsys, old, new, message, argv):
     assert old in CONFIG_TEXT
@@ -689,7 +697,7 @@ def test_run_names_a_malformed_worker_count(tmp_path, capsys, monkeypatch):
 
 
 def test_run_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch):
-    def exhausted(config, workers=None):
+    def exhausted(config):
         raise MemoryError("Unable to allocate 7.28 TiB for an array with shape "
                           "(1000000000000,) and data type float64")
 
@@ -738,6 +746,23 @@ def test_run_shared_stream_file(tmp_path, capsys, extra_row, code):
         assert "must be finite" in err
     else:
         assert json.loads(out)["trials"] == 200
+
+
+@pytest.mark.parametrize("n_trials,argv", [("3", []), ("2", ["--n", "3"])], ids=["file", "n-flag"])
+def test_run_shared_stream_file_refuses_an_infinite_trial_time(tmp_path, capsys, n_trials, argv):
+    # stream schedules have no window to refuse, so the config refuses a
+    # last trial time past the float range, before any output is written
+    (tmp_path / "stream.csv").write_text(
+        "station,decision_time,delay,label,source_tag\n1,3.0,0.0,a2,human\n2,4.0,1.5,b2,human\n"
+    )
+    config = tmp_path / "scenario.ini"
+    config.write_text(STREAM_CONFIG_TEXT.replace("spacing = 1.0", "spacing = 1e308")
+                      .replace("n_trials = 200", f"n_trials = {n_trials}"))
+    code, out, err = run_cli(capsys, RUN(str(config), str(tmp_path / "o")) + argv)
+    assert (code, out) == (1, "")
+    assert err == (f"error: {config}: the last trial time, run.start + (run.n_trials - 1) * "
+                   "run.spacing, must be finite\n")
+    assert not (tmp_path / "o").exists()
 
 
 STREAM_ROWS = ("1,3.0,0.0,a2,human", "2,4.0,1.5,b2,human", "1,9.0,0.5,a,human",

@@ -68,7 +68,7 @@ from rbell.scenarios import (
     load_config,
     run_scenario,
 )
-from rbell.spacetime import SettingLabel
+from rbell.spacetime import InterventionStream, SettingLabel, SwitchTable
 
 HARDY = get_model("hardy")
 QUANTUM = get_model("quantum")
@@ -243,9 +243,10 @@ def test_mc_seed_determinism():
 
 def test_mc_worker_count_invariance(monkeypatch):
     n = 3 * BLOCK_SIZE + 17
-    monkeypatch.delenv("RBL_WORKERS", raising=False)
-    serial = mc_E(HARDY, 0.3, 1.0, 2.0, 0.5, n=n, seed=9, workers=1)
-    threaded = mc_E(HARDY, 0.3, 1.0, 2.0, 0.5, n=n, seed=9, workers=4)
+    monkeypatch.setenv("RBL_WORKERS", "1")
+    serial = mc_E(HARDY, 0.3, 1.0, 2.0, 0.5, n=n, seed=9)
+    monkeypatch.setenv("RBL_WORKERS", "4")
+    threaded = mc_E(HARDY, 0.3, 1.0, 2.0, 0.5, n=n, seed=9)
     assert serial == threaded
     monkeypatch.setenv("RBL_WORKERS", "8")
     env_run = mc_E(HARDY, 0.3, 1.0, 2.0, 0.5, n=n, seed=9)
@@ -256,12 +257,14 @@ def test_resolve_workers(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 8)  # independent of the host
     monkeypatch.delenv("RBL_WORKERS", raising=False)
     assert resolve_workers() == 1
-    assert resolve_workers(4) == 4
-    monkeypatch.setenv("RBL_WORKERS", "2")
+    monkeypatch.setenv("RBL_WORKERS", "4")
+    assert resolve_workers() == 4
+    monkeypatch.setenv("RBL_WORKERS", " 2 ")
     assert resolve_workers() == 2
-    assert resolve_workers(8) == 2  # env caps explicit requests
     monkeypatch.setenv("RBL_WORKERS", "0")
-    assert resolve_workers(8) == 1
+    assert resolve_workers() == 1
+    monkeypatch.setenv("RBL_WORKERS", "-3")
+    assert resolve_workers() == 1
     # not an integer: a ValueError naming the variable, not the int() message
     monkeypatch.setenv("RBL_WORKERS", "abc")
     with pytest.raises(ValueError, match=r"^RBL_WORKERS must be an integer, got 'abc'$"):
@@ -272,11 +275,10 @@ def test_resolve_workers_capped_at_cpu_count(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     monkeypatch.setenv("RBL_WORKERS", "100000")
     assert resolve_workers() == 3
-    assert resolve_workers(8) == 3
-    assert resolve_workers(2) == 2
-    # an explicit request is capped too, without RBL_WORKERS
-    monkeypatch.delenv("RBL_WORKERS")
-    assert resolve_workers(100_000) == 3
+    monkeypatch.setenv("RBL_WORKERS", "8")
+    assert resolve_workers() == 3
+    monkeypatch.setenv("RBL_WORKERS", "2")
+    assert resolve_workers() == 2
 
 
 def test_mc_rejects_bad_n():
@@ -528,14 +530,40 @@ def assert_logs_equal(back, ref):
         assert bit_equal(back.lam, ref.lam)
 
 
+def _label_column(kind: str, labels, indices) -> np.ndarray:
+    """The stored label column of a ``kind`` built over ``labels``."""
+    n = len(indices)
+    if kind == "TrialLog":
+        ones = np.ones(n, np.int8)
+        return TrialLog(labels, np.zeros(n), np.zeros(n), indices, indices, indices, indices,
+                        ones, ones).a
+    if kind == "SwitchTable":
+        return SwitchTable(np.arange(1.0, n + 1), indices, labels).label_indices
+    return InterventionStream(1, np.zeros(n), 0.0, indices, labels).label_indices
+
+
+LABEL_COLUMNS = {"TrialLog": "label", "SwitchTable": "switch label",
+                 "InterventionStream": "intervention label"}
+
+
+@pytest.mark.parametrize("kind", LABEL_COLUMNS)
 @pytest.mark.parametrize("bad", [-1, 2, 256])
-def test_trial_log_refuses_a_label_index_outside_its_palette(bad):
+def test_trial_log_refuses_a_label_index_outside_its_palette(kind, bad):
     # labels are narrowed to one byte here, so an index outside the
-    # palette must be refused before the cast could wrap it into range
-    cols = dict(t1=[0.0], t2=[0.0], b=[1], a_r=[0], b_r=[1], outcome_1=[1], outcome_2=[1])
-    assert TrialLog(palette=(LA, LB), a=[1], **cols).a.dtype == np.uint8
-    with pytest.raises(ValueError, match="label index out of range"):
-        TrialLog(palette=(LA, LB), a=[bad], **cols)
+    # palette must be refused before the cast could wrap it into range;
+    # every label column is checked by one rule
+    assert _label_column(kind, (LA, LB), [1, 0]).tolist() == [1, 0]
+    with pytest.raises(ValueError, match=rf"^{LABEL_COLUMNS[kind]} index out of range "
+                                         "for a palette of 2$"):
+        _label_column(kind, (LA, LB), [0, bad])
+
+
+@pytest.mark.parametrize("kind", LABEL_COLUMNS)
+@pytest.mark.parametrize("size,dtype", [(255, np.uint8), (256, np.uint16)])
+def test_label_columns_narrow_to_label_dtype(kind, size, dtype):
+    labels = [SettingLabel(f"l{k}", k / size) for k in range(size)]
+    column = _label_column(kind, labels, np.arange(size))
+    assert column.dtype == dtype and column.tolist() == list(range(size))
 
 
 def test_trial_log_roundtrip(tmp_path):
@@ -960,7 +988,7 @@ _TABLE_CELLS = st_.builds(
 def test_table_roundtrip_any_ids_and_numbers_bit_exact(cells):
     # ids with commas, quotes, spaces or line breaks, and any finite numbers,
     # come back from correlations.csv unchanged
-    table = CorrelationInput(cells, source="monte-carlo")
+    table = CorrelationInput(cells)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "correlations.csv"
         write_table(table, path)

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,8 +13,11 @@ from rbell import inequalities
 from conftest import exact_input, octuple_cells
 from rbell.estimation import BLOCK_SIZE
 from rbell.inequalities import (
+    ANGLE_FLAGS,
+    INEQUALITIES,
     Correlation,
     CorrelationInput,
+    Inequality,
     averaged_chsh,
     both_equal_reduction,
     ch_expression,
@@ -105,6 +109,55 @@ def test_chsh_identity_spot_values():
     assert x2 * y2 + x2 * y + x * y2 - x * y == -2
 
 
+def local_extremes(row: Inequality) -> tuple[float, float]:
+    """The least and greatest ``signed_sum`` of ``row`` over deterministic
+    local strategies, as the paper's theorem reads them.
+
+    Station 1 answers A(x, v) over the (actual, far retarded) flag pairs
+    that the row's cells read after its ties, and station 2 answers
+    B(y, u) likewise, so cell (x, y, u, v) is A(x, v) * B(y, u).  Answers
+    are +-1, or 0/1 for a probability row, whose singles are read at
+    A(a2 | b2r) and B(b2 | a2r).  ``src`` does not read the singles
+    there yet (ROADMAP item 1, "CH singles conditioned on the far
+    retarded setting"), so this is the bound the row must keep once it
+    does; the identity checks read the actual flags alone.
+    """
+    ids = {flag: flag for flag in ANGLE_FLAGS}
+    cells = row.cells(ids)
+    ones = sorted({(x, v) for x, _, _, v in cells})
+    twos = sorted({(y, u) for _, y, u, _ in cells})
+    answers = (0, 1) if row.probability else (-1, 1)
+    sums = []
+    for picks_1 in itertools.product(answers, repeat=len(ones)):
+        A = dict(zip(ones, picks_1))
+        for picks_2 in itertools.product(answers, repeat=len(twos)):
+            B = dict(zip(twos, picks_2))
+            singles = ()
+            if row.probability:
+                singles = (A[row.flag(ids, "a2"), row.flag(ids, "b2r")],
+                           B[row.flag(ids, "b2"), row.flag(ids, "a2r")])
+            sums.append(row.signed_sum((A[x, v] * B[y, u] for x, y, u, v in cells), singles))
+    return min(sums), max(sums)
+
+
+@pytest.mark.parametrize("name", list(INEQUALITIES))
+def test_every_row_keeps_the_bounds_of_every_local_strategy(name):
+    # the theorem: no local strategy leaves a row's typed bounds, and
+    # some strategy reaches each of them
+    row = INEQUALITIES[name]
+    assert local_extremes(row) == (row.lower, row.upper)
+
+
+def test_local_strategies_see_how_retarded_flags_are_wired():
+    # retarded_chsh with its second term read at a2r instead of ar: the
+    # actual settings are unchanged, so the identity checks pass it, but
+    # station 2 then answers three ways and the local range doubles
+    row = INEQUALITIES["retarded_chsh"]
+    terms = list(row.terms)
+    terms[1] = (1.0, ("a2", "b", "a2r", "b2r"))
+    assert local_extremes(replace(row, terms=tuple(terms))) == (-4.0, 4.0)
+
+
 # ----------------------------------------------------------------------
 # retarded four-correlation combination
 # ----------------------------------------------------------------------
@@ -145,7 +198,7 @@ def test_insufficient_cell_rejected():
     cells = {q: Correlation(0.0, 0.01, 5, sufficient=False)
              for q in octuple_cells(*tied_octuple())}
     with pytest.raises(InsufficientCellError):
-        retarded_chsh(CorrelationInput(cells, source="monte-carlo"), *tied_octuple())
+        retarded_chsh(CorrelationInput(cells), *tied_octuple())
 
 
 # ----------------------------------------------------------------------
@@ -418,7 +471,7 @@ def test_statistical_verdict_bands():
         x = total / 4.0
         cells = {q: Correlation(x, se, 1000) for q in quads[:3]}
         cells[quads[3]] = Correlation(-x, se, 1000)
-        return CorrelationInput(cells, source="monte-carlo")
+        return CorrelationInput(cells)
 
     # inside the bounds: satisfied
     r = retarded_chsh(input_with(1.6), *tied_octuple())
@@ -445,7 +498,7 @@ def test_analytic_margin_is_infinite():
 def test_report_serialization_roundtrip():
     corr = quantum_input(QUARTET, tied_octuple())
     report = retarded_chsh(corr, *tied_octuple())
-    data = json.loads(report.to_json())
+    data = json.loads(json.dumps(report.to_dict()))
     assert data["name"] == "retarded_chsh"
     assert data["value"] == report.value
     assert data["verdict"] == "violated"
@@ -467,5 +520,3 @@ def test_correlation_validation():
         Correlation(math.nan)
     with pytest.raises(ValueError):
         Correlation(0.0, math.nan)
-    with pytest.raises(ValueError):
-        CorrelationInput({("a", "b", "a", "b"): Correlation(0.1, 0.2)}, source="analytic")

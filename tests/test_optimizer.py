@@ -215,7 +215,7 @@ def test_optimum_json_shape():
         model="quantum", inequality="chsh", free=("a2",),
         fixed={"a": 0.0, "b": math.pi / 4, "b2": -math.pi / 4},
     ))
-    data = json.loads(opt.to_json())
+    data = json.loads(json.dumps(opt.to_dict()))
     assert set(data) == {"settings", "value", "evaluations", "trace"}
     assert isinstance(data["trace"][0], list)
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import os
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -72,7 +73,7 @@ def random_station(station, labels, rate):
 
 def base_config(**overrides):
     defaults = dict(
-        geometry=Geometry(separation=1.0, signal_speed=1.0, t1=0.0, t2=0.0, t0=-3.0),
+        geometry=Geometry(separation=1.0, signal_speed=1.0, t0=-3.0),
         model="hardy-singlet",
         station1=periodic_station(1, QUARTET_1, 0.5),
         station2=periodic_station(2, QUARTET_2, 0.5, phase=0.25),
@@ -324,7 +325,7 @@ def test_delay_control_restores_both_equal():
 
 def test_zero_delay_random_switch_mixes_classes():
     config = base_config(
-        geometry=Geometry(separation=4.0, signal_speed=1.0, t1=0, t2=0, t0=-6.0),
+        geometry=Geometry(separation=4.0, signal_speed=1.0, t0=-6.0),
         station1=random_station(1, QUARTET_1, rate=2.0),
         station2=random_station(2, QUARTET_2, rate=2.0),
         spacing=1.0,
@@ -346,7 +347,7 @@ def test_zero_delay_random_switch_mixes_classes():
 
 def test_quantum_scenario_lambda_free_and_violations():
     config = base_config(
-        geometry=Geometry(separation=4.0, signal_speed=1.0, t1=0, t2=0, t0=-6.0),
+        geometry=Geometry(separation=4.0, signal_speed=1.0, t0=-6.0),
         model="quantum-singlet",
         station1=random_station(1, QUARTET_1, rate=2.0),
         station2=random_station(2, QUARTET_2, rate=2.0),
@@ -369,7 +370,7 @@ def test_scenario_ch_reports_match_public_estimator():
     from test_estimation import estimate_ch_probs  # the mask-scan oracle
 
     config = base_config(
-        geometry=Geometry(separation=4.0, signal_speed=1.0, t1=0, t2=0, t0=-6.0),
+        geometry=Geometry(separation=4.0, signal_speed=1.0, t0=-6.0),
         station1=random_station(1, QUARTET_1, rate=2.0),
         station2=random_station(2, QUARTET_2, rate=2.0),
         spacing=1.0,
@@ -506,7 +507,7 @@ def settings_cases(draw):
             ]
         stations.append(station)
     config = ScenarioConfig(
-        geometry=Geometry(separation=tau, signal_speed=1.0, t1=0.0, t2=0.0, t0=t0),
+        geometry=Geometry(separation=tau, signal_speed=1.0, t0=t0),
         model=draw(st_.sampled_from(("hardy-singlet", "quantum-singlet", "hardy-noisy"))),
         station1=stations[0],
         station2=stations[1],
@@ -537,9 +538,10 @@ def test_settings_and_sampling_match_the_two_schedule_oracle(case):
                 f"station{k}": replace(st, stream_path=str(path))
                 for k, st in ((1, config.station1), (2, config.station2)) if st.kind == "stream"
             })
-            with mock.patch.object(estimation, "BLOCK_SIZE", 64):
-                expect = oracle_trials(config, workers)
-                log = run_scenario(config, workers=workers).log
+            with mock.patch.object(estimation, "BLOCK_SIZE", 64), \
+                    mock.patch.dict(os.environ, {"RBL_WORKERS": str(workers)}):
+                expect = oracle_trials(config)
+                log = run_scenario(config).log
             replayed = replay_retarded(config, log)
     finally:
         _FACTORIES.pop("hardy-noisy", None)
@@ -654,9 +656,10 @@ def test_run_worker_invariance(monkeypatch):
         n_trials=int(2.5 * (1 << 16)),
         spacing=0.05,
     )
-    monkeypatch.delenv("RBL_WORKERS", raising=False)
-    serial = run_scenario(config, workers=1)
-    threaded = run_scenario(config, workers=6)
+    monkeypatch.setenv("RBL_WORKERS", "1")
+    serial = run_scenario(config)
+    monkeypatch.setenv("RBL_WORKERS", "6")
+    threaded = run_scenario(config)
     assert np.array_equal(serial.log.outcome_1, threaded.log.outcome_1)
     assert np.array_equal(serial.log.outcome_2, threaded.log.outcome_2)
     assert np.array_equal(serial.log.lam, threaded.log.lam)
@@ -667,10 +670,15 @@ def test_run_worker_count_identity_per_model(monkeypatch, model):
     # the nonlocal sampler and the stochastic lift of hardy give the same
     # log for 1 and 2 workers, and with RBL_WORKERS unset
     register_model("hardy-lifted", lambda: StochasticLHV.from_deterministic(get_model("hardy")))
-    monkeypatch.delenv("RBL_WORKERS", raising=False)
+    logs = []
     try:
         config = base_config(model=model, n_trials=int(2.5 * BLOCK_SIZE), spacing=0.05)
-        logs = [run_scenario(config, workers=w).log for w in (1, 2, None)]
+        for workers in ("1", "2", None):
+            if workers is None:
+                monkeypatch.delenv("RBL_WORKERS", raising=False)
+            else:
+                monkeypatch.setenv("RBL_WORKERS", workers)
+            logs.append(run_scenario(config).log)
     finally:
         _FACTORIES.pop("hardy-lifted", None)
     assert logs[0].lam is None if model == "quantum-singlet" else logs[0].lam is not None
@@ -751,13 +759,13 @@ def test_different_seeds_differ():
 def test_t0_must_precede_first_retarded_time():
     with pytest.raises((ConfigError, ValueError)):
         run_scenario(base_config(
-            geometry=Geometry(separation=1.0, signal_speed=1.0, t1=0, t2=0, t0=-1.0),
+            geometry=Geometry(separation=1.0, signal_speed=1.0, t0=-1.0),
         ))
 
 
 def test_t0_must_precede_start_less_retardation_in_the_config():
-    # a start earlier than the geometry's own times is refused by the
-    # config type, before any run
+    # the config type holds the measurement times, so it refuses a start
+    # less L/c at or before t0, before any run
     with pytest.raises(ConfigError, match=r"^geometry\.t0 must precede start - L/c$"):
         base_config(start=-2.5)
 
@@ -886,9 +894,8 @@ def test_config_with_any_optional_keys_equals_the_dataclasses(chosen):
         path.write_text("".join(f"[{section}]\n" + "".join(f"{line}\n" for line in lines)
                                 for section, lines in text.items()))
         config = load_config(path)
-    start = fields["run"].get("start", ScenarioConfig.start)
     assert config == ScenarioConfig(
-        geometry=Geometry(separation=2.0, signal_speed=1.0, t1=start, t2=start, t0=-6.0),
+        geometry=Geometry(separation=2.0, signal_speed=1.0, t0=-6.0),
         model=fields["model"].get("model", "hardy-singlet"),
         station1=StationConfig(station=1, labels={"a": math.pi / 2, "a2": 0.0},
                                kind="random_switch", rate=2.0, **fields["station1"]),

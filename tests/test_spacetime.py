@@ -33,8 +33,8 @@ B = SettingLabel("b", -math.pi / 4)
 B2 = SettingLabel("b2", math.pi / 4)
 
 
-def geom(L=2.0, c=1.0, t1=6.0, t2=6.0, t0=0.0):
-    return Geometry(separation=L, signal_speed=c, t1=t1, t2=t2, t0=t0)
+def geom(L=2.0, c=1.0, t0=0.0):
+    return Geometry(separation=L, signal_speed=c, t0=t0)
 
 
 # ----------------------------------------------------------------------
@@ -196,12 +196,9 @@ def test_parse_angle_rejects_garbage(text):
 
 def test_geometry_invariants():
     with pytest.raises(ValueError):
-        Geometry(separation=-1.0, signal_speed=1.0, t1=6, t2=6, t0=0)
+        Geometry(separation=-1.0, signal_speed=1.0, t0=0)
     with pytest.raises(ValueError):
-        Geometry(separation=1.0, signal_speed=0.0, t1=6, t2=6, t0=0)
-    # t0 must precede both retarded times
-    with pytest.raises(ValueError):
-        Geometry(separation=2.0, signal_speed=1.0, t1=6, t2=6, t0=5.0)
+        Geometry(separation=1.0, signal_speed=0.0, t0=0)
     assert geom().retardation == 2.0
 
 
@@ -816,7 +813,7 @@ def test_retarded_lookups_match_scalar_oracles(case, tau):
             *(Intervention(station=1, decision_time=d, delay=x, new_label=lbl) for d, x, lbl in ivs)
         ),
     )
-    g = Geometry(separation=tau, signal_speed=1.0, t1=0.0, t2=0.0, t0=-10.0)
+    g = Geometry(separation=tau, signal_speed=1.0, t0=-10.0)
     t1 = np.array([max(c, -2.0) for c, _ in trials])
     t2 = t1 - np.array([gap for _, gap in trials]) / 4
     simple = sched.value_index_at(t1 - tau)
