@@ -269,11 +269,14 @@ def _verify_checks(rng: np.random.Generator) -> list[tuple[str, bool, str]]:
     hardy = get_model("hardy")
     quantum = get_model("quantum")
 
-    res = chsh_identity_check()
-    checks.append(("chsh-identity-16-assignments", res.passed, f"checked {res.checked}"))
-
-    res = ch_identity_check(1_000_000, seed=int(rng.integers(2**31)))
-    checks.append(("ch-identity-bounds", res.passed, f"checked {res.checked}"))
+    for name, res in (
+        ("chsh-identity-16-assignments", chsh_identity_check()),
+        ("ch-identity-bounds", ch_identity_check(1_000_000, seed=int(rng.integers(2**31)))),
+    ):
+        detail = f"checked {res.checked}"
+        if not res.passed:
+            detail += f", counterexample {res.counterexample}"
+        checks.append((name, res.passed, detail))
 
     defect = hardy.hidden.normalization_defect()
     checks.append(("hidden-density-normalized", defect <= 1e-9, f"defect {defect:.2e}"))

@@ -412,6 +412,11 @@ def retarded_ch(p12: Union[Mapping[Quad, Correlation], CorrelationInput], p1: Es
 
 @dataclass(frozen=True)
 class IdentityCheckResult:
+    """Whether an identity check held over ``checked`` points, and the
+    first point that broke it: the signs at (a, a2, b, b2) then the row's
+    value for the CHSH check, (x, y, x2, y2) then the value for the CH
+    check."""
+
     passed: bool
     checked: int
     counterexample: Optional[tuple] = None
@@ -458,7 +463,6 @@ def ch_identity_check(samples: int, seed: int = 0) -> IdentityCheckResult:
         bad = np.flatnonzero((values < row.lower) | (values > row.upper))
         if bad.size:
             i = int(bad[0])
-            return IdentityCheckResult(
-                False, start + i + 1, (x[i], y[i], x2[i], y2[i], float(values[i]))
-            )
+            point = (x[i], y[i], x2[i], y2[i], values[i])
+            return IdentityCheckResult(False, start + i + 1, tuple(map(float, point)))
     return IdentityCheckResult(True, max(samples, 0))

@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import CellError, ConfigError, UnknownModelError
 from .estimation import (
+    BLOCK_SIZE,
     TrialCounts,
     TrialLog,
     build_table,
@@ -318,7 +319,8 @@ def _config_from_parser(
     try:
         geometry = Geometry(**fields["geometry"])
     except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        # each Geometry fault begins with its field, which is its ini key
+        raise ConfigError(f"geometry.{exc}") from None
     stations = {}
     for k in (1, 2):
         station = fields[f"station{k}"]
@@ -404,7 +406,9 @@ def make_schedule(
         rng = substream(seed, 100 + station.station)
         labels = [palette[lid] for lid in (station.switch_labels or tuple(station.labels))]
         # draw enough exponential gaps to cover the window, extending if short;
-        # the running sums do not decrease, so those inside are a prefix
+        # the running sums do not decrease, so those inside are a prefix.
+        # One chunk almost always covers it, and then its prefix is kept as
+        # a view rather than copied
         times = []
         t = start
         chunk = max(16, int(rate * span * 1.2) + 16)
@@ -414,10 +418,14 @@ def make_schedule(
             cum += t
             times.append(cum[: np.searchsorted(cum, end, side="right")])
             t = float(cum[-1])
-        decisions = np.concatenate(times) if times else np.empty(0)
-        # the prefixes are views of whole chunks: free them before the picks
+        decisions = times[0] if len(times) == 1 else np.concatenate([np.empty(0), *times])
         times = cum = None
-        picks = rng.integers(0, len(labels), size=decisions.size)
+        # int64 draws taken a block at a time are the draws of one call;
+        # each block is narrowed as it is stored
+        picks = np.empty(decisions.size, label_dtype(len(labels)))
+        for lo in range(0, decisions.size, BLOCK_SIZE):
+            block = picks[lo:lo + BLOCK_SIZE]
+            block[...] = rng.integers(0, len(labels), size=block.size)
         stream = InterventionStream(
             station=station.station,
             decision_times=decisions,
@@ -437,13 +445,19 @@ def make_schedule(
     )
 
 
-def build_schedules(config: ScenarioConfig) -> tuple[SettingSchedule, SettingSchedule]:
-    """Both station schedules for a run, derived only from the config."""
+def build_schedules(
+    config: ScenarioConfig, stations: tuple[int, ...] = (1, 2)
+) -> tuple[SettingSchedule, ...]:
+    """The schedules of ``stations`` for a run, in that order, derived
+    only from the config.  Each station draws from its own substream, so
+    a schedule is the same whichever others are built with it."""
     last = config.start + (config.n_trials - 1) * config.spacing
     window = (config.geometry.t0, last)
-    s1 = make_schedule(config.station1, window, config.seed, config.intervention_delay)
-    s2 = make_schedule(config.station2, window, config.seed, config.intervention_delay)
-    return s1, s2
+    return tuple(
+        make_schedule(getattr(config, f"station{k}"), window, config.seed,
+                      config.intervention_delay)
+        for k in stations
+    )
 
 
 # ----------------------------------------------------------------------
@@ -552,24 +566,35 @@ def _station_settings(
     simple: each schedule's value L/c before its own time.  predictive:
     station 1's setting in effect at t1 as decided by t2 - L/c, and the
     mirror for station 2; one rank search gives it and the actual
-    setting.  Each lookup reads one station's schedule alone, so the
-    schedules are visited in turn and each, with its timeline, is
-    dropped once its columns exist.
+    setting.  Each lookup reads one station's schedule alone, so one
+    schedule is built at a time, looked up ``BLOCK_SIZE`` trials at a
+    time into the preallocated columns, and dropped, with its timeline,
+    before the next is built.  A predictive late run that reaches back
+    further than a block's own ranks is searched again in each block.
     """
     tau = config.geometry.retardation
-    schedules = list(build_schedules(config))
     times = (t1, t2)
+    dtype = label_dtype(len(index))
     columns = []
     for k in range(2):
-        # rebinding ``schedule`` drops the previous station's
-        schedule, schedules[k] = schedules[k], None
+        (schedule,) = build_schedules(config, stations=(k + 1,))
         to_palette = _schedule_indices(schedule, index)
-        if config.retarded_definition == "simple":
-            retarded = schedule.value_index_at(times[k] - tau)
-            current = schedule.value_index_at(times[k]) if actual else None
-        else:
-            current, retarded = schedule.predictive_index_at(times[k], times[1 - k] - tau)
-        columns.append((to_palette[current] if actual else None, to_palette[retarded]))
+        own, far = times[k], times[1 - k]
+        current = np.empty(own.size, dtype) if actual else None
+        retarded = np.empty(own.size, dtype)
+        for lo in range(0, own.size, BLOCK_SIZE):
+            rows = slice(lo, lo + BLOCK_SIZE)
+            if config.retarded_definition == "simple":
+                ret = schedule.value_index_at(own[rows] - tau)
+                cur = schedule.value_index_at(own[rows]) if actual else None
+            else:
+                cur, ret = schedule.predictive_index_at(own[rows], far[rows] - tau)
+            retarded[rows] = to_palette[ret]
+            if actual:
+                current[rows] = to_palette[cur]
+        columns.append((current, retarded))
+        # the next station's build runs before ``schedule`` would be rebound
+        del schedule
     return columns
 
 

@@ -147,10 +147,11 @@ _SCAN_CHUNK = 8192
 
 #: Targets per block of the predictive lookup.  A block's float64 lifting
 #: levels span its ranks (two a target on a random-switching schedule), so
-#: it works in about 170 bytes a target, 0.7 MiB.  Predictive settings at
-#: 2e4 trials then peak at 1.4x the simple ones; with ``BLOCK_SIZE``
-#: targets a block they peaked at 3x, as high as a table over every rank.
-_LOOKUP_BLOCK = 4096
+#: it works in about 170 bytes a target, 0.35 MiB.  Predictive settings at
+#: 2e4 trials then peak at 1.55 MiB against 1.19 MiB for the simple ones;
+#: with 4096 targets a block they peaked at 1.88 MiB, and with
+#: ``BLOCK_SIZE`` at 3x the simple peak, as high as a table over every rank.
+_LOOKUP_BLOCK = 2048
 
 
 def _nondecreasing(values: np.ndarray) -> bool:
@@ -418,7 +419,9 @@ class SettingSchedule:
         times = np.asarray(times, dtype=np.float64)
         self._require_defined("time", times)
         ts, labels = self._events
-        return labels[np.searchsorted(ts, times, side="right") - 1]
+        pos = np.searchsorted(ts, times, side="right")
+        pos -= 1
+        return labels[pos]
 
     def predictive_value_at(self, t_target: float, cutoff: float) -> SettingLabel:
         """Label at ``t_target`` of the timeline with late interventions dropped.

@@ -16,7 +16,7 @@ from hypothesis import strategies as st_
 from conftest import traced_peak_mib
 from rbell import cli
 from rbell.cli import _verify_checks, main
-from rbell.inequalities import CHSH_TERMS, INEQUALITIES
+from rbell.inequalities import CHSH_TERMS, INEQUALITIES, chsh_identity_check
 from rbell.models import get_model
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -446,9 +446,11 @@ OPTIMIZE = ["optimize", "--model", "quantum", "--ineq", "chsh"]
             ("schedule = random_switch\nrate = 2.0\n",
              PERIODIC_STATION1.replace("phase = 0.0", "phase = nan"),
              "station1.phase must be finite"),
-            ("separation = 4.0", "separation = inf", "separation must be finite"),
-            ("signal_speed = 1.0", "signal_speed = nan", "signal_speed must be finite"),
-            ("t0 = -6.0", "t0 = -inf", "t0 must be finite"),
+            ("separation = 4.0", "separation = inf",
+             "geometry.separation must be finite, got inf"),
+            ("signal_speed = 1.0", "signal_speed = nan",
+             "geometry.signal_speed must be finite, got nan"),
+            ("t0 = -6.0", "t0 = -inf", "geometry.t0 must be finite, got -inf"),
             ("min_count = 100", "min_count = -5", "min_count must be non-negative"),
         ]
     ] + [
@@ -592,7 +594,7 @@ def test_run_rejects_non_finite_and_negative_numbers(tmp_path, capsys, old, new,
         ("quartet = a, a2, b, b2", "quartet = a, a2", "run.quartet must list four labels"),
         ("spacing = 1.0\n", "", "missing required key 'run.spacing'"),
         ("[model]\nname = hardy-singlet\n", "", "missing sections ['model']"),
-        ("separation = 4.0", "separation = -4.0", "separation must be positive"),
+        ("separation = 4.0", "separation = -4.0", "geometry.separation must be positive"),
         ("name = hardy-singlet", "name = foo", "model.name: unknown model 'foo'; known: "),
         ("labels = a=pi/2, a2=0", "labels = a=pi/2, =1",
          "station1.labels entry '=1' has an empty label id"),
@@ -942,19 +944,40 @@ def test_verify_command(capsys):
     assert "11/11 checks passed" in out
 
 
-def test_verify_reads_the_table_rows(capsys, monkeypatch):
-    # a sign slip in the CHSH terms of the table is a failure of verify,
-    # not only of the runs and the optimizer that read the same rows
+def _flip_last_chsh_sign(monkeypatch):
+    """Patch a sign slip into every row with the CHSH terms."""
     flipped = CHSH_TERMS[:-1] + ((-CHSH_TERMS[-1][0], CHSH_TERMS[-1][1]),)
     for name, row in list(INEQUALITIES.items()):
         if row.terms == CHSH_TERMS:
             monkeypatch.setitem(INEQUALITIES, name, dataclasses.replace(row, terms=flipped))
+
+
+def test_verify_reads_the_table_rows(capsys, monkeypatch):
+    # a sign slip in the CHSH terms of the table is a failure of verify,
+    # not only of the runs and the optimizer that read the same rows
+    _flip_last_chsh_sign(monkeypatch)
     code, out, _ = run_cli(capsys, ["verify"])
     assert code == 1
     failed = [line.split()[1] for line in out.splitlines() if line.startswith("FAIL")]
     assert failed == ["chsh-identity-16-assignments", "ch-identity-bounds",
                       "lhv-retarded-chsh-bound", "lhv-retarded-ch-bound",
                       "ch-one-end-cannot-violate"]
+
+
+def test_verify_prints_the_point_an_identity_check_failed_at(capsys, monkeypatch):
+    # a mistyped row fails the identity checks, and each FAIL line names
+    # the point that broke the bound
+    _flip_last_chsh_sign(monkeypatch)
+    point = chsh_identity_check().counterexample
+    assert point is not None
+    code, out, _ = run_cli(capsys, ["verify"])
+    assert code == 1
+    lines = {line.split()[1]: line for line in out.splitlines() if line.startswith("FAIL")}
+    assert lines["chsh-identity-16-assignments"] == (
+        f"FAIL chsh-identity-16-assignments (checked 16, counterexample {point})")
+    assert ", counterexample (" in lines["ch-identity-bounds"]
+    passing = [line for line in out.splitlines() if line.startswith("ok")]
+    assert passing and not any("counterexample" in line for line in passing)
 
 
 def test_verify_checks_run_in_bounded_memory():

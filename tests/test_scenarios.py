@@ -241,20 +241,51 @@ def test_random_switch_schedule_statistics():
     assert np.all(np.diff(sched.interventions.effect_times) >= 0)
 
 
-@settings(max_examples=100, deadline=None)
+class _ShortGaps:
+    """A generator whose exponential gaps are ``shrink`` times the scale
+    asked for, so a first chunk sized for the window can fall short of it
+    and the draw loop extends."""
+
+    def __init__(self, rng, shrink):
+        self.rng, self.shrink = rng, shrink
+
+    def exponential(self, scale, size):
+        return self.rng.exponential(scale=scale * self.shrink, size=size)
+
+    def integers(self, *args, **kwargs):
+        return self.rng.integers(*args, **kwargs)
+
+
+@settings(max_examples=150, deadline=None)
 @given(
     rate=st_.floats(0.05, 50.0),
     start=st_.floats(-20.0, 0.0),
     span=st_.floats(0.0, 40.0),
     seed=st_.integers(0, 2**32),
+    station=st_.sampled_from([1, 2]),
+    n_labels=st_.integers(1, 5),
+    shrink=st_.sampled_from([1.0, 0.5, 0.1]),
+    block=st_.sampled_from([1, 7, 64, BLOCK_SIZE]),
 )
-def test_random_switch_draw_matches_masked_cumsum(rate, start, span, seed):
-    # the draw as a fresh cumsum plus a boolean mask per chunk: the
-    # in-place cumsum and prefix slice take the same values from the
-    # same stream
+@example(rate=2.0, start=-5.0, span=40.0, seed=1, station=1, n_labels=3, shrink=0.1, block=7)
+def test_random_switch_draw_matches_masked_cumsum(
+    rate, start, span, seed, station, n_labels, shrink, block
+):
+    # the reference draws one exponential chunk per pass and keeps it by a
+    # fresh cumsum and a boolean mask, joins the chunks with one
+    # concatenation and takes every pick from one int64 integers call.
+    # The in-place cumsum, the uncopied prefix of a lone chunk and the
+    # picks drawn ``block`` at a time and narrowed to one byte take the
+    # same values from the same stream.  A shrink below 0.83 makes the
+    # first chunk fall short of the window.
     end = start + span
-    sched = make_schedule(random_station(2, QUARTET_2, rate), (start, end), seed, 0.5)
-    rng = substream(seed, 102)
+    labels = {f"a{k}": 0.3 * k for k in range(n_labels)}
+    config = random_station(station, labels, rate)
+    with mock.patch.object(scenarios, "substream",
+                           lambda *key: _ShortGaps(substream(*key), shrink)), \
+            mock.patch.object(scenarios, "BLOCK_SIZE", block):
+        sched = make_schedule(config, (start, end), seed, 0.5)
+    rng = _ShortGaps(substream(seed, 100 + station), shrink)
     times, t = [], start
     chunk = max(16, int(rate * span * 1.2) + 16)
     while t <= end:
@@ -262,11 +293,13 @@ def test_random_switch_draw_matches_masked_cumsum(rate, start, span, seed):
         times.append(cum[cum <= end])
         t = float(cum[-1])
     decisions = np.concatenate(times)
-    picks = rng.integers(0, len(QUARTET_2), size=decisions.size)
+    picks = rng.integers(0, n_labels, size=decisions.size)
     iv = sched.interventions
     assert iv.decision_times.tobytes() == decisions.tobytes()
     assert iv.effect_times.tobytes() == (decisions + 0.5).tobytes()
+    assert iv.label_indices.dtype == np.uint8
     assert np.array_equal(iv.label_indices, picks)
+    assert [lbl.id for lbl in iv.labels] == list(labels)
 
 
 @pytest.mark.parametrize("rate", [1e12, 1e15, 1e300, 1e308])
@@ -583,47 +616,67 @@ def test_octuples_match_the_pair_set_oracle(case):
 
 
 def test_run_scenario_in_bounded_memory():
-    # each schedule is dropped once its label columns exist, and angles
-    # are gathered per block: keeping both schedules through sampling
-    # and four full-length angle arrays peaked at 23.6 MiB here
+    # one schedule is built and looked up at a time, and angles are
+    # gathered per block: keeping both schedules through sampling and
+    # four full-length angle arrays peaked at 23.6 MiB here, building both
+    # schedules before either lookup at 7.5 MiB; this reads 6.0 MiB
     path = Path(__file__).resolve().parent.parent / "configs" / "fast_random_switching.ini"
     config = replace(load_config(path), n_trials=100_000)
-    assert traced_peak_mib(lambda: run_scenario(config)) < 16
+    assert traced_peak_mib(lambda: run_scenario(config)) < 8
 
 
 def test_run_scenario_labels_take_one_byte_and_schedules_store_no_effect_times():
-    # labels are one byte per trial, schedules keep no effect-time copy, and
-    # the simple lookup never ranks decision indices.  The traced peak read
-    # 86.5 bytes per trial here, 126.6 with int64 labels and stored effect
-    # times; the bound leaves about 20% headroom.
+    # labels are one byte per trial, schedules keep no effect-time copy, the
+    # simple lookup never ranks decision indices, and each station's
+    # schedule is built on its own.  The traced peak read 82.3 bytes per
+    # trial here, 86.5 with both schedules built together and 126.6 with
+    # int64 labels and stored effect times; the bound leaves about 20%
+    # headroom.
     path = Path(__file__).resolve().parent.parent / "configs" / "fast_random_switching.ini"
     config = replace(load_config(path), n_trials=20_000)
     assert config.retarded_definition == "simple"
-    schedules = []
+    built = []
     build = scenarios.build_schedules
 
-    def keep(config):
-        schedules.extend(build(config))
-        return tuple(schedules)
+    def keep(config, stations=(1, 2)):
+        built.append(build(config, stations))
+        return built[-1]
 
     with mock.patch.object(scenarios, "build_schedules", keep):
         log = run_scenario(config).log
     for name in ("a", "b", "a_r", "b_r"):
         assert getattr(log, name).dtype == np.uint8, name
-    assert len(schedules) == 2
-    for schedule in schedules:
+    assert [[s.station for s in schedules] for schedules in built] == [[1], [2]]
+    for (schedule,) in built:
         assert "_events" in vars(schedule) and "_decisions" not in vars(schedule)
         assert "effect_times" not in vars(schedule.interventions)
-    del schedules[:], log
+    del built[:], log
     peak = traced_peak_mib(lambda: run_scenario(config))
-    assert peak * 2**20 / config.n_trials < 104
+    assert peak * 2**20 / config.n_trials < 100
+
+
+def test_settings_stage_holds_one_station_at_a_time():
+    # one schedule is built, looked up BLOCK_SIZE trials at a time into
+    # one-byte columns, and dropped before the next is built: 49 bytes a
+    # trial here, against 71 with both stations' intervention streams built
+    # before either lookup and full-length shifted-time and position arrays.
+    # The first pass warms up.
+    path = Path(__file__).resolve().parent.parent / "configs" / "fast_random_switching.ini"
+    config = replace(load_config(path), n_trials=200_000)
+    assert config.retarded_definition == "simple"
+    _, index = _merge_palettes(config)
+    times = config.start + config.spacing * np.arange(config.n_trials)
+    for _ in range(2):
+        peak = traced_peak_mib(lambda: _station_settings(config, index, times, times))
+    assert peak * 2**20 / config.n_trials < 56
 
 
 def test_predictive_settings_in_the_simple_settings_memory():
-    # the predictive lookup lifts over the ranks a block of 4096 targets
+    # the predictive lookup lifts over the ranks a block of 2048 targets
     # can reach: a sparse table over every event rank, or one block of
     # BLOCK_SIZE targets, peaked at 3.0x the simple settings' peak here;
-    # this reads 1.4x.  The first pass of each warms up.
+    # this reads 1.3x (1.6x with blocks of 4096).  The first pass of each
+    # warms up.
     path = Path(__file__).resolve().parent.parent / "configs" / "fast_random_switching.ini"
     config = replace(load_config(path), n_trials=20_000)
     _, index = _merge_palettes(config)
