@@ -19,24 +19,15 @@ angles.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import math
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .errors import CellError, ConfigError, RbellError, StreamFormatError
-from .estimation import (
-    BLOCK_SIZE,
-    exact_row,
-    exact_terms,
-    mc_correlations,
-    quadrature_E,
-    read_table,
-)
 from .inequalities import (
     ANGLE_FLAGS,
     INEQUALITIES,
@@ -49,15 +40,33 @@ from .inequalities import (
     ch_identity_check,
     chsh_identity_check,
 )
-from .models import (
-    get_model,
-    hardy_closed_form_E,
-    model_names,
-    quantum_joint_probs,
-)
-from .optimizer import ObjectiveSpec, optimize
-from .scenarios import load_config, run_scenario
-from .spacetime import parse_angle
+
+if TYPE_CHECKING:
+    import numpy as np
+
+#: Names this module has always offered from the layers below it, read
+#: through to their defining module on each access.  Each command imports
+#: its own layers when it runs, so building the parser loads no numpy.
+_LAYER_NAMES = {
+    "estimation": ("BLOCK_SIZE", "exact_row", "exact_terms", "mc_correlations",
+                   "quadrature_E", "read_table"),
+    "models": ("get_model", "hardy_closed_form_E", "model_names", "quantum_joint_probs"),
+    "optimizer": ("ObjectiveSpec", "optimize"),
+    "scenarios": ("load_config", "run_scenario"),
+    "spacetime": ("parse_angle",),
+}
+_LAYER_OF = {name: layer for layer, names in _LAYER_NAMES.items() for name in names}
+
+
+def __getattr__(name: str):
+    # not cached in globals(): a wrapper patched into the layer, and its
+    # removal, show through here
+    try:
+        layer = _LAYER_OF[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    return getattr(importlib.import_module(f"{__package__}.{layer}"), name)
+
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -87,6 +96,8 @@ def _given_angles(args, flags: Sequence[str]) -> dict[str, float]:
 
 
 def _flag_angle(flag: str, raw: str) -> float:
+    from .spacetime import parse_angle
+
     try:
         return parse_angle(raw)
     except ValueError as exc:
@@ -125,6 +136,9 @@ def _resolve_ids(args, ineq: str, by_value: bool) -> dict[str, str]:
 
 
 def _analytic(args) -> int:
+    from .estimation import exact_terms, mc_correlations
+    from .models import get_model
+
     model = get_model(args.model)
     ineq = args.ineq
     if ineq not in ANALYTIC_INEQS:
@@ -162,6 +176,8 @@ def _analytic(args) -> int:
 
 
 def _check(args) -> int:
+    from .estimation import read_table
+
     table = read_table(args.table, min_count=args.min_count)
     ineq = args.ineq
     if ineq not in CORRELATION_INEQS:
@@ -181,6 +197,8 @@ def _check(args) -> int:
 
 
 def _run(args) -> int:
+    from .scenarios import load_config, run_scenario
+
     flags = {"seed": args.seed, "n_trials": args.n, "min_count": args.min_count,
              "retarded_definition": args.definition}
     config = load_config(args.config)
@@ -223,6 +241,8 @@ def _run(args) -> int:
 
 
 def _optimize(args) -> int:
+    from .optimizer import ObjectiveSpec, optimize
+
     if args.spec is not None:
         path = Path(args.spec)
         try:
@@ -261,10 +281,15 @@ def _optimize(args) -> int:
 
 
 def _within(row: Inequality, values: np.ndarray, tol: float) -> bool:
-    return bool(np.all(values >= row.lower - tol) and np.all(values <= row.upper + tol))
+    return bool((values >= row.lower - tol).all() and (values <= row.upper + tol).all())
 
 
 def _verify_checks(rng: np.random.Generator) -> list[tuple[str, bool, str]]:
+    import numpy as np
+
+    from .estimation import BLOCK_SIZE, exact_row, quadrature_E
+    from .models import get_model, hardy_closed_form_E, quantum_joint_probs
+
     checks: list[tuple[str, bool, str]] = []
     hardy = get_model("hardy")
     quantum = get_model("quantum")
@@ -342,6 +367,8 @@ def _verify_checks(rng: np.random.Generator) -> list[tuple[str, bool, str]]:
 
 
 def _verify(args) -> int:
+    import numpy as np
+
     rng = np.random.default_rng(args.seed)
     checks = _verify_checks(rng)
     failed = [c for c in checks if not c[1]]
@@ -381,7 +408,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=_run)
 
     p_an = sub.add_parser("analytic", help="evaluate an inequality exactly")
-    p_an.add_argument("model", help=f"model name ({', '.join(model_names())})")
+    p_an.add_argument("model", help="model name (built in: hardy-singlet, quantum-singlet; "
+                      "an unknown name lists every registered model)")
     p_an.add_argument("ineq", help=f"one of {', '.join(ANALYTIC_INEQS)}")
     _add_angle_flags(p_an)
     p_an.add_argument("--n", type=int, default=0,

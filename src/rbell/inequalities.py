@@ -31,11 +31,12 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
-from typing import Any, Iterable, Mapping, Optional, Sequence, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import InsufficientCellError, MissingCellError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 Quad = tuple[str, str, str, str]
 
@@ -452,6 +453,8 @@ def ch_identity_check(samples: int, seed: int = 0) -> IdentityCheckResult:
     expression is multilinear, so vertices are the extreme cases and
     random sampling is a smoke test on top of them.
     """
+    import numpy as np  # this module is numpy-free at import, for CLI start-up
+
     from .estimation import BLOCK_SIZE  # estimation imports this module
 
     row = INEQUALITIES["retarded_ch"]

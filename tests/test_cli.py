@@ -703,7 +703,7 @@ def test_run_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch):
         raise MemoryError("Unable to allocate 7.28 TiB for an array with shape "
                           "(1000000000000,) and data type float64")
 
-    monkeypatch.setattr(cli, "run_scenario", exhausted)
+    monkeypatch.setattr("rbell.scenarios.run_scenario", exhausted)
     config = tmp_path / "scenario.ini"
     config.write_text(CONFIG_TEXT)
     argv = RUN(str(config), str(tmp_path / "o")) + ["--n", "1000000000000"]
@@ -1016,6 +1016,52 @@ def test_runtime_imports_no_scipy():
         "import rbell.cli\n"
         "print(json.dumps([after_package, scipy()]))\n"
     )
+    assert fresh_interpreter(code) == [[], []]
+
+
+def fresh_interpreter(code):
+    """What ``code`` prints as JSON when run by a new Python process."""
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [[], []]
+    return json.loads(proc.stdout)
+
+
+LOADED = ("import json, sys\n"
+          "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] in ('rbell', 'numpy'))\n")
+
+
+def test_import_rbell_loads_only_the_package_and_its_errors():
+    code = LOADED + "import rbell\nprint(json.dumps([loaded(), rbell.spacetime.__name__]))\n"
+    # a subpackage is still reachable as an attribute, imported on first access
+    assert fresh_interpreter(code) == [["rbell", "rbell.errors"], "rbell.spacetime"]
+
+
+def test_parser_build_loads_no_numpy():
+    # the start-up that --help and every command pay: each command imports
+    # the layers it uses when it runs
+    loaded = fresh_interpreter(
+        LOADED + "import rbell.cli\nrbell.cli.build_parser()\nprint(json.dumps(loaded()))\n")
+    assert "numpy" not in loaded
+    assert set(loaded) <= {"rbell", "rbell.errors", "rbell.inequalities", "rbell.cli"}
+
+
+def test_public_names_are_their_defining_modules_objects():
+    code = (
+        "import importlib, json, rbell\n"
+        "home = {n: m for m in ('errors', 'spacetime', 'models', 'inequalities', 'estimation',\n"
+        "                       'scenarios', 'optimizer')\n"
+        "        for n, v in vars(importlib.import_module('rbell.' + m)).items()\n"
+        "        if getattr(v, '__module__', None) == 'rbell.' + m}\n"
+        "print(json.dumps({n: [n in home and getattr(rbell, n) is getattr(\n"
+        "    importlib.import_module('rbell.' + home[n]), n), n in dir(rbell)]\n"
+        "    for n in rbell.__all__}))\n"
+    )
+    names = fresh_interpreter(code)
+    assert len(names) >= 50
+    assert {n: v for n, v in names.items() if v != [True, True]} == {}
+
+
+def test_cli_names_read_through_to_their_layer():
+    code = ("import json, rbell.cli, rbell.scenarios\n"
+            "print(json.dumps(rbell.cli.run_scenario is rbell.scenarios.run_scenario))\n")
+    assert fresh_interpreter(code) is True
