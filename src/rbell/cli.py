@@ -45,8 +45,9 @@ if TYPE_CHECKING:
     import numpy as np
 
 #: Names this module has always offered from the layers below it, read
-#: through to their defining module on each access.  Each command imports
-#: its own layers when it runs, so building the parser loads no numpy.
+#: through to their defining module on each access.  The list is closed:
+#: each command imports its own layers when it runs, so building the
+#: parser loads no numpy.
 _LAYER_NAMES = {
     "estimation": ("BLOCK_SIZE", "exact_row", "exact_terms", "mc_correlations",
                    "quadrature_E", "read_table"),

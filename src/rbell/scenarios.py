@@ -407,8 +407,9 @@ def make_schedule(
         labels = [palette[lid] for lid in (station.switch_labels or tuple(station.labels))]
         # draw enough exponential gaps to cover the window, extending if short;
         # the running sums do not decrease, so those inside are a prefix.
-        # One chunk almost always covers it, and is then shrunk in place to
-        # that prefix: the stream owns exactly its decisions, with no copy
+        # Each chunk is shrunk in place to that prefix; one chunk almost
+        # always covers the window, and the stream then owns exactly its
+        # decisions, with no copy
         times = []
         t = start
         chunk = max(16, int(rate * span * 1.2) + 16)
@@ -418,11 +419,8 @@ def make_schedule(
             cum += t
             t = float(cum[-1])
             inside = int(np.searchsorted(cum, end, side="right"))
-            if times or t <= end:
-                times.append(cum[:inside])
-            else:
-                cum.resize(inside, refcheck=False)  # no view of cum exists
-                times.append(cum)
+            cum.resize(inside, refcheck=False)  # no view of cum exists
+            times.append(cum)
         decisions = times[0] if len(times) == 1 else np.concatenate([np.empty(0), *times])
         times = cum = None
         # int64 draws taken a block at a time are the draws of one call;

@@ -1062,6 +1062,25 @@ def test_public_names_are_their_defining_modules_objects():
 
 
 def test_cli_names_read_through_to_their_layer():
-    code = ("import json, rbell.cli, rbell.scenarios\n"
-            "print(json.dumps(rbell.cli.run_scenario is rbell.scenarios.run_scenario))\n")
-    assert fresh_interpreter(code) is True
+    # every name cli has offered from a layer below it is that layer's object
+    code = ("import importlib, json, rbell.cli, rbell.scenarios\n"
+            "print(json.dumps([rbell.cli.run_scenario is rbell.scenarios.run_scenario, {\n"
+            "    n: getattr(rbell.cli, n) is getattr(importlib.import_module('rbell.' + m), n)\n"
+            "    for m, names in rbell.cli._LAYER_NAMES.items() for n in names}]))\n")
+    same, names = fresh_interpreter(code)
+    assert same is True
+    assert len(names) == 15
+    assert [n for n, v in names.items() if not v] == []
+
+
+def test_analytic_model_help_names_every_built_in_model():
+    # the help is static text, so that building the parser needs no numpy;
+    # a fresh interpreter sees only the built-in registry
+    code = ("import argparse, json, rbell.cli, rbell.models\n"
+            "sub = next(a for a in rbell.cli.build_parser()._actions\n"
+            "           if isinstance(a, argparse._SubParsersAction))\n"
+            "text = next(a.help for a in sub.choices['analytic']._actions if a.dest == 'model')\n"
+            "print(json.dumps([text, rbell.models.model_names()]))\n")
+    text, names = fresh_interpreter(code)
+    assert names
+    assert [n for n in names if n not in text] == []
