@@ -14,7 +14,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st_
 
 from conftest import actual_ids, octuple_cells, oracle_octuples, oracle_trials, traced_peak_mib
-from rbell import estimation, scenarios
+from rbell import estimation, scenarios, spacetime
 from rbell.errors import ConfigError, UndefinedTimeError
 from rbell.estimation import (
     BLOCK_SIZE,
@@ -448,10 +448,19 @@ def test_replay_recomputes_identical_retarded_labels():
             intervention_delay=delay,
             n_trials=4000,
         )
-        result = run_scenario(config)
-        ar, br = replay_retarded(config, result.log)
-        assert np.array_equal(ar, result.log.a_r)
-        assert np.array_equal(br, result.log.b_r)
+        log = run_scenario(config).log
+        ar, br = replay_retarded(config, log)
+        assert np.array_equal(ar, log.a_r)
+        assert np.array_equal(br, log.b_r)
+        # rows out of time order are ranked in time order and scattered
+        # back, over several merges of the rank search
+        shuffled = np.random.default_rng(3).permutation(len(log))
+        columns = (log.t1, log.t2, log.a, log.b, log.a_r, log.b_r, log.outcome_1, log.outcome_2)
+        back = TrialLog(log.palette, *(column[shuffled] for column in columns))
+        with mock.patch.object(spacetime, "_MERGE_CHUNK", 256):
+            ar, br = replay_retarded(config, back)
+        assert np.array_equal(ar, log.a_r[shuffled])
+        assert np.array_equal(br, log.b_r[shuffled])
 
 
 def test_replay_indexes_the_merged_palette_not_the_logs(tmp_path):

@@ -732,6 +732,118 @@ def test_predictive_blocks_match_one_block(case, block):
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
+# ----------------------------------------------------------------------
+# Rank search: merging sorted runs against a binary search per target
+# ----------------------------------------------------------------------
+
+# Event times repeat and include both zeros; targets also fall between
+# and after the events, and at +inf.
+RANK_TIMES = (-1.5, -0.0, 0.0, 0.5, 1.0, 2.5)
+RANK_TARGETS = RANK_TIMES + (0.25, 4.0, math.inf)
+
+
+@st_.composite
+def rank_cases(draw):
+    """A schedule whose event times repeat, after the initial label's
+    -inf; targets in time order or shuffled, each with a cutoff at or
+    before it; and a merge chunk and a lookup block of a few targets."""
+    switch_at, rows = {}, []
+    for t, delay, label, is_switch in draw(st_.lists(st_.tuples(
+        st_.sampled_from(RANK_TIMES), st_.sampled_from((0.0, 0.5)),
+        st_.sampled_from(PALETTE), st_.booleans(),
+    ), max_size=16)):
+        if is_switch and t not in switch_at:
+            switch_at[t] = label
+        else:
+            rows.append(Intervention(1, t - delay, delay, label))
+    sched = SettingSchedule(station=1, start=-2.0, initial=A,
+                            switches=sorted(switch_at.items()), interventions=stream1(*rows))
+    trials = draw(st_.lists(
+        st_.tuples(st_.sampled_from(RANK_TARGETS), st_.sampled_from((-2.0,) + RANK_TIMES)),
+        max_size=20,
+    ))
+    trials = sorted(trials, key=lambda trial: trial[0]) if draw(st_.booleans()) else trials
+    targets = np.array([t for t, _ in trials])
+    cutoffs = np.array([min(t, c) for t, c in trials])
+    return sched, targets, cutoffs, draw(st_.integers(1, 8)), draw(st_.sampled_from([1, 3, 2048]))
+
+
+def searchsorted_value_index_at(sched, times):
+    """:meth:`SettingSchedule.value_index_at` with a binary search per target."""
+    ts, labels = sched._events
+    pos = np.searchsorted(ts, times, side="right")
+    pos -= 1
+    return labels[pos]
+
+
+def searchsorted_predictive_index_at(sched, t_targets, cutoffs):
+    """:meth:`SettingSchedule.predictive_index_at` with a binary search per
+    target: each block of targets, in time order, is searched on its own."""
+    n = t_targets.size
+    order = None if spacetime._nondecreasing(t_targets) else np.argsort(t_targets, kind="stable")
+    labels = sched._events[1]
+    actual, predictive = np.empty(n, labels.dtype), np.empty(n, labels.dtype)
+    start, size = 0, spacetime._LOOKUP_BLOCK
+    while start < n:
+        rows = slice(start, start + size) if order is None else order[start:start + size]
+        limit = math.inf if start + size >= n else size
+        columns = searchsorted_predictive_block(sched, t_targets[rows], cutoffs[rows], limit)
+        if columns is None:
+            size = n - start
+            continue
+        actual[rows], predictive[rows] = columns
+        start += size
+    return actual, predictive
+
+
+def searchsorted_predictive_block(sched, targets, cutoffs, limit):
+    ts, decisions, labels = sched._timeline
+    decision_times = sched.interventions.decision_times
+    pos = np.searchsorted(ts, targets, side="right")
+    pos -= 1
+    actual = labels[pos]
+    if not decision_times.size:
+        return actual, actual
+    d = decisions[pos]
+    late = decision_times[d] > cutoffs
+    late &= d >= 0
+    late = np.flatnonzero(late)
+    if not late.size:
+        return actual, actual
+    winners = spacetime._lift(decisions, decision_times, pos[late], cutoffs[late], limit)
+    if winners is None:
+        return None
+    predictive = actual.copy()
+    predictive[late] = labels[winners]
+    return actual, predictive
+
+
+@settings(max_examples=300, deadline=None)
+@given(rank_cases())
+# no targets, and one target at an event's time
+@example((SettingSchedule(station=1, start=-2.0, initial=A, switches=((0.5, B),)),
+          np.array([]), np.array([]), 1, 2048))
+@example((SettingSchedule(station=1, start=-2.0, initial=A, switches=((0.5, B),)),
+          np.array([0.5]), np.array([-2.0]), 1, 2048))
+def test_merged_ranks_match_a_binary_search(case):
+    # chunks of 1-8 targets, so a window spans chunks; the lookups give
+    # what they gave with a binary search per target
+    sched, targets, cutoffs, chunk, block = case
+    ts = sched._events[0]
+    with mock.patch.object(spacetime, "_MERGE_CHUNK", chunk), \
+            mock.patch.object(spacetime, "_LOOKUP_BLOCK", block):
+        ranks = spacetime._ranks(ts, targets)
+        want = np.searchsorted(ts, targets, side="right")
+        assert ranks.dtype == want.dtype and np.array_equal(ranks, want)
+        assert np.array_equal(sched.value_index_at(targets),
+                              searchsorted_value_index_at(sched, targets))
+        got = sched.predictive_index_at(targets, cutoffs)
+        want = searchsorted_predictive_index_at(sched, targets, cutoffs)
+        for got_column, want_column in zip(got, want):
+            assert got_column.dtype == want_column.dtype
+            assert np.array_equal(got_column, want_column)
+
+
 def distinct_labels_by_sorting(sched):
     """Every label of a schedule as a sort of all its switches gives them."""
     labels = [sched.initial]
