@@ -14,6 +14,7 @@ and its predictions ignore retarded settings entirely.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
@@ -129,6 +130,10 @@ def _signs(plus: np.ndarray) -> np.ndarray:
 #: The least float U with U - 2*pi >= pi; the kernel's band test needs it.
 _THREE_PI = 3.0 * math.pi
 
+#: The kernel's edges, ascending: on its band, the sign is +1 exactly when
+#: an odd count of them lies above lam - theta.
+_EDGES = (-math.pi, 0.0, math.pi, TAU, _THREE_PI)
+
 
 def _half_circle_sign(theta: ArrayLike, lam: ArrayLike) -> np.ndarray:
     """+1 iff lam lies in [theta, theta + pi) modulo 2*pi.
@@ -140,18 +145,29 @@ def _half_circle_sign(theta: ArrayLike, lam: ArrayLike) -> np.ndarray:
     d - 2*pi (Sterbenz) from there.  So the remainder is below pi
     exactly when d < -pi (d + 2*pi rounds below pi), 0 <= d < pi, or
     2*pi <= d < 3*pi (3*pi is a float, the least U with U - 2*pi >= pi).
-    That is an odd count of the edges -pi, 0, pi, 2*pi, 3*pi above d,
-    which one min/max admits and five comparisons decide.  The built-in
-    model never leaves the band: lam is in [0, 2*pi) and theta in
-    [-pi/2, pi/2].  Any other d (out of band, inf, nan, not float64)
-    takes fmod.
+    That is an odd count of ``_EDGES`` above d.  The min and max that
+    admit d to the band also settle most edges for the whole array: an
+    edge at or below min d lies above no element, and an edge above
+    max d lies above every element, so it only flips the parity.  Only
+    the edges in (min d, max d] are compared, and an array that reaches
+    none gets one constant sign.  The built-in model never leaves the
+    band: lam is in [0, 2*pi) and theta in [-pi/2, pi/2], so d reaches
+    at most the three edges 0, pi and 2*pi.  Any other d (out of band,
+    inf, nan, not float64) takes fmod.
     """
     d = np.asarray(np.subtract(lam, theta))
-    if d.dtype == np.float64 and d.size and -TAU < d.min() and d.max() < 2.0 * TAU:
-        plus = d < _THREE_PI
-        for edge in (TAU, np.pi, 0.0, -np.pi):
-            plus ^= d < edge
-        return _signs(plus)
+    if d.dtype == np.float64 and d.size:
+        lo, hi = float(d.min()), float(d.max())
+        if -TAU < lo and hi < 2.0 * TAU:
+            first, stop = bisect.bisect_right(_EDGES, lo), bisect.bisect_right(_EDGES, hi)
+            flip = (len(_EDGES) - stop) % 2
+            if first == stop:
+                return np.full(d.shape, 1 if flip else -1, dtype=np.int8)
+            # not (d < edge) is d >= edge here: the band admits no nan
+            plus = d >= _EDGES[first] if flip else d < _EDGES[first]
+            for edge in _EDGES[first + 1:stop]:
+                plus ^= d < edge
+            return _signs(plus)
     np.fmod(d, TAU, out=d)
     np.add(d, TAU, out=d, where=d < 0)
     return _signs(d < np.pi)

@@ -980,6 +980,56 @@ def test_verify_prints_the_point_an_identity_check_failed_at(capsys, monkeypatch
     assert passing and not any("counterexample" in line for line in passing)
 
 
+def test_verify_fails_a_nan_quantum_joint_error(capsys, monkeypatch):
+    # a nan error must fail the check, not drop out of the fold
+    from rbell import models
+
+    monkeypatch.setattr(models, "quantum_joint_probs", lambda a, b: (math.nan,) * 4)
+    code, out, _ = run_cli(capsys, ["verify"])
+    assert code == 1
+    failed = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert failed == ["FAIL quantum-joint-consistent (worst nan)"]
+
+
+def _zero_marginals_per_pair(rng, hardy):
+    """The zero-marginal check as it was written first: each angle pair
+    drawn in turn and summed over freshly built lambda blocks."""
+    from rbell.estimation import BLOCK_SIZE
+
+    nodes = 1 << 20
+    worst = 0.0
+    for _ in range(8):
+        a, br = rng.uniform(0, math.tau, 2)
+        total = 0
+        for start in range(0, nodes, BLOCK_SIZE):
+            lam = (np.arange(start, min(start + BLOCK_SIZE, nodes)) + 0.5) * (math.tau / nodes)
+            total += int(hardy.outcome_A(a, br, lam).sum(dtype=np.int64))
+        worst = max(worst, abs(total / nodes))
+    return f"worst {worst:.2e}"
+
+
+@pytest.mark.parametrize("seed", [0, 4, 11])
+def test_zero_marginals_check_matches_the_per_pair_loop(seed, monkeypatch):
+    # building each lambda block once for all pairs keeps the detail and
+    # leaves the rng where the per-pair loop left it, so the next check's
+    # draw (the quadrature angles) is unchanged
+    from rbell import estimation
+
+    quadrature_E, drawn = estimation.quadrature_E, []
+
+    def record(model, *angles, **kwargs):
+        drawn.append(np.array(angles))
+        return quadrature_E(model, *angles, **kwargs)
+
+    monkeypatch.setattr(estimation, "quadrature_E", record)
+    details = {name: detail for name, _, detail in _verify_checks(np.random.default_rng(seed))}
+    rng = np.random.default_rng(seed)
+    rng.integers(2**31)  # the ch-identity-bounds seed
+    assert details["hardy-zero-marginals"] == _zero_marginals_per_pair(rng, get_model("hardy"))
+    (angles,) = drawn
+    np.testing.assert_array_equal(angles, rng.uniform(0, math.tau, (100, 4)).T)
+
+
 def test_verify_checks_run_in_bounded_memory():
     # the 10**6-point identity check and the 2**20-node marginal run in
     # blocks: one float64 array of either alone is 8 MiB or more

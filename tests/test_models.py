@@ -131,11 +131,49 @@ _offsets = st_.one_of(st_.sampled_from([0.0, -0.0, math.pi, -math.pi / 2]),
                       st_.floats(-10.0, 10.0), st_.floats(allow_nan=True))
 
 
+# the kernel's band edges, the ends of its band between them; d spans
+# the edges strictly inside the gaps its min and max are drawn from
+_BAND_EDGES = (-math.pi, 0.0, math.pi, TAU, _THREE_PI)
+_GAPS = list(zip((-TAU,) + _BAND_EDGES, _BAND_EDGES + (2 * TAU,)))
+
+
+@st_.composite
+def _band_differences(draw):
+    """An array of d = lam - theta inside (-2pi, 4pi) whose min lies in
+    one gap between edges and whose max in the same or a later one, so
+    it spans none, one, several or all five edges."""
+    first = draw(st_.integers(0, len(_GAPS) - 1), label="first gap")
+    last = draw(st_.integers(first, len(_GAPS) - 1), label="last gap")
+
+    def in_gap(k):
+        left, right = _GAPS[k]
+        ends = [np.nextafter(right, -math.inf)] + ([left] if k else [])
+        inner = st_.floats(left, right, exclude_min=not k, exclude_max=True)
+        return st_.one_of(st_.sampled_from(ends), inner)
+
+    lo, hi = draw(in_gap(first)), draw(in_gap(last))
+    lo, hi = min(lo, hi), max(lo, hi)
+    n = draw(st_.integers(0, 62), label="n")
+    inner = st_.one_of(st_.sampled_from([lo, hi]), st_.floats(lo, hi))
+    return np.array([lo, hi] + draw(st_.lists(inner, min_size=n, max_size=n)))
+
+
+def _assert_sign_matches_remainder_form(theta, lam):
+    got, want = _half_circle_sign(theta, lam), _half_circle_sign_by_remainder(theta, lam)
+    assert got.dtype == want.dtype == np.int8
+    assert np.shape(got) == np.shape(want)
+    assert np.array_equal(got, want)
+
+
 @settings(max_examples=300, deadline=None)
 @given(data=st_.data())
 def test_half_circle_sign_matches_remainder_form(data):
-    n = data.draw(st_.integers(0, 8), label="n")
-    d = np.array(data.draw(st_.lists(_differences, min_size=n, max_size=n), label="d"))
+    if data.draw(st_.booleans(), label="in band"):
+        d = data.draw(_band_differences(), label="d")
+        n = len(d)
+    else:
+        n = data.draw(st_.integers(0, 64), label="n")
+        d = np.array(data.draw(st_.lists(_differences, min_size=n, max_size=n), label="d"))
     theta_scalar = data.draw(st_.booleans(), label="theta_scalar")
     if theta_scalar:
         theta = data.draw(_offsets, label="theta")
@@ -148,10 +186,18 @@ def test_half_circle_sign_matches_remainder_form(data):
         if theta_scalar:
             cases += [(theta, float(x)) for x in d[:2]]
         for t, x in cases:
-            got, want = _half_circle_sign(t, x), _half_circle_sign_by_remainder(t, x)
-            assert got.dtype == want.dtype == np.int8
-            assert np.shape(got) == np.shape(want)
-            assert np.array_equal(got, want)
+            _assert_sign_matches_remainder_form(t, x)
+
+
+def test_half_circle_sign_at_every_edge_and_its_neighbours():
+    # every edge and one ulp either side, whole and cut so that each
+    # edge, and each neighbour, is the min or the max of some array
+    d = np.array([x for v in _BAND_EDGES
+                  for x in (np.nextafter(v, -math.inf), v, np.nextafter(v, math.inf))])
+    for k in range(len(d)):
+        for part in (d, d[:k + 1], d[k:], d[::-1]):
+            _assert_sign_matches_remainder_form(0.0, part)
+            _assert_sign_matches_remainder_form(-0.0, part)
 
 
 @settings(max_examples=100, deadline=None)

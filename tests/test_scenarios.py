@@ -664,6 +664,13 @@ def test_run_scenario_labels_take_one_byte_and_schedules_store_no_effect_times()
     del built[:], log
     peak = traced_peak_mib(lambda: run_scenario(config))
     assert peak * 2**20 / config.n_trials < 100
+    # a fixed scratch buffer is part of that quotient at 2e4 trials; the
+    # slope to 1e5 trials is the cost of one more trial alone.  It read
+    # 57.3 bytes a trial here; the bound leaves about 20% headroom.
+    more = replace(config, n_trials=100_000)
+    slope = (traced_peak_mib(lambda: run_scenario(more)) - peak) * 2**20 / (
+        more.n_trials - config.n_trials)
+    assert slope < 69
 
 
 def test_settings_stage_holds_one_station_at_a_time():
