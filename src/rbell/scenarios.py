@@ -572,8 +572,10 @@ def _station_settings(
     setting.  Each lookup reads one station's schedule alone, so one
     schedule is built at a time, looked up ``BLOCK_SIZE`` trials at a
     time into the preallocated columns, and dropped, with its timeline,
-    before the next is built.  A predictive late run that reaches back
-    further than a block's own ranks is searched again in each block.
+    before the next is built.  Within one such block the predictive
+    lookup grows its own blocks of targets to the window a late run
+    needs, but each block builds its own window, so a late run longer
+    than a block's ranks is lifted over again in every block.
     """
     tau = config.geometry.retardation
     times = (t1, t2)

@@ -145,12 +145,15 @@ def as_label_indices(values, size: int, what: str) -> np.ndarray:
 #: Base switches read per step of the scan for a schedule's labels.
 _SCAN_CHUNK = 8192
 
-#: Targets per block of the predictive lookup.  A block's float64 lifting
-#: levels span its ranks (two a target on a random-switching schedule), so
-#: it works in about 170 bytes a target, 0.35 MiB.  Predictive settings at
-#: 2e4 trials then peak at 1.55 MiB against 1.19 MiB for the simple ones;
-#: with 4096 targets a block they peaked at 1.88 MiB, and with
-#: ``BLOCK_SIZE`` at 3x the simple peak, as high as a table over every rank.
+#: Targets per block of the predictive lookup, unless the window of the
+#: block before reached further below it.  A block's float64 lifting
+#: levels span its ranks (two a target on a random-switching schedule)
+#: and those back to the rank in force at its smallest late cutoff, so
+#: with short late runs it works in about 170 bytes a target, 0.35 MiB.
+#: Predictive settings at 2e4 trials then peak at 1.62 MiB against
+#: 1.43 MiB for the simple ones; with 4096 targets a block they peaked
+#: at 1.6x the simple peak, and with ``BLOCK_SIZE`` at 3x, as high as a
+#: table over every rank.
 _LOOKUP_BLOCK = 2048
 
 
@@ -479,7 +482,8 @@ class SettingSchedule:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized lookup of both columns a predictive run reads: returns
         ``(actual, predictive)`` label indices, the label in force at each
-        target and :meth:`predictive_value_at`'s label.
+        target and :meth:`predictive_value_at`'s label.  Targets and
+        cutoffs are 1-d of one length.
 
         One rank search serves both: :func:`_ranks` merges the targets, in
         time order, with the ranked events, so the first ``pos`` ranks of
@@ -488,20 +492,23 @@ class SettingSchedule:
         ``d`` is at least 0 and ``decision_times[d]`` is after the cutoff,
         which one gather tests; every other trial's predictive label is its
         actual one.  A late trial's winner is the largest rank below
-        ``pos`` whose event was not decided after the cutoff.  Base events
-        always qualify, so the initial label at rank 0 ends every search.
-        The ranked targets are taken ``_LOOKUP_BLOCK`` at a time, and
-        galloping binary lifting (:func:`_lift`) finds the winners of a
-        block's late trials over the ranks they can reach.  For N targets,
-        E base switches and interventions and jumps of at most J ranks,
-        the rank search takes O(N + E) time and the lifting
-        O((N + E) log J) time and O(window log J) memory for the window of
-        ranks of one block; once a jump outgrows a block, the remaining
-        targets share one window, so a stream whose jumps are long
-        (J ~ E) stays O((N + E) log E).
+        ``pos`` whose event was not decided after the cutoff.  The ranked
+        targets are taken ``_LOOKUP_BLOCK`` at a time, and galloping binary
+        lifting (:func:`_gallop`) finds the winners of a block's late
+        trials.  Delays are never negative, so an event that took effect by
+        a cutoff was decided by it: the event in force at the block's
+        smallest late cutoff qualifies for every late trial, and the window
+        of ranks it lifts over starts there.  A block whose window reached
+        further below it than it holds targets makes the next block at
+        least that long.  For N targets, E base switches and interventions
+        and jumps of at most J ranks, the rank search takes O(N + E) time
+        and the lifting O((N + E) log J) time and O(window log J) memory
+        for the window of one block.
         """
         t_targets = np.asarray(t_targets, dtype=np.float64)
         cutoffs = np.asarray(cutoffs, dtype=np.float64)
+        if t_targets.ndim != 1 or cutoffs.shape != t_targets.shape:
+            raise ValueError("targets and cutoffs must be 1-d of one length")
         self._require_defined("cutoff", cutoffs)
         if np.any(t_targets < cutoffs):
             raise ValueError("prediction target must not precede the cutoff")
@@ -518,103 +525,71 @@ class SettingSchedule:
         while start < n:
             block = slice(start, start + size)
             rows = block if order is None else order[block]
-            # a block whose jumps outgrow it hands the rest to one window
-            limit = math.inf if start + size >= n else size
-            columns = self._predictive_block(pos[block], cutoffs[rows], limit)
-            if columns is None:
-                size = n - start
-                continue
-            actual[rows], predictive[rows] = columns
+            actual[rows], predictive[rows], reach = self._predictive_block(
+                pos[block], cutoffs[rows]
+            )
             start += size
+            size = max(size, reach)
         return actual, predictive
 
     def _predictive_block(
-        self, pos: np.ndarray, cutoffs: np.ndarray, limit: float
-    ) -> Optional[tuple[np.ndarray, np.ndarray]]:
+        self, pos: np.ndarray, cutoffs: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, int]:
         """:meth:`predictive_index_at` for targets in time order, given the
-        rank ``pos`` of each one's event in force, or None when a late
-        trial's jump would reach more than ``limit`` ranks below the block."""
-        _, decisions, labels = self._timeline
+        rank ``pos`` of each one's event in force, and how many ranks below
+        the block's lowest its lifting window reached (0 without one)."""
+        ts, decisions, labels = self._timeline
         decision_times = self.interventions.decision_times
         actual = labels[pos]
         if not decision_times.size:
-            return actual, actual
+            return actual, actual, 0
         d = decisions[pos]
         # d = -1 reads the last decision time; the second test drops it
         late = decision_times[d] > cutoffs
         late &= d >= 0
         late = np.flatnonzero(late)
         if not late.size:
-            return actual, actual
-        winners = _lift(decisions, decision_times, pos[late], cutoffs[late], limit)
-        if winners is None:
-            return None
-        predictive = actual.copy()
-        predictive[late] = labels[winners]
-        return actual, predictive
-
-
-def _lift(
-    decisions: np.ndarray,
-    decision_times: np.ndarray,
-    ranks: np.ndarray,
-    cutoffs: np.ndarray,
-    limit: float,
-) -> Optional[np.ndarray]:
-    """For late events at nondecreasing ``ranks``, each the largest rank
-    below it whose event was not decided after its cutoff, or None once a
-    jump needs a reach of more than ``limit`` ranks.
-
-    Levels are built only over the ranks the trials can reach: from
-    ``reach`` below the lowest rank to the highest.  The reach starts at
-    64 ranks and grows eightfold while a jump outgrows it.  Level 0 is each
-    ranked event's decision time, -inf for a base event, so the levels
-    compare with the cutoffs directly.
-    """
-    reach = 64
-    while True:
-        lo = max(int(ranks[0]) + 1 - reach, 0)
+            return actual, actual, 0
+        ranks, cutoffs = pos[late], cutoffs[late]
+        # the event in force at the smallest cutoff took effect, and so was
+        # decided, by every cutoff: the window's first rank qualifies for all
+        lo = int(np.searchsorted(ts, cutoffs.min(), side="right")) - 1
         window = decisions[lo:int(ranks[-1]) + 1]
         times = decision_times[window]
         times[window < 0] = -np.inf
-        q = _gallop(times, ranks + (1 - lo), cutoffs, bounded=lo > 0)
-        if q is not None:
-            q += lo - 1
-            return q
-        reach *= 8
-        if reach > limit:
-            return None
+        winners = _gallop(times, ranks + (1 - lo), cutoffs)
+        winners += lo - 1
+        predictive = actual.copy()
+        predictive[late] = labels[winners]
+        return actual, predictive, int(pos[0]) - lo
 
 
-def _gallop(
-    times: np.ndarray, q: np.ndarray, cutoffs: np.ndarray, bounded: bool
-) -> Optional[np.ndarray]:
-    """:func:`_lift` over one window of decision times: for the first ``q``
-    ranks of the window, of which the last was decided late, the winner's
-    rank plus one, or None if a jump may leave a window that does not
-    start at rank 0 (``bounded``).
+def _gallop(times: np.ndarray, q: np.ndarray, cutoffs: np.ndarray) -> np.ndarray:
+    """The predictive winners of late trials over one window of ranks.
+
+    ``times`` is each ranked event's decision time, -inf for a base event,
+    and its first entry is at or before every cutoff.  ``q`` counts
+    each trial's ranks up to its late event in force, nondecreasing; it is
+    turned in place into the winner's rank plus one, the winner being the
+    largest rank below whose event was not decided after the cutoff.
 
     ``levels[k][r]`` is ``min(times[r : r + 2**k])``.  Level k is kept
     only if some trial's whole block of 2**k ranks before it was decided
     late (level 0, one rank, is late for every trial), so the top level K
     has 2**K <= J < 2**(K + 1) for the longest jump J.  The descent then
-    jumps back over late blocks, longest first.  In a window from rank 0,
-    a block clipped to rank 0 holds the initial label's -inf and never
-    jumps.
+    jumps back over late blocks, longest first.  A block clipped to the
+    window's first rank holds that entry and never jumps.
     """
     levels = [times]
     hit = np.ones(q.size, dtype=bool)
     while True:
         size = 2 << (len(levels) - 1)
-        if bounded and size > q[0]:
-            return None
         if size > q[-1]:
-            break  # every block of this size reaches rank 0
+            break  # every block of this size reaches the window's first rank
         prev, half = levels[-1], size >> 1
         level = np.minimum(prev[:-half], prev[half:])
         start = q - size
-        if not bounded:
-            np.maximum(start, 0, out=start)
+        np.maximum(start, 0, out=start)
         longer = level[start] > cutoffs
         if not longer.any():
             break
@@ -627,8 +602,7 @@ def _gallop(
     q -= hit.astype(q.dtype) << top
     for k in range(top - 1, -1, -1):
         start = q - (1 << k)
-        if not bounded:
-            np.maximum(start, 0, out=start)
+        np.maximum(start, 0, out=start)
         q -= (levels[k][start] > cutoffs).astype(q.dtype) << k
     return q
 

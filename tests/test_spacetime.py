@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import math
 import time
@@ -396,6 +397,25 @@ def test_predictive_target_before_cutoff_rejected():
 
 
 @pytest.mark.parametrize(
+    "targets,cutoffs",
+    [
+        ([2.5, 2.6, 2.7], [2.5]),  # broadcast to three trials
+        ([3.5, 3.5, 3.5], [2.5]),  # an index error inside the lifting
+        ([2.5], [2.5, 2.5]),
+        ([[2.5, 2.6]], [[2.5, 2.5]]),
+        (2.5, 2.5),
+    ],
+    ids=["one-cutoff", "one-late-cutoff", "one-target", "2-d", "0-d"],
+)
+def test_predictive_refuses_unequal_or_non_1d_shapes(targets, cutoffs):
+    # whether a call worked depended on the data, not on the shapes
+    ivs = [Intervention(station=1, decision_time=t, delay=0.0, new_label=B2) for t in (1, 2, 3)]
+    sched = SettingSchedule(station=1, start=0.0, initial=A, interventions=stream1(*ivs))
+    with pytest.raises(ValueError, match="targets and cutoffs must be 1-d of one length"):
+        sched.predictive_index_at(np.array(targets), np.array(cutoffs))
+
+
+@pytest.mark.parametrize(
     "lookup,message",
     [
         (lambda s: s.value_index_at(np.array([math.nan])), "time nan is not a number"),
@@ -513,6 +533,25 @@ def test_actual_is_predictive_with_cutoff_at_target(case):
     sched = schedule_of(case)
     x = np.array([c for c, _ in case[2]])
     assert np.array_equal(sched.value_index_at(x), sched.predictive_index_at(x, x)[1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(predictive_cases())
+def test_winners_rank_at_or_above_the_event_in_force_at_the_cutoff(case):
+    # delays are >= 0, so the event in force at a cutoff was decided by it:
+    # the predictive lookup starts its window there
+    sched, trials = schedule_of(case), case[2]
+    ts, decisions, labels = sched._timeline
+    # decision index -1, a base event, reads the appended -inf
+    decided = np.append(sched.interventions.decision_times, -np.inf)
+    for cutoff, gap in trials:
+        in_force = int(np.searchsorted(ts, cutoff, side="right")) - 1
+        qualifies = decided[decisions] <= cutoff
+        qualifies[np.searchsorted(ts, cutoff + gap, side="right"):] = False
+        winner = int(np.flatnonzero(qualifies)[-1])
+        oracle = predictive_oracle(sched, cutoff + gap, cutoff)
+        assert sched.distinct_labels[int(labels[winner])].id == oracle.id
+        assert qualifies[in_force] and winner >= in_force
 
 
 @settings(max_examples=50, deadline=None)
@@ -654,11 +693,32 @@ def brute_force_jumps(sched, targets, cutoffs):
     return np.array(jumps)
 
 
+@contextlib.contextmanager
+def counting_lifts(sched):
+    """Spy on the predictive lookups of ``sched``: yields a list that gets,
+    per block of targets, whether it holds a late trial, and a mock that
+    counts the calls of :func:`spacetime._gallop`."""
+    _, decisions, _ = sched._timeline
+    # decision index -1, a base event, reads the appended -inf
+    decided = np.append(sched.interventions.decision_times, -np.inf)
+    blocks = []
+    lookup_block = SettingSchedule._predictive_block
+
+    def spy(self, pos, cutoffs, *args):
+        blocks.append(bool(np.any(decided[decisions[pos]] > cutoffs)))
+        return lookup_block(self, pos, cutoffs, *args)
+
+    with mock.patch.object(SettingSchedule, "_predictive_block", spy), \
+            mock.patch.object(spacetime, "_gallop", wraps=spacetime._gallop) as gallop:
+        yield blocks, gallop
+
+
 def test_all_late_stream_matches_oracle():
     # 95% of the cutoffs precede every decision, so their searches step
     # back over all E ranks to the initial label (J ~ E), and the rest
-    # precede all but the first few thousand: the jumps outgrow the first
-    # block of targets, and the rest is looked up in one window from rank 0
+    # precede all but the first few thousand.  The first block's window
+    # runs from rank 0, tens of thousands of ranks below it, so the next
+    # block takes that many targets, and each block is lifted once
     rng = np.random.default_rng(9)
     e = n = 100_000
     stream = InterventionStream(
@@ -671,9 +731,11 @@ def test_all_late_stream_matches_oracle():
     sched = SettingSchedule(station=1, start=-1.0, initial=A, interventions=stream)
     targets = np.linspace(0.5, 2.0, n)
     cutoffs = np.minimum(rng.uniform(-1.0, 0.05, n), targets)
-    t0 = time.perf_counter()
-    actual, out = sched.predictive_index_at(targets, cutoffs)
-    assert time.perf_counter() - t0 < 3.0
+    with counting_lifts(sched) as (blocks, gallop):
+        t0 = time.perf_counter()
+        actual, out = sched.predictive_index_at(targets, cutoffs)
+        assert time.perf_counter() - t0 < 3.0
+    assert all(blocks) and gallop.call_count == len(blocks) <= 3
     assert np.array_equal(actual, sched.value_index_at(targets))
     # the initial label wins wherever nothing was decided by the cutoff
     assert np.count_nonzero(out == 0) > n // 2
@@ -690,8 +752,7 @@ def test_jumps_around_the_galloping_stop_rule(block):
     # rows decided in pairs at one instant and in force in triples from
     # one instant, base switches at some of those instants, and cutoffs
     # on and between the decision times: every jump length of
-    # STOP_RULE_JUMPS occurs, at ranks both within 64 of rank 0 and far
-    # from it
+    # STOP_RULE_JUMPS occurs, at ranks both near rank 0 and far from it
     rows = 400
     decided = np.arange(rows) // 2 * 1.0
     effects = 300.0 + np.arange(rows) // 3
@@ -707,9 +768,12 @@ def test_jumps_around_the_galloping_stop_rule(block):
     assert set(STOP_RULE_JUMPS) <= set(jumps.tolist())
     pick = np.flatnonzero(np.isin(jumps, STOP_RULE_JUMPS + [0]))
     shuffled = np.random.default_rng(4).permutation(targets.size)
-    with mock.patch.object(spacetime, "_LOOKUP_BLOCK", block or spacetime._LOOKUP_BLOCK):
+    with mock.patch.object(spacetime, "_LOOKUP_BLOCK", block or spacetime._LOOKUP_BLOCK), \
+            counting_lifts(sched) as (blocks, gallop):
         _, out = sched.predictive_index_at(targets, cutoffs)
         _, back = sched.predictive_index_at(targets[shuffled], cutoffs[shuffled])
+    # one lifting pass per block that holds a late trial
+    assert any(blocks) and gallop.call_count == sum(blocks)
     assert np.array_equal(back, out[shuffled])
     for i in pick:
         expect = predictive_oracle(sched, float(targets[i]), float(cutoffs[i]))
@@ -720,7 +784,7 @@ def test_jumps_around_the_galloping_stop_rule(block):
 @given(predictive_cases(), st_.sampled_from([1, 2, 5]))
 def test_predictive_blocks_match_one_block(case, block):
     # blocks of a few targets, out of time order: each block's window,
-    # and the rest in one window once a jump outgrows a block
+    # and longer blocks after a window that reached far below its block
     sched, trials = schedule_of(case), case[2]
     cutoffs = np.array([c for c, _ in trials])
     targets = cutoffs + np.array([gap for _, gap in trials])
@@ -777,45 +841,18 @@ def searchsorted_value_index_at(sched, times):
 
 
 def searchsorted_predictive_index_at(sched, t_targets, cutoffs):
-    """:meth:`SettingSchedule.predictive_index_at` with a binary search per
-    target: each block of targets, in time order, is searched on its own."""
-    n = t_targets.size
-    order = None if spacetime._nondecreasing(t_targets) else np.argsort(t_targets, kind="stable")
-    labels = sched._events[1]
-    actual, predictive = np.empty(n, labels.dtype), np.empty(n, labels.dtype)
-    start, size = 0, spacetime._LOOKUP_BLOCK
-    while start < n:
-        rows = slice(start, start + size) if order is None else order[start:start + size]
-        limit = math.inf if start + size >= n else size
-        columns = searchsorted_predictive_block(sched, t_targets[rows], cutoffs[rows], limit)
-        if columns is None:
-            size = n - start
-            continue
-        actual[rows], predictive[rows] = columns
-        start += size
-    return actual, predictive
-
-
-def searchsorted_predictive_block(sched, targets, cutoffs, limit):
+    """:meth:`SettingSchedule.predictive_index_at` per target: a binary
+    search for the event in force, then a scan back from it to the first
+    event not decided after the cutoff."""
     ts, decisions, labels = sched._timeline
-    decision_times = sched.interventions.decision_times
-    pos = np.searchsorted(ts, targets, side="right")
+    decided = sched.interventions.decision_times
+    pos = np.searchsorted(ts, t_targets, side="right")
     pos -= 1
-    actual = labels[pos]
-    if not decision_times.size:
-        return actual, actual
-    d = decisions[pos]
-    late = decision_times[d] > cutoffs
-    late &= d >= 0
-    late = np.flatnonzero(late)
-    if not late.size:
-        return actual, actual
-    winners = spacetime._lift(decisions, decision_times, pos[late], cutoffs[late], limit)
-    if winners is None:
-        return None
-    predictive = actual.copy()
-    predictive[late] = labels[winners]
-    return actual, predictive
+    winners = pos.copy()
+    for i, cutoff in enumerate(cutoffs.tolist()):
+        while decisions[winners[i]] >= 0 and decided[decisions[winners[i]]] > cutoff:
+            winners[i] -= 1
+    return labels[pos], labels[winners]
 
 
 @settings(max_examples=300, deadline=None)
