@@ -45,7 +45,7 @@ _EXPORTS = {
                "quantum_joint_probs", "register_model"),
     "inequalities": ("Correlation", "CorrelationInput", "InequalityReport", "averaged_chsh",
                      "both_equal_reduction", "ch_identity_check", "chsh_identity_check",
-                     "one_end_equal_chsh", "retarded_ch", "retarded_chsh",
+                     "local_bounds", "one_end_equal_chsh", "retarded_ch", "retarded_chsh",
                      "same_retarded_chsh"),
     "estimation": ("TrialCounts", "TrialLog", "build_table", "mc_E", "quadrature_E",
                    "quadrature_ch_probs"),

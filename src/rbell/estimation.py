@@ -17,6 +17,7 @@ import math
 import os
 from collections import defaultdict
 from concurrent.futures import ThreadPoolExecutor
+from functools import cached_property
 from itertools import chain, count, repeat
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
@@ -403,6 +404,13 @@ class TrialCounts:
         self.n = np.bincount(code, minlength=4 * p**4).reshape((p,) * 4 + (2, 2))
         self.cells = self.n.sum((4, 5))
 
+    @cached_property
+    def singles(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per station, its trials by (actual setting, far retarded
+        setting, outcome bit): ``n`` summed to axes (a, b_r, A) and to
+        (b, a_r, B), each of shape (p, p, 2)."""
+        return self.n.sum((1, 2, 5)), self.n.sum((0, 3, 4))
+
 
 def _cell_from_counts(sum_products: int, count: int, min_count: int) -> Correlation:
     est = sum_products / count
@@ -600,7 +608,6 @@ def quadrature_ch_probs(
     A deterministic model's integrands are its +1 indicators.  The
     marginals are p1(a | b_r) and p2(b | a_r): each station's +1
     probability at the far retarded setting given, averaged over lambda.
-    :func:`exact_terms` reads them at far retarded angle 0.
     """
     return _lambda_average(model, (a, b, a_r, b_r), nodes, ch=True)
 
@@ -673,18 +680,14 @@ def exact_terms(
     It maps flag -> angle (scalars or arrays that broadcast together) to
     the exact value of each term's cell (E, or p12 for a probability
     row), in term order and computed as it is read, and to the +1
-    singles of a probability row: p1 at a2 and p2 at b2, read at far
-    retarded angle 0, that is p1(a2 | b_r = 0) and p2(b2 | a_r = 0).
-    The sampled singles of a scenario run are unconditioned instead.
-    Reading them at b2r and a2r is ROADMAP.md's open item "CH singles
-    conditioned on the far retarded setting"; this is the one place to
-    change on the exact side.
+    singles of a probability row: p1(a2 | b_r = b2r) and
+    p2(b2 | a_r = a2r), the singles a scenario run samples too.
     """
     exact, *marginals = (exact_values(model, q, nodes) for q in row_quantities(row))
 
     def terms(angles: Mapping[str, ArrayLike]) -> tuple[Iterator[np.ndarray], tuple]:
         singles = () if not marginals else marginals[0](
-            row.flag(angles, "a2"), row.flag(angles, "b2"), 0.0, 0.0)
+            *(row.flag(angles, k) for k in ("a2", "b2", "a2r", "b2r")))
         return (exact(*cell)[0] for cell in row.cells(angles)), singles
     return terms
 
@@ -742,11 +745,15 @@ def _binomial_se(p: float, n: int) -> float:
     return math.sqrt(max(0.0, p * (1.0 - p)) / n) if n else 0.0
 
 
-def _plus_fraction(counts: TrialCounts, axis: int, label: str, key: Quad) -> tuple[float, float, int]:
-    """+1 fraction at station ``axis + 1`` over its trials with actual setting ``label``."""
-    # trials by (actual setting, outcome bit) there: axes ``axis`` and ``4 + axis``
-    by_outcome = counts.n.sum(tuple(ax for ax in range(6) if ax % 4 != axis))
-    minus, plus = by_outcome[counts.ids.index(label)].tolist() if label in counts.ids else (0, 0)
+def _plus_fraction(counts: TrialCounts, station: int, label: str, far: str,
+                   key: Quad) -> tuple[float, float, int]:
+    """+1 fraction at ``station`` (0 or 1) over its trials with actual
+    setting ``label`` and far retarded setting ``far``."""
+    ids = counts.ids
+    if label in ids and far in ids:
+        minus, plus = counts.singles[station][ids.index(label), ids.index(far)].tolist()
+    else:
+        minus = plus = 0
     n = minus + plus
     if n == 0:
         raise MissingCellError(key)
@@ -754,11 +761,13 @@ def _plus_fraction(counts: TrialCounts, axis: int, label: str, key: Quad) -> tup
     return p, _binomial_se(p, n), n
 
 
-def marginal_p1(counts: TrialCounts, a: str) -> tuple[float, float, int]:
-    """+1 fraction at station 1 over all trials with actual setting ``a``."""
-    return _plus_fraction(counts, 0, a, (a, "*", "*", "*"))
+def marginal_p1(counts: TrialCounts, a: str, b_r: str) -> tuple[float, float, int]:
+    """p1(a | b_r): +1 fraction at station 1 over the trials with actual
+    setting ``a`` and station 2's retarded setting ``b_r``."""
+    return _plus_fraction(counts, 0, a, b_r, (a, "*", "*", b_r))
 
 
-def marginal_p2(counts: TrialCounts, b: str) -> tuple[float, float, int]:
-    """+1 fraction at station 2 over all trials with actual setting ``b``."""
-    return _plus_fraction(counts, 1, b, ("*", b, "*", "*"))
+def marginal_p2(counts: TrialCounts, b: str, a_r: str) -> tuple[float, float, int]:
+    """p2(b | a_r): +1 fraction at station 2 over the trials with actual
+    setting ``b`` and station 1's retarded setting ``a_r``."""
+    return _plus_fraction(counts, 1, b, a_r, ("*", b, a_r, "*"))

@@ -4,24 +4,26 @@ Correlations are keyed by the setting quadruple (actual pair, retarded
 pair).  ``INEQUALITIES`` states each member of the family once, as
 signed terms over setting flags, and ``Inequality.signed_sum`` is the
 one place a row's terms are combined.  Scenario runs, ``analytic``,
-``check``, the optimizer, the identity checks and ``rbell verify`` all
-evaluate these rows.  A row's ``evaluate`` pulls the cells it needs,
-combines their standard errors in quadrature, and issues a verdict
-against the row's bounds with a 3-sigma tolerance band (zero for
-analytic inputs).
+``check``, the optimizer, ``local_bounds``, the identity checks and
+``rbell verify`` all evaluate these rows.  A row's ``evaluate`` pulls
+the cells it needs, combines their standard errors in quadrature, and
+issues a verdict against the row's bounds with a 3-sigma tolerance band
+(zero for analytic inputs).
 
 Note on the probability-form inequality: the algebraic bound used here
 is ``-1 <= x'y' + x'y + xy' - xy - x' - y' <= 0`` for x, y, x', y' in
 [0, 1] (multilinear, so it suffices to check the 16 vertices).  The
 subtracted singles therefore belong to the *primed* settings; for the
 models bundled here both marginals are 1/2, so the numbers match the
-familiar presentation either way.  The singles are not yet conditioned
-on the far retarded setting of the cells that hold a2 and b2: the
-exact singles (``estimation.exact_terms``) are read at far retarded
-angle 0, and a scenario run's sampled singles are unconditioned
-(averaged over every retarded setting).  ROADMAP.md's open item "CH
-singles conditioned on the far retarded setting" is to read them at
-b2r and a2r.
+familiar presentation either way.  Each single is conditioned on the
+far retarded setting of the cells that hold its actual setting:
+p1(a2 | b_r = b2r) and p2(b2 | a_r = a2r), the answers A(a2, b2r) and
+B(b2, a2r) that a local model gives in those cells.
+
+``local_bounds`` derives a row's bounds from locality itself: it
+enumerates the deterministic local strategies over the (actual, far
+retarded) pairs the row's cells read, so a row whose retarded flags are
+wired wrongly shows a wider range than it states.
 """
 
 from __future__ import annotations
@@ -396,14 +398,62 @@ def retarded_ch(p12: Union[Mapping[Quad, Correlation], CorrelationInput], p1: Es
                 b2r: str) -> InequalityReport:
     """The ``retarded_ch`` row: the probability form with range [-1, 0].
 
-    ``p1`` and ``p2`` are the +1 marginals for the settings a2 and b2
-    (see the module docstring for why the primed singles are the ones
-    subtracted, and at which far retarded setting callers read them).
+    ``p1`` and ``p2`` are the +1 marginals p1(a2 | b_r = b2r) and
+    p2(b2 | a_r = a2r) (see the module docstring for why the primed
+    singles are the ones subtracted).
     """
     if not isinstance(p12, CorrelationInput):
         p12 = CorrelationInput(p12)
     ids = dict(zip(ANGLE_FLAGS, (a, a2, b, b2, ar, a2r, br, b2r)))
     return INEQUALITIES["retarded_ch"].evaluate(p12, ids, singles=(p1, p2))
+
+
+# ----------------------------------------------------------------------
+# Local bounds: the theorem over deterministic local strategies
+# ----------------------------------------------------------------------
+
+#: One station's deterministic answers: (actual flag, far retarded flag)
+#: -> answer.
+Strategy = dict[tuple[str, str], int]
+
+
+def local_strategies(row: Inequality) -> Iterable[tuple[float, Strategy, Strategy]]:
+    """Each deterministic local strategy of ``row`` with its signed sum,
+    as ``(value, A, B)``.
+
+    Station 1 answers A(x, v) and station 2 answers B(y, u), over the
+    (actual, far retarded) flag pairs that the row's cells read after
+    its ties, so cell (x, y, u, v) is A(x, v) * B(y, u).  Answers are
+    +-1, or 0/1 for a probability row, whose singles are A(a2, b2r) and
+    B(b2, a2r).  Every local model is a mixture of these strategies, so
+    its value lies between their least and greatest sums.
+    """
+    ids = {flag: flag for flag in ANGLE_FLAGS}
+    cells = row.cells(ids)
+    ones = {(x, v) for x, _, _, v in cells}
+    twos = {(y, u) for _, y, u, _ in cells}
+    if row.probability:
+        single_1 = (row.flag(ids, "a2"), row.flag(ids, "b2r"))
+        single_2 = (row.flag(ids, "b2"), row.flag(ids, "a2r"))
+        ones.add(single_1)
+        twos.add(single_2)
+    answers = (0, 1) if row.probability else (-1, 1)
+    ones, twos = sorted(ones), sorted(twos)
+    for picks_1 in itertools.product(answers, repeat=len(ones)):
+        A = dict(zip(ones, picks_1))
+        for picks_2 in itertools.product(answers, repeat=len(twos)):
+            B = dict(zip(twos, picks_2))
+            singles = (A[single_1], B[single_2]) if row.probability else ()
+            value = row.signed_sum((A[x, v] * B[y, u] for x, y, u, v in cells), singles)
+            yield value, A, B
+
+
+def local_bounds(row: Inequality) -> tuple[float, float]:
+    """The least and greatest value of ``row`` over local models: the
+    bounds the paper's theorem gives it, which ``row.lower`` and
+    ``row.upper`` must state exactly."""
+    values = [value for value, _, _ in local_strategies(row)]
+    return min(values), max(values)
 
 
 # ----------------------------------------------------------------------
@@ -446,12 +496,14 @@ def ch_expression(
 
 def ch_identity_check(samples: int, seed: int = 0) -> IdentityCheckResult:
     """Check the probability-form combination stays in the ``retarded_ch``
-    row's bounds.
+    row's bounds at random points.
 
     Draws ``samples`` uniform points from the unit 4-cube, ``BLOCK_SIZE``
-    at a time, and stops at the first point out of bounds; the
-    expression is multilinear, so vertices are the extreme cases and
-    random sampling is a smoke test on top of them.
+    at a time, and stops at the first point out of bounds.  Only those
+    random points are checked, not the 16 vertices, although the
+    expression is multilinear, so its vertices decide it exactly;
+    ``local_bounds`` enumerates them, as the strategies whose answers
+    ignore the far retarded setting.
     """
     import numpy as np  # this module is numpy-free at import, for CLI start-up
 

@@ -810,13 +810,15 @@ def _evaluate_reports(
         skipped.append({"name": "same_retarded_chsh", "reason": f"retarded pair ({qa}, {qb}) "
                         "not observed for every actual pair of the quartet"})
 
-    # probability form over the same octuples, whose cells were all observed
+    # probability form over the same octuples, whose cells were all
+    # observed; the singles are p1(a2 | b2r) and p2(b2 | a2r)
     if octuples:
         p12 = p12_table(counts, config.min_count)
-        singles = (Correlation(*marginal_p1(counts, qa2)), Correlation(*marginal_p2(counts, qb2)))
     for ids in octuples:
-        try_report("retarded_ch", lambda ids=ids: ch.evaluate(p12, ids, singles),
-                   {k: ids[k] for k in RETARDED_FLAGS})
+        try_report("retarded_ch", lambda ids=ids: ch.evaluate(p12, ids, (
+            Correlation(*marginal_p1(counts, qa2, ids["b2r"])),
+            Correlation(*marginal_p2(counts, qb2, ids["a2r"])))),
+            {k: ids[k] for k in RETARDED_FLAGS})
 
     both_random = config.station1.kind == config.station2.kind == "random_switch"
     try_report("averaged_chsh", lambda: averaged_chsh(

@@ -210,15 +210,18 @@ def oracle_build_table(log, min_count: int = 100) -> dict:
     return cells
 
 
-def oracle_marginal(log, station: int, label: str) -> tuple[float, float, int]:
+def oracle_marginal(log, station: int, label: str, far: str) -> tuple[float, float, int]:
     """+1 fraction at ``station`` (1 or 2) over the trials with actual
-    setting ``label`` there, by one mask scan."""
-    column, outcome = (log.a, log.outcome_1) if station == 1 else (log.b, log.outcome_2)
+    setting ``label`` there and far retarded setting ``far`` (b_r for
+    station 1, a_r for station 2), by one mask scan."""
+    column, far_column, outcome = ((log.a, log.b_r, log.outcome_1) if station == 1
+                                   else (log.b, log.a_r, log.outcome_2))
     ids = log.ids()
-    mask = column == (ids.index(label) if label in ids else -1)
+    mask = ((column == (ids.index(label) if label in ids else -1))
+            & (far_column == (ids.index(far) if far in ids else -1)))
     n = int(mask.sum())
     if n == 0:
-        raise MissingCellError((label, "*", "*", "*") if station == 1 else ("*", label, "*", "*"))
+        raise MissingCellError((label, "*", "*", far) if station == 1 else ("*", label, far, "*"))
     p = float((outcome[mask] == 1).sum()) / n
     return p, math.sqrt(max(0.0, p * (1.0 - p)) / n), n
 

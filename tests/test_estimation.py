@@ -369,8 +369,8 @@ def estimate_ch_probs(log, a, b, a_r, b_r):
     ``marginal_p1``/``marginal_p2``.
 
     p12 is the both-plus fraction within the cell; the marginals are
-    taken over *all* trials with the given local setting, i.e. they are
-    retarded-independent by construction.
+    p1(a | b_r) and p2(b | a_r), each taken over the trials with the
+    given local setting and far retarded setting, whatever the others.
     """
     ids = log.ids()
     key = (a, b, a_r, b_r)
@@ -388,8 +388,8 @@ def estimate_ch_probs(log, a, b, a_r, b_r):
     cell = (log.a == ia) & (log.b == ib) & (log.a_r == iar) & (log.b_r == ibr)
     return ChProbEstimate(
         *plus_fraction(cell, (log.outcome_1 == 1) & (log.outcome_2 == 1)),
-        *plus_fraction(log.a == ia, log.outcome_1 == 1),
-        *plus_fraction(log.b == ib, log.outcome_2 == 1),
+        *plus_fraction((log.a == ia) & (log.b_r == ibr), log.outcome_1 == 1),
+        *plus_fraction((log.b == ib) & (log.a_r == iar), log.outcome_2 == 1),
     )
 
 
@@ -826,21 +826,39 @@ def test_p12_table_and_marginals_match_mask_scan_oracle(log, min_count):
         assert (cell.estimate, cell.standard_error, cell.count) == (
             est.p12, est.p12_se, est.p12_count)
         assert cell.sufficient == (est.p12_count >= min_count)
-        assert marginal_p1(counts, key[0]) == (est.p1, est.p1_se, est.p1_count)
-        assert marginal_p2(counts, key[1]) == (est.p2, est.p2_se, est.p2_count)
+        assert marginal_p1(counts, key[0], key[3]) == (est.p1, est.p1_se, est.p1_count)
+        assert marginal_p2(counts, key[1], key[2]) == (est.p2, est.p2_se, est.p2_count)
     for column, marginal in ((log.a, marginal_p1), (log.b, marginal_p2)):
         for unused in sorted(set(range(len(ids))) - set(column.tolist())):
-            with pytest.raises(MissingCellError):
-                marginal(counts, ids[unused])
+            for far in ids:
+                with pytest.raises(MissingCellError):
+                    marginal(counts, ids[unused], far)
 
 
 def test_marginals_of_an_unknown_label_are_missing_cells():
     log = make_log([1, -1])
     assert "zz" not in log.ids()
-    with pytest.raises(MissingCellError, match="zz"):
-        marginal_p1(TrialCounts(log), "zz")
-    with pytest.raises(MissingCellError, match="zz"):
-        marginal_p2(TrialCounts(log), "zz")
+    counts = TrialCounts(log)
+    for label, far in (("zz", "b"), ("a", "zz")):
+        with pytest.raises(MissingCellError, match="zz"):
+            marginal_p1(counts, label, far)
+    for label, far in (("zz", "a"), ("b", "zz")):
+        with pytest.raises(MissingCellError, match="zz"):
+            marginal_p2(counts, label, far)
+
+
+def test_marginals_are_conditioned_on_the_far_retarded_setting():
+    # station 1 answers +1 only where station 2's retarded setting is b;
+    # station 2 answers +1 only where station 1's retarded setting is a
+    log = make_log([1, -1, 1, -1], br=[1, 1, 2, 2], ar=[0, 2, 0, 2])
+    log.outcome_1[:] = [1, 1, -1, -1]
+    counts = TrialCounts(log)
+    assert marginal_p1(counts, "a", "b") == (1.0, 0.0, 2)
+    assert marginal_p1(counts, "a", "b2") == (0.0, 0.0, 2)
+    assert marginal_p2(counts, "b", "a") == (1.0, 0.0, 2)
+    assert marginal_p2(counts, "b", "b2") == (0.0, 0.0, 2)
+    with pytest.raises(MissingCellError, match=r"\('a', '\*', '\*', 'a'\)"):
+        marginal_p1(counts, "a", "a")  # no trial has b_r = a
 
 
 def result_of(fn):
@@ -871,9 +889,10 @@ def test_count_tensor_statistics_match_log_scan_oracles(log, min_count):
         est = estimate_ch_probs(log, *key)
         assert cell == Correlation(est.p12, est.p12_se, est.p12_count, est.p12_count >= min_count)
     for label in log.ids() + ("zz",):
-        for station, marginal in ((1, marginal_p1), (2, marginal_p2)):
-            assert result_of(lambda: marginal(counts, label)) == result_of(
-                lambda: oracle_marginal(log, station, label))
+        for far in log.ids() + ("zz",):
+            for station, marginal in ((1, marginal_p1), (2, marginal_p2)):
+                assert result_of(lambda: marginal(counts, label, far)) == result_of(
+                    lambda: oracle_marginal(log, station, label, far))
     assert result_of(lambda: classify_fractions(counts)) == result_of(
         lambda: oracle_classify_fractions(log))
     if len(log):
@@ -1085,7 +1104,7 @@ def test_exact_terms_uses_quadrature_without_closed_form():
                          ids=["hardy", "quantum", "lift"])
 def test_exact_terms_reads_each_cell_and_the_singles(model, ineq):
     # each term's cell through exact_values in term order, the singles at
-    # far retarded angle 0, and exact_row as their signed sum, bit for bit
+    # (a2 | b2r) and (b2 | a2r), and exact_row as their signed sum, bit for bit
     row = INEQUALITIES[ineq]
     rng = np.random.default_rng(5)
     angles = dict(zip(ANGLE_FLAGS, rng.uniform(-7.0, 7.0, (8, 3, 1))))
@@ -1098,7 +1117,8 @@ def test_exact_terms_reads_each_cell_and_the_singles(model, ineq):
     for v, cell in zip(values, cells):
         assert np.array_equal(v, exact_values(model, quantity)(*cell)[0])
     if row.probability:
-        p1, p2 = exact_values(model, "marginals")(angles["a2"], angles["b2"], 0.0, 0.0)
+        p1, p2 = exact_values(model, "marginals")(
+            angles["a2"], angles["b2"], angles["a2r"], angles["b2r"])
         assert np.array_equal(singles[0], p1) and np.array_equal(singles[1], p2)
     else:
         assert singles == ()
@@ -1107,19 +1127,20 @@ def test_exact_terms_reads_each_cell_and_the_singles(model, ineq):
     assert np.array_equal(total, row.signed_sum(values, singles))
 
 
-def test_exact_terms_read_singles_at_far_retarded_angle_zero():
-    # station 1's +1 probability depends on the far retarded setting, so
-    # where the singles are read shows: at b_r = 0, not at b2r
+def test_exact_terms_read_singles_at_the_far_retarded_settings_of_their_cells():
+    # each station's +1 probability depends on the far retarded setting, so
+    # where the singles are read shows: p1 at b_r = b2r and p2 at a_r = a2r,
+    # the far retarded settings of the cells that hold a2 and b2
     model = StochasticLHV(
         name="far-dependent",
         hidden=HiddenSpace.uniform_circle(),
         p1=lambda a, b_r, lam: np.broadcast_to(0.5 + 0.4 * np.cos(b_r), np.shape(lam)),
-        p2=lambda b, a_r, lam: np.full(np.shape(lam), 0.5),
+        p2=lambda b, a_r, lam: np.broadcast_to(0.5 + 0.3 * np.cos(a_r), np.shape(lam)),
     )
-    angles = dict(zip(ANGLE_FLAGS, (0.3, 1.1, -0.4, 2.0, 0.5, 0.7, 1.3, math.pi / 2)))
+    angles = dict(zip(ANGLE_FLAGS, (0.3, 1.1, -0.4, 2.0, 0.5, 0.7, 1.3, math.pi / 3)))
     _, (p1, p2) = exact_terms(model, INEQUALITIES["retarded_ch"], nodes=1_000)(angles)
-    assert float(p1) == pytest.approx(0.9, abs=1e-12)  # 0.5 + 0.4 * cos(0)
-    assert float(p2) == pytest.approx(0.5, abs=1e-12)
+    assert float(p1) == pytest.approx(0.7, abs=1e-12)  # 0.5 + 0.4 * cos(pi/3)
+    assert float(p2) == pytest.approx(0.5 + 0.3 * math.cos(0.7), abs=1e-12)
 
 
 def test_exact_values_quadrature_matches_closed_forms_on_a_grid():

@@ -23,6 +23,7 @@ from rbell.inequalities import (
     ch_expression,
     ch_identity_check,
     chsh_identity_check,
+    local_bounds,
     one_end_equal_chsh,
     retarded_ch,
     retarded_chsh,
@@ -111,31 +112,29 @@ def test_chsh_identity_spot_values():
 
 def local_extremes(row: Inequality) -> tuple[float, float]:
     """The least and greatest ``signed_sum`` of ``row`` over deterministic
-    local strategies, as the paper's theorem reads them.
+    local strategies, as the paper's theorem reads them: the oracle of
+    ``local_bounds``.
 
     Station 1 answers A(x, v) over the (actual, far retarded) flag pairs
     that the row's cells read after its ties, and station 2 answers
     B(y, u) likewise, so cell (x, y, u, v) is A(x, v) * B(y, u).  Answers
     are +-1, or 0/1 for a probability row, whose singles are read at
-    A(a2 | b2r) and B(b2 | a2r).  ``src`` does not read the singles
-    there yet (ROADMAP item 1, "CH singles conditioned on the far
-    retarded setting"), so this is the bound the row must keep once it
-    does; the identity checks read the actual flags alone.
+    A(a2 | b2r) and B(b2 | a2r); a single that no cell reads is one more
+    free answer.
     """
     ids = {flag: flag for flag in ANGLE_FLAGS}
     cells = row.cells(ids)
-    ones = sorted({(x, v) for x, _, _, v in cells})
-    twos = sorted({(y, u) for _, y, u, _ in cells})
+    single_1 = (row.flag(ids, "a2"), row.flag(ids, "b2r"))
+    single_2 = (row.flag(ids, "b2"), row.flag(ids, "a2r"))
+    ones = {(x, v) for x, _, _, v in cells} | ({single_1} if row.probability else set())
+    twos = {(y, u) for _, y, u, _ in cells} | ({single_2} if row.probability else set())
     answers = (0, 1) if row.probability else (-1, 1)
     sums = []
     for picks_1 in itertools.product(answers, repeat=len(ones)):
-        A = dict(zip(ones, picks_1))
+        A = dict(zip(sorted(ones), picks_1))
         for picks_2 in itertools.product(answers, repeat=len(twos)):
-            B = dict(zip(twos, picks_2))
-            singles = ()
-            if row.probability:
-                singles = (A[row.flag(ids, "a2"), row.flag(ids, "b2r")],
-                           B[row.flag(ids, "b2"), row.flag(ids, "a2r")])
+            B = dict(zip(sorted(twos), picks_2))
+            singles = (A[single_1], B[single_2]) if row.probability else ()
             sums.append(row.signed_sum((A[x, v] * B[y, u] for x, y, u, v in cells), singles))
     return min(sums), max(sums)
 
@@ -145,7 +144,7 @@ def test_every_row_keeps_the_bounds_of_every_local_strategy(name):
     # the theorem: no local strategy leaves a row's typed bounds, and
     # some strategy reaches each of them
     row = INEQUALITIES[name]
-    assert local_extremes(row) == (row.lower, row.upper)
+    assert local_extremes(row) == local_bounds(row) == (row.lower, row.upper)
 
 
 def test_local_strategies_see_how_retarded_flags_are_wired():
@@ -155,7 +154,27 @@ def test_local_strategies_see_how_retarded_flags_are_wired():
     row = INEQUALITIES["retarded_chsh"]
     terms = list(row.terms)
     terms[1] = (1.0, ("a2", "b", "a2r", "b2r"))
-    assert local_extremes(replace(row, terms=tuple(terms))) == (-4.0, 4.0)
+    assert local_bounds(replace(row, terms=tuple(terms))) == (-4.0, 4.0)
+
+
+@st_.composite
+def rewired_rows(draw):
+    """A table row with its terms' retarded flags rewired, random ties
+    and random term signs; the actual flags stay those of a term."""
+    row = INEQUALITIES[draw(st_.sampled_from(sorted(INEQUALITIES)))]
+    terms = tuple(
+        (draw(st_.sampled_from((-2.0, -1.0, 1.0, 2.0))),
+         (x, y, draw(st_.sampled_from(ANGLE_FLAGS)), draw(st_.sampled_from(ANGLE_FLAGS))))
+        for _, (x, y, _, _) in row.terms[:draw(st_.integers(1, len(row.terms)))])
+    ties = draw(st_.dictionaries(st_.sampled_from(ANGLE_FLAGS), st_.sampled_from(ANGLE_FLAGS),
+                                 max_size=4))
+    return replace(row, terms=terms, ties=ties, probability=draw(st_.booleans()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(row=rewired_rows())
+def test_local_bounds_match_the_enumeration_oracle(row):
+    assert local_bounds(row) == local_extremes(row)
 
 
 # ----------------------------------------------------------------------

@@ -26,6 +26,7 @@ from rbell.estimation import (
 )
 from rbell.models import (
     _FACTORIES,
+    DeterministicLHV,
     HiddenSpace,
     StochasticLHV,
     get_model,
@@ -423,12 +424,56 @@ def test_scenario_ch_reports_match_public_estimator():
             est = estimate_ch_probs(result.log, *q)
             cells[q] = Correlation(est.p12, est.p12_se, est.p12_count,
                                    est.p12_count >= config.min_count)
-        p1, p1_se, n1 = marginal_p1(TrialCounts(result.log), "a2")
-        p2, p2_se, n2 = marginal_p2(TrialCounts(result.log), "b2")
+        # the singles at (a2 | b2r) and (b2 | a2r), those of cell (a2, b2, a2r, b2r)
+        p1, p1_se, n1 = marginal_p1(TrialCounts(result.log), "a2", ids["b2r"])
+        p2, p2_se, n2 = marginal_p2(TrialCounts(result.log), "b2", ids["a2r"])
+        est = estimate_ch_probs(result.log, "a2", "b2", ids["a2r"], ids["b2r"])
+        assert (p1, p1_se, n1, p2, p2_se, n2) == (
+            est.p1, est.p1_se, est.p1_count, est.p2, est.p2_se, est.p2_count)
         recomputed = retarded_ch(cells, Correlation(p1, p1_se, n1),
                                  Correlation(p2, p2_se, n2), *octuple)
         assert recomputed.value == report.value
         assert recomputed.combined_se == report.combined_se
+
+
+def _far_retarded_toy():
+    """A deterministic local model that needs no lambda: A = +1 only at
+    (a2 | b_r = b2), and B = +1 at b and at (b2 | a_r = a2).  Angles are
+    compared modulo 2*pi: the config's b = -pi/4 is stored as 7*pi/4."""
+    def at(x, flag):
+        angle = {**QUARTET_1, **QUARTET_2}[flag]
+        return np.abs(np.remainder(np.asarray(x) - angle + math.pi, math.tau) - math.pi) < 1e-9
+
+    def signs(plus, lam):
+        return np.where(np.broadcast_to(plus, np.shape(lam)), 1, -1).astype(np.int8)
+
+    return DeterministicLHV(
+        name="far-retarded-toy",
+        hidden=HiddenSpace.uniform_circle(),
+        outcome_A=lambda a, b_r, lam: signs(at(a, "a2") & at(b_r, "b2"), lam),
+        outcome_B=lambda b, a_r, lam: signs(at(b, "b") | (at(b, "b2") & at(a_r, "a2")), lam),
+    )
+
+
+def test_ch_singles_conditioned_on_the_far_retarded_setting_keep_a_local_model_inside():
+    # The cells that hold a2 read A(a2, b2r), so the subtracted single is
+    # p1(a2 | b_r = b2r), and likewise p2(b2 | a_r = a2r).  Singles averaged
+    # over every retarded setting called this local model violated: the
+    # report at a2r = a2, b2r = b2 read 1.0032 against the bound 0, at 142
+    # sigma.  Its answers are exact, so each report is exactly -1 or 0.
+    path = Path(__file__).resolve().parent.parent / "configs" / "fast_random_switching.ini"
+    config = replace(load_config(path), model="far-retarded-toy", n_trials=20_000, min_count=10)
+    register_model("far-retarded-toy", _far_retarded_toy)
+    try:
+        result = run_scenario(config)
+    finally:
+        _FACTORIES.pop("far-retarded-toy", None)
+    assert not result.violated()
+    ch = {(r.inputs["a2r"], r.inputs["b2r"], r.inputs["ar"], r.inputs["br"]): r.value
+          for r in result.reports if r.name == "retarded_ch"}
+    assert len(ch) == 16 and set(ch.values()) == {-1.0, 0.0}
+    assert ch["a2", "b2", "a", "b"] == 0.0
+    assert all(r.verdict == "satisfied" for r in result.reports)
 
 
 def test_classification_and_weights_helpers():
@@ -782,13 +827,13 @@ COLUMN_INDEX_SHA = {
     [
         ("hardy-singlet", "f87ef2341244d7aad5e9118746834a0aee24b51ea1e6075e022893dc2b580027",
          "240a892713777b38e2da04168c3ef3c0969c52bb89f2da8d8a2905bf86dd81dc",
-         "a0e5a8992997ef365c9f4810abff2c952236c3722a1266f7573524e3e8d41374"),
+         "a946acbeb226081903ff2f33690cdd665cc06e2ca28455eea4b0aa12cd5264c0"),
         ("hardy-noisy", "37bf2d859644f2e9f2dc76089e95745c31b044b89f7be1896ad32bf85c128cc4",
          "f5e71eb25ea89569c8eb9b3af1b5bb6e2fb645631a062432aef0dfc048dd1fd2",
-         "cb380d781001b2acefabd5fb47f461ed49a3c6f4d7365cda72659e3c44d3f3fa"),
+         "ca10ce3322ba4e4c20ca5e6d6a2a2adc8109d18535f5c5f169e8761784e9eec5"),
         ("quantum-singlet", "d8a6d99f28fc2f9e319fd95a391cd297c474ca8272e5a185a55335f9121f113d",
          "fd0e3559414a639511cb3dd0afc7ba9c64c8d58df712feb42f73877c64071170",
-         "7f6fcaadc417707e13d88da210ea4992fa64006919e611dc34cefb667aa7e827"),
+         "a2558b7c8e5668c7c41d71a4f6521be3adb004b4401a30f0c43eb745ce3e91a6"),
     ],
 )
 def test_artifacts_match_pinned_digests(tmp_path, model, trials_sha, table_sha, reports_sha):
