@@ -3,8 +3,7 @@
 Monte Carlo sampling is organized in fixed-size blocks of trials.  Each
 block derives its own random stream from (seed, block index), and block
 results (integer sums) are reduced in block order, so estimates are
-bit-identical for any worker count.  The ``RBL_WORKERS`` environment
-variable alone sets the worker threads (0, 1 or unset means serial).
+bit-identical across reruns.
 """
 
 from __future__ import annotations
@@ -14,9 +13,7 @@ import hashlib
 import io
 import json
 import math
-import os
 from collections import defaultdict
-from concurrent.futures import ThreadPoolExecutor
 from functools import cached_property
 from itertools import chain, count, repeat
 from pathlib import Path
@@ -31,23 +28,6 @@ from .spacetime import SettingLabel, as_label_indices, label_dtype
 
 BLOCK_SIZE = 1 << 16
 
-WORKERS_ENV = "RBL_WORKERS"
-
-
-def resolve_workers() -> int:
-    """Effective worker count, read from RBL_WORKERS, the one control.
-
-    Unset, or a value below 2, means serial.  The machine's CPU count
-    caps the result, so no request opens more threads than CPUs.  A
-    value that is not an integer raises a ``ValueError`` naming it.
-    """
-    env = os.environ.get(WORKERS_ENV, "").strip()
-    try:
-        workers = int(env) if env else 0
-    except ValueError:
-        raise ValueError(f"{WORKERS_ENV} must be an integer, got {env!r}") from None
-    return max(1, min(workers, os.cpu_count() or 1))
-
 
 def substream(seed: int, *key: int) -> np.random.Generator:
     """Independent generator derived deterministically from (seed, key...)."""
@@ -55,24 +35,13 @@ def substream(seed: int, *key: int) -> np.random.Generator:
 
 
 def map_blocks(n_total: int, fn: Callable[[int, int, int], object]) -> list:
-    """Apply ``fn(block_index, offset, block_n)`` over fixed-size blocks,
-    on :func:`resolve_workers` threads.
-
-    Results come back ordered by block index regardless of how many
-    workers ran them.
-    """
-    n_blocks = (n_total + BLOCK_SIZE - 1) // BLOCK_SIZE
-    sizes = [
-        min(BLOCK_SIZE, n_total - i * BLOCK_SIZE) for i in range(n_blocks)
+    """Apply ``fn(block_index, offset, block_n)`` over fixed-size blocks of
+    ``n_total`` trials, one after another; the results are in block order
+    and the last block may be short."""
+    return [
+        fn(i, offset, min(BLOCK_SIZE, n_total - offset))
+        for i, offset in enumerate(range(0, n_total, BLOCK_SIZE))
     ]
-    nworkers = resolve_workers()
-    if nworkers <= 1 or n_blocks <= 1:
-        return [fn(i, i * BLOCK_SIZE, sizes[i]) for i in range(n_blocks)]
-    with ThreadPoolExecutor(max_workers=nworkers) as pool:
-        futures = [
-            pool.submit(fn, i, i * BLOCK_SIZE, sizes[i]) for i in range(n_blocks)
-        ]
-        return [f.result() for f in futures]
 
 
 # ----------------------------------------------------------------------
@@ -710,9 +679,8 @@ def mc_E(model: Model, a: float, b: float, a_r: float, b_r: float, n: int,
          seed: int) -> Correlation:
     """Monte Carlo correlation estimate from n sampled trials.
 
-    Deterministic given (seed, n): trials are drawn in fixed blocks with
-    per-block substreams, so the result does not depend on the worker
-    count (:func:`resolve_workers`).
+    Deterministic given (seed, n): trials are drawn in fixed blocks, each
+    from its own substream.
     """
     if n < 1:
         raise ValueError("n must be at least 1")

@@ -26,7 +26,7 @@ from .estimation import (
     row_quantities,
     uses_quadrature,
 )
-from .inequalities import ANGLE_FLAGS, INEQUALITIES
+from .inequalities import ANGLE_FLAGS, INEQUALITIES, RETARDED_FLAGS
 from .models import get_model
 
 TAU = math.tau
@@ -78,6 +78,9 @@ class ObjectiveSpec:
                 raise ValueError("retarded must be 'tied', 'free', or a mapping")
         else:
             object.__setattr__(self, "retarded", dict(self.retarded))
+            for name in self.retarded:
+                if name not in RETARDED_FLAGS:
+                    raise ValueError(f"unknown retarded variable {name!r}")
         for key in ("fixed", "retarded"):
             angles = getattr(self, key)
             for name, value in ({} if isinstance(angles, str) else angles).items():

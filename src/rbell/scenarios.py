@@ -8,8 +8,8 @@ configured definition, outcomes are sampled, and the resulting table is
 scored against every inequality whose cells are present.
 
 Runs are bit-reproducible from (config, seed): schedule randomness and
-trial randomness use fixed substreams, and trial blocks are reduced in
-index order whatever the worker count.
+trial randomness use fixed substreams, and trial blocks are joined in
+index order.
 """
 
 from __future__ import annotations

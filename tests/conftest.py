@@ -131,7 +131,7 @@ def actual_ids(sched, *times):
 def oracle_trials(config):
     """Label columns (a, b, a_r, b_r) as int64 merged-palette indices, and
     outcome_1, outcome_2 and lambda (None without a hidden variable), of
-    the trials of ``run_scenario(config)``, on the RBL_WORKERS threads."""
+    the trials of ``run_scenario(config)``, sampled block by block."""
     from rbell.estimation import map_blocks, substream
     from rbell.models import get_model, sample_outcomes
     from rbell.scenarios import _merge_palettes, build_schedules

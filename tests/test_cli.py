@@ -316,6 +316,8 @@ def test_optimize_cli_spec_with_a_step_too_fine_to_count(tmp_path, capsys, step)
         (json.dumps({**SPEC, "fixed": {"a": "pi"}}), "fixed must be an object of numbers"),
         (json.dumps({**SPEC, "fixed": [0.0]}), "fixed must be an object of numbers"),
         (json.dumps({**SPEC, "retarded": {"ar": None}}), "retarded must be 'tied', 'free'"),
+        (json.dumps({"model": "hardy", "inequality": "retarded_chsh", "free": ["a"],
+                     "retarded": {"a_r": 1.0}}), "unknown retarded variable 'a_r'"),
         (json.dumps({**SPEC, "quadrature_nodes": 1.5}), "quadrature_nodes must be"),
         (json.dumps({**SPEC, "quadrature_nodes": 10}),
          "quadrature_nodes must be at least 1000, got 10"),
@@ -331,7 +333,7 @@ def test_optimize_cli_spec_with_a_step_too_fine_to_count(tmp_path, capsys, step)
     ],
     ids=["not-an-object", "unknown-key", "missing-model", "model-list", "inequality-list",
          "direction-number", "free-string", "free-number", "grid-step-string", "grid-step-bool", "fixed-string",
-         "fixed-list", "retarded-null", "nodes-float", "nodes-too-few", "grid-step-zero",
+         "fixed-list", "retarded-null", "retarded-unknown", "nodes-float", "nodes-too-few", "grid-step-zero",
          "grid-step-seven", "grid-step-turn", "invalid-json", "fixed-nan", "retarded-inf"],
 )
 def test_optimize_cli_malformed_spec_names_file_and_key(tmp_path, capsys, text, key):
@@ -687,15 +689,6 @@ def test_run_folds_a_periodic_switch_that_rounds_onto_the_start(tmp_path, capsys
     assert "error" not in err
     assert json.loads(out)["trials"] == 200
     assert (tmp_path / "o" / "trials.csv").exists()
-
-
-def test_run_names_a_malformed_worker_count(tmp_path, capsys, monkeypatch):
-    # RBL_WORKERS is not a config key, so the line names it and not the file
-    monkeypatch.setenv("RBL_WORKERS", "abc")
-    config = tmp_path / "scenario.ini"
-    config.write_text(CONFIG_TEXT)
-    code, out, err = run_cli(capsys, RUN(str(config), str(tmp_path / "o")) + ["--n", "100"])
-    assert (code, out, err) == (1, "", "error: RBL_WORKERS must be an integer, got 'abc'\n")
 
 
 def test_run_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch):

@@ -2,7 +2,6 @@ import csv
 import hashlib
 import json
 import math
-import os
 import re
 import shutil
 import tempfile
@@ -38,6 +37,7 @@ from rbell.estimation import (
     exact_row,
     exact_terms,
     exact_values,
+    map_blocks,
     marginal_p1,
     marginal_p2,
     mc_E,
@@ -46,7 +46,6 @@ from rbell.estimation import (
     quadrature_E,
     read_table,
     read_trial_log,
-    resolve_workers,
     substream,
     write_table,
     write_trial_log,
@@ -241,44 +240,16 @@ def test_mc_seed_determinism():
     assert c != a
 
 
-def test_mc_worker_count_invariance(monkeypatch):
-    n = 3 * BLOCK_SIZE + 17
-    monkeypatch.setenv("RBL_WORKERS", "1")
-    serial = mc_E(HARDY, 0.3, 1.0, 2.0, 0.5, n=n, seed=9)
-    monkeypatch.setenv("RBL_WORKERS", "4")
-    threaded = mc_E(HARDY, 0.3, 1.0, 2.0, 0.5, n=n, seed=9)
-    assert serial == threaded
-    monkeypatch.setenv("RBL_WORKERS", "8")
-    env_run = mc_E(HARDY, 0.3, 1.0, 2.0, 0.5, n=n, seed=9)
-    assert env_run == serial
+def test_map_blocks_walks_fixed_blocks_in_order():
+    calls = []
 
+    def fn(i, offset, m):
+        calls.append((i, offset, m))
+        return i
 
-def test_resolve_workers(monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)  # independent of the host
-    monkeypatch.delenv("RBL_WORKERS", raising=False)
-    assert resolve_workers() == 1
-    monkeypatch.setenv("RBL_WORKERS", "4")
-    assert resolve_workers() == 4
-    monkeypatch.setenv("RBL_WORKERS", " 2 ")
-    assert resolve_workers() == 2
-    monkeypatch.setenv("RBL_WORKERS", "0")
-    assert resolve_workers() == 1
-    monkeypatch.setenv("RBL_WORKERS", "-3")
-    assert resolve_workers() == 1
-    # not an integer: a ValueError naming the variable, not the int() message
-    monkeypatch.setenv("RBL_WORKERS", "abc")
-    with pytest.raises(ValueError, match=r"^RBL_WORKERS must be an integer, got 'abc'$"):
-        resolve_workers()
-
-
-def test_resolve_workers_capped_at_cpu_count(monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    monkeypatch.setenv("RBL_WORKERS", "100000")
-    assert resolve_workers() == 3
-    monkeypatch.setenv("RBL_WORKERS", "8")
-    assert resolve_workers() == 3
-    monkeypatch.setenv("RBL_WORKERS", "2")
-    assert resolve_workers() == 2
+    assert map_blocks(2 * BLOCK_SIZE + 5, fn) == [0, 1, 2]
+    assert calls == [(0, 0, BLOCK_SIZE), (1, BLOCK_SIZE, BLOCK_SIZE), (2, 2 * BLOCK_SIZE, 5)]
+    assert map_blocks(0, fn) == []
 
 
 def test_mc_rejects_bad_n():

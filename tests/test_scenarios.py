@@ -1,7 +1,6 @@
 import hashlib
 import json
 import math
-import os
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -29,7 +28,6 @@ from rbell.models import (
     DeterministicLHV,
     HiddenSpace,
     StochasticLHV,
-    get_model,
     hardy_outcome_A,
     hardy_outcome_B,
     register_model,
@@ -568,8 +566,8 @@ STREAM_DELAYS = (0.0, 0.5, 1.5, 3.0)
 
 @st_.composite
 def settings_cases(draw):
-    """A config over every schedule kind and definition, the stream file
-    rows its stream stations read, and a worker count."""
+    """A config over every schedule kind and definition, and the stream
+    file rows its stream stations read."""
     tau = draw(st_.sampled_from((1.0, 2.0, 4.0)))
     n = draw(st_.integers(1, 300))
     spacing = draw(st_.sampled_from((0.25, 0.5, 1.0)))
@@ -607,7 +605,7 @@ def settings_cases(draw):
         retarded_definition=draw(st_.sampled_from(RETARDED_DEFINITIONS)),
         intervention_delay=draw(st_.sampled_from((0.0, 0.5, 1.5))),
     )
-    return config, "".join(rows), draw(st_.sampled_from((1, 2)))
+    return config, "".join(rows)
 
 
 @settings(max_examples=80, deadline=None)
@@ -617,7 +615,7 @@ def test_settings_and_sampling_match_the_two_schedule_oracle(case):
     # angles gathered per block give the values of both schedules kept,
     # int64 columns and full-length angle arrays; 64-trial blocks make
     # several blocks of a few hundred trials
-    config, rows, workers = case
+    config, rows = case
     register_model("hardy-noisy", _noisy_hardy)
     try:
         with tempfile.TemporaryDirectory() as tmp:
@@ -627,8 +625,7 @@ def test_settings_and_sampling_match_the_two_schedule_oracle(case):
                 f"station{k}": replace(st, stream_path=str(path))
                 for k, st in ((1, config.station1), (2, config.station2)) if st.kind == "stream"
             })
-            with mock.patch.object(estimation, "BLOCK_SIZE", 64), \
-                    mock.patch.dict(os.environ, {"RBL_WORKERS": str(workers)}):
+            with mock.patch.object(estimation, "BLOCK_SIZE", 64):
                 expect = oracle_trials(config)
                 log = run_scenario(config).log
             replayed = replay_retarded(config, log)
@@ -763,45 +760,6 @@ def test_run_bit_reproducible():
     assert np.array_equal(r1.log.lam, r2.log.lam)
     assert np.array_equal(r1.log.a_r, r2.log.a_r)
     assert [r.value for r in r1.reports] == [r.value for r in r2.reports]
-
-
-def test_run_worker_invariance(monkeypatch):
-    config = base_config(
-        station1=random_station(1, QUARTET_1, rate=2.0),
-        station2=random_station(2, QUARTET_2, rate=2.0),
-        n_trials=int(2.5 * (1 << 16)),
-        spacing=0.05,
-    )
-    monkeypatch.setenv("RBL_WORKERS", "1")
-    serial = run_scenario(config)
-    monkeypatch.setenv("RBL_WORKERS", "6")
-    threaded = run_scenario(config)
-    assert np.array_equal(serial.log.outcome_1, threaded.log.outcome_1)
-    assert np.array_equal(serial.log.outcome_2, threaded.log.outcome_2)
-    assert np.array_equal(serial.log.lam, threaded.log.lam)
-
-
-@pytest.mark.parametrize("model", ["quantum-singlet", "hardy-lifted"])
-def test_run_worker_count_identity_per_model(monkeypatch, model):
-    # the nonlocal sampler and the stochastic lift of hardy give the same
-    # log for 1 and 2 workers, and with RBL_WORKERS unset
-    register_model("hardy-lifted", lambda: StochasticLHV.from_deterministic(get_model("hardy")))
-    logs = []
-    try:
-        config = base_config(model=model, n_trials=int(2.5 * BLOCK_SIZE), spacing=0.05)
-        for workers in ("1", "2", None):
-            if workers is None:
-                monkeypatch.delenv("RBL_WORKERS", raising=False)
-            else:
-                monkeypatch.setenv("RBL_WORKERS", workers)
-            logs.append(run_scenario(config).log)
-    finally:
-        _FACTORIES.pop("hardy-lifted", None)
-    assert logs[0].lam is None if model == "quantum-singlet" else logs[0].lam is not None
-    for log in logs[1:]:
-        assert log.palette == logs[0].palette
-        for name in ("t1", "t2", "a", "b", "a_r", "b_r", "outcome_1", "outcome_2", "lam"):
-            assert np.array_equal(getattr(log, name), getattr(logs[0], name)), name
 
 
 def _noisy_hardy():
