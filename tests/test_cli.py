@@ -318,6 +318,7 @@ def test_optimize_cli_spec_with_a_step_too_fine_to_count(tmp_path, capsys, step)
         (json.dumps({**SPEC, "retarded": {"ar": None}}), "retarded must be 'tied', 'free'"),
         (json.dumps({"model": "hardy", "inequality": "retarded_chsh", "free": ["a"],
                      "retarded": {"a_r": 1.0}}), "unknown retarded variable 'a_r'"),
+        (json.dumps({**SPEC, "retarded": {"a": 1.0}}), "unknown retarded variable 'a'"),
         (json.dumps({**SPEC, "quadrature_nodes": 1.5}), "quadrature_nodes must be"),
         (json.dumps({**SPEC, "quadrature_nodes": 10}),
          "quadrature_nodes must be at least 1000, got 10"),
@@ -333,7 +334,7 @@ def test_optimize_cli_spec_with_a_step_too_fine_to_count(tmp_path, capsys, step)
     ],
     ids=["not-an-object", "unknown-key", "missing-model", "model-list", "inequality-list",
          "direction-number", "free-string", "free-number", "grid-step-string", "grid-step-bool", "fixed-string",
-         "fixed-list", "retarded-null", "retarded-unknown", "nodes-float", "nodes-too-few", "grid-step-zero",
+         "fixed-list", "retarded-null", "retarded-unknown", "retarded-setting", "nodes-float", "nodes-too-few", "grid-step-zero",
          "grid-step-seven", "grid-step-turn", "invalid-json", "fixed-nan", "retarded-inf"],
 )
 def test_optimize_cli_malformed_spec_names_file_and_key(tmp_path, capsys, text, key):

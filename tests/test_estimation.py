@@ -240,16 +240,29 @@ def test_mc_seed_determinism():
     assert c != a
 
 
-def test_map_blocks_walks_fixed_blocks_in_order():
+@pytest.mark.parametrize(
+    "n,expect",
+    [
+        (0, []),
+        (1, [(0, 0, 1)]),
+        (BLOCK_SIZE, [(0, 0, BLOCK_SIZE)]),
+        (BLOCK_SIZE + 1, [(0, 0, BLOCK_SIZE), (1, BLOCK_SIZE, 1)]),
+        (2 * BLOCK_SIZE + 5,
+         [(0, 0, BLOCK_SIZE), (1, BLOCK_SIZE, BLOCK_SIZE), (2, 2 * BLOCK_SIZE, 5)]),
+    ],
+    ids=["empty", "one-trial", "one-full-block", "one-over", "two-blocks-and-five"],
+)
+def test_map_blocks_walks_fixed_blocks_in_order(n, expect):
+    # an exact multiple of BLOCK_SIZE ends without an empty block; any
+    # remainder is one short last block
     calls = []
 
     def fn(i, offset, m):
         calls.append((i, offset, m))
         return i
 
-    assert map_blocks(2 * BLOCK_SIZE + 5, fn) == [0, 1, 2]
-    assert calls == [(0, 0, BLOCK_SIZE), (1, BLOCK_SIZE, BLOCK_SIZE), (2, 2 * BLOCK_SIZE, 5)]
-    assert map_blocks(0, fn) == []
+    assert map_blocks(n, fn) == [i for i, _, _ in expect]
+    assert calls == expect
 
 
 def test_mc_rejects_bad_n():

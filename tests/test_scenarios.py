@@ -28,6 +28,7 @@ from rbell.models import (
     DeterministicLHV,
     HiddenSpace,
     StochasticLHV,
+    get_model,
     hardy_outcome_A,
     hardy_outcome_B,
     register_model,
@@ -760,6 +761,22 @@ def test_run_bit_reproducible():
     assert np.array_equal(r1.log.lam, r2.log.lam)
     assert np.array_equal(r1.log.a_r, r2.log.a_r)
     assert [r.value for r in r1.reports] == [r.value for r in r2.reports]
+
+
+@pytest.mark.parametrize("model", ["quantum-singlet", "hardy-lifted"])
+def test_run_rerun_identity_per_model(model):
+    # over several blocks, the nonlocal sampler and the stochastic lift of
+    # hardy give the same log on a rerun
+    register_model("hardy-lifted", lambda: StochasticLHV.from_deterministic(get_model("hardy")))
+    try:
+        config = base_config(model=model, n_trials=int(2.5 * BLOCK_SIZE), spacing=0.05)
+        logs = [run_scenario(config).log for _ in range(2)]
+    finally:
+        _FACTORIES.pop("hardy-lifted", None)
+    assert logs[0].lam is None if model == "quantum-singlet" else logs[0].lam is not None
+    assert logs[1].palette == logs[0].palette
+    for name in ("t1", "t2", "a", "b", "a_r", "b_r", "outcome_1", "outcome_2", "lam"):
+        assert np.array_equal(getattr(logs[1], name), getattr(logs[0], name)), name
 
 
 def _noisy_hardy():
